@@ -14,10 +14,29 @@ produced inside a slot slide left through the balanced tensor relation
 (gamma (x) a*x = gamma*eta_R(a) (x) x) until they reach the outer
 A-coefficient, which multiplies the first slot through eta_L.  Keys with
 an empty slot are degenerate and are projected away.
+
+The differential is assembled as a left A-module map.  The inner faces
+and the coaction face of a*[w|m] are eta_L(a) times the same faces of
+[w|m]; only the outer face sees `a`, as (eta_L(a) - eta_R(a)) (x) w (x) m
+(Ravenel, Complex Cobordism, A1.2.11).  So the a-free faces F(w, m) are
+computed once per (word, module generator), with the first slot kept as
+a full Gamma-element, degenerate terms included, and each key multiplies
+them by eta_L(a) in Gamma's normal form (relations, Koszul signs and
+weight truncation as in any product) before projecting degenerate keys
+away.  The normal form is linear, so this gives the same coordinates as
+expanding every face of every key.  The caches of the complex (F, the
+products eta_L(a)*m, eta_R of A-monomials, words and their Gamma-elements,
+bases, matrices) are only ever filled with the value a computation from
+the same inputs produces, so threads that race to fill an entry store
+identical values and `ext_dims(parallel>1)` stays correct.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import mul
+
+import numpy as np
 
 from . import linalg
 from .errors import DegreeError, InfiniteBasis, Verdict
@@ -56,14 +75,27 @@ class CobarComplex:
         self.t_min = t_min
         self.t_max = t_max
         self.D = H.Gamma.truncation
-        # nonempty morphism monomials, grouped and deterministic
-        self.reduced_monos = [
-            w for w in H.morphism_monomials() if any(w)
-        ]
-        self.reduced_monos.sort()
+        # nonempty morphism monomials with their degrees, grouped and
+        # deterministic; a monomial's degree is also the weight the cap
+        # counts
+        self._reduced = sorted(
+            (w, H.Gamma.monomial_degree(w))
+            for w in H.morphism_monomials()
+            if any(w)
+        )
+        self._word_degree = dict(self._reduced)
+        self._morphism_mask = tuple(
+            int(i in H.morphism_gens) for i in range(len(H.Gamma.gens))
+        )
+        self._base_mask = tuple(1 - m for m in self._morphism_mask)
+        self._words_cache = {}
         self._basis_cache = {}
         self._matrix_cache = {}
         self._dbar_cache = {}
+        self._faces_cache = {}
+        self._etaL_times_cache = {}
+        self._elem_cache = {}
+        self._etaR_cache = {}
         self._etaR_gen = None
         self._etaR_inv = {}
         self._psi_reduced = {
@@ -76,13 +108,19 @@ class CobarComplex:
 
     # -- helpers ----------------------------------------------------------
 
-    def _mor_weight(self, w):
-        G = self.H.Gamma
-        return sum(e * G.degrees[i] for i, e in enumerate(w) if e)
+    def _elem(self, w):
+        """The Gamma-element of a monomial, cached."""
+        got = self._elem_cache.get(w)
+        if got is None:
+            got = self._elem_cache[w] = self.H.Gamma.monomial_element(w)
+        return got
 
     def _etaR_monomial(self, a_mono):
         """eta_R of an A-monomial, computed from generator images so the
         monomial may lie beyond A's own truncation boundary."""
+        got = self._etaR_cache.get(a_mono)
+        if got is not None:
+            return got
         H = self.H
         if self._etaR_gen is None:
             self._etaR_gen = [
@@ -104,6 +142,7 @@ class CobarComplex:
                         )
                     self._etaR_inv[i] = inv
                 prod = prod * (inv ** (-e))
+        self._etaR_cache[a_mono] = prod
         return prod
 
     def _etaL_monomial(self, a_mono):
@@ -116,20 +155,10 @@ class CobarComplex:
     def _split_gamma_mono(self, mono):
         """Split a Gamma-monomial into (A-exponents, morphism exponents);
         base generators mirror A's generators in order."""
-        H = self.H
-        base = getattr(self, "_base_indices", None)
-        if base is None:
-            base = [
-                i
-                for i in range(len(H.Gamma.gens))
-                if i not in H.morphism_gens
-            ]
-            self._base_indices = base
-        a = tuple(mono[i] for i in base)
-        w = [0] * len(H.Gamma.gens)
-        for i in H.morphism_order:
-            w[i] = mono[i]
-        return a, tuple(w)
+        return (
+            tuple(compress(mono, self._base_mask)),
+            tuple(map(mul, mono, self._morphism_mask)),
+        )
 
     def _dbar(self, w):
         """Reduced diagonal of a morphism monomial, as a list of
@@ -160,6 +189,20 @@ class CobarComplex:
 
     # -- bases ------------------------------------------------------------
 
+    def _words(self, s):
+        """Words of s nonempty morphism monomials within the weight cap,
+        with their degrees (equal to their weights), cached per s."""
+        got = self._words_cache.get(s)
+        if got is None:
+            got = [((), 0)] if s == 0 else [
+                (word + (w,), wdeg + d)
+                for word, wdeg in self._words(s - 1)
+                for w, d in self._reduced
+                if wdeg + d <= self.D
+            ]
+            self._words_cache[s] = got
+        return got
+
     def basis(self, s, t):
         """Deterministic basis of C^s in internal degree t: sorted keys
         (a_monomial, word tuple, module generator name)."""
@@ -167,24 +210,12 @@ class CobarComplex:
         got = self._basis_cache.get(key)
         if got is not None:
             return got
-        H, A = self.H, self.H.A
+        A = self.H.A
         out = []
-        words = [((), 0, 0)]
-        for _ in range(s):
-            grown = []
-            for wt, wdeg, wwt in words:
-                for w in self.reduced_monos:
-                    ww = self._mor_weight(w)
-                    if wwt + ww > self.D:
-                        continue
-                    grown.append(
-                        (wt + (w,), wdeg + H.Gamma.monomial_degree(w), wwt + ww)
-                    )
-            words = grown
-        for word, wdeg, wwt in words:
+        for word, wdeg in self._words(s):
             for mgen, mdeg in self.M.gens:
                 trem = t - wdeg - mdeg
-                for a in A.degree_basis(trem, self.D - wwt):
+                for a in A.degree_basis(trem, self.D - wdeg):
                     out.append((a, word, mgen))
         out.sort()
         self._basis_cache[key] = out
@@ -192,16 +223,13 @@ class CobarComplex:
 
     # -- the differential -------------------------------------------------
 
-    def _reduce_word(self, coeff, outer, slots, mgen, acc):
-        """Accumulate the canonical coordinates of
-        eta_L(outer) * slots[0] (x) ... (x) slots[-1] (x) mgen into acc."""
+    def _slide(self, coeff, slots):
+        """Slide the A-coefficients of slots[1:] leftwards into slots[0],
+        branching per monomial and dropping degenerate slots: a list of
+        (coefficient, first-slot Gamma-element, words of the later slots).
+        A trivial A-coefficient carries nothing: the slots are in normal
+        form, so multiplying by eta_R(1) = 1 would not change them."""
         p = self.p
-        if not slots:
-            for a_mono in (outer,):
-                k = (a_mono, (), mgen)
-                acc[k] = (acc.get(k, 0) + coeff) % p
-            return
-        # slide A-coefficients leftwards, branch per monomial
         branches = [(coeff, (), None)]
         for i in range(len(slots) - 1, 0, -1):
             new = []
@@ -215,14 +243,22 @@ class CobarComplex:
                         (
                             c * int(cc) % p,
                             (w_part,) + ws,
-                            self._etaR_monomial(a_part),
+                            self._etaR_monomial(a_part)
+                            if any(a_part)
+                            else None,
                         )
                     )
             branches = new
-        for c, ws, carry in branches:
-            g = slots[0]
-            if carry is not None:
-                g = g * carry
+        return [
+            (c, slots[0] if carry is None else slots[0] * carry, ws)
+            for c, ws, carry in branches
+        ]
+
+    def _reduce_word(self, coeff, outer, slots, mgen, acc):
+        """Accumulate the canonical coordinates of
+        eta_L(outer) * slots[0] (x) ... (x) slots[-1] (x) mgen into acc."""
+        p = self.p
+        for c, g, ws in self._slide(coeff, slots):
             if outer is not None:
                 g = self._etaL_monomial(outer) * g
             for mono, cc in g.terms.items():
@@ -232,23 +268,19 @@ class CobarComplex:
                 k = (a_part, (w_part,) + ws, mgen)
                 acc[k] = (acc.get(k, 0) + c * int(cc)) % p
 
-    def d_of_key(self, key):
-        """The differential of one basis key, as canonical coordinates."""
-        a, word, mgen = key
-        H = self.H
+    def _faces(self, word, mgen):
+        """F(w, m): the inner faces and the coaction face of [w|m], before
+        the outer coefficient multiplies the first slot.  A list of
+        (later words, module generator, ((first-slot monomial,
+        coefficient), ...)); degenerate first slots are kept, since only
+        the product with eta_L(a) decides degeneracy."""
+        got = self._faces_cache.get((word, mgen))
+        if got is not None:
+            return got
+        p = self.p
         s = len(word)
-        acc = {}
-        word_elems = [H.Gamma.monomial_element(w) for w in word]
-        if s >= 1 and any(a):
-            # the outer coefficient's own face: the subtracted term
-            # 1 (x) (a*w_1) reads the coefficient through eta_R, so d picks
-            # up sign_1 * (eta_L(a) - eta_R(a)) (x) w_1 (x) ...; the
-            # eta_L(a) part is degenerate and drops in reduction
-            self._reduce_word(
-                1, None,
-                [self._etaR_monomial(a)] + word_elems,
-                mgen, acc,
-            )
+        word_elems = [self._elem(w) for w in word]
+        faces = []  # (coefficient, slots, module generator)
         for i in range(1, s + 1):
             sign = _neg_pow(i)
             for c, lelem, rmono in self._dbar(word[i - 1]):
@@ -256,22 +288,78 @@ class CobarComplex:
                     continue
                 slots = (
                     word_elems[: i - 1]
-                    + [lelem, H.Gamma.monomial_element(rmono)]
+                    + [lelem, self._elem(rmono)]
                     + word_elems[i:]
                 )
-                self._reduce_word(
-                    sign * int(c) % self.p, a, slots, mgen, acc
-                )
+                faces.append((sign * int(c) % p, slots, mgen))
         sign = _neg_pow(s + 1)
         for other, gamma in self._psi_reduced[mgen]:
-            self._reduce_word(sign, a, word_elems + [gamma], other, acc)
+            faces.append((sign, word_elems + [gamma], other))
+        groups = {}
+        for coeff, slots, out_gen in faces:
+            for c, g, ws in self._slide(coeff, slots):
+                terms = groups.setdefault((ws, out_gen), {})
+                for mono, cc in g.terms.items():
+                    terms[mono] = (terms.get(mono, 0) + c * int(cc)) % p
+        got = [
+            (ws, out_gen, tuple((m, c) for m, c in terms.items() if c))
+            for (ws, out_gen), terms in groups.items()
+        ]
+        self._faces_cache[(word, mgen)] = got
+        return got
+
+    def _etaL_times(self, a, m0):
+        """eta_L(a) * m0 for an A-monomial `a` and a Gamma-monomial m0, in
+        Gamma's normal form, as (A-part, morphism part, coefficient)
+        triples with the degenerate terms dropped; cached, since keys of
+        many words share both factors."""
+        got = self._etaL_times_cache.get((a, m0))
+        if got is not None:
+            return got
+        G = self.H.Gamma
+        raw = []
+        for ma, ca in self._etaL_monomial(a).terms.items():
+            res = G._mul_mono(ma, m0)
+            if res is not None:
+                sgn, mono = res
+                raw.append((-ca if sgn < 0 else ca, mono))
+        got = []
+        for mono, cc in G.normalize_terms(raw)[0].items():
+            a_part, w_part = self._split_gamma_mono(mono)
+            if any(w_part):
+                got.append((a_part, w_part, int(cc)))
+        self._etaL_times_cache[(a, m0)] = got
+        return got
+
+    def d_of_key(self, key):
+        """The differential of one basis key, as canonical coordinates."""
+        a, word, mgen = key
+        p = self.p
+        s = len(word)
+        acc = {}
+        if s >= 1 and any(a):
+            # the outer coefficient's own face: the subtracted term
+            # 1 (x) (a*w_1) reads the coefficient through eta_R, so d picks
+            # up sign_1 * (eta_L(a) - eta_R(a)) (x) w_1 (x) ...; the
+            # eta_L(a) part is degenerate and drops in reduction
+            self._reduce_word(
+                1, None,
+                [self._etaR_monomial(a)] + [self._elem(w) for w in word],
+                mgen, acc,
+            )
+        for ws, out_gen, terms in self._faces(word, mgen):
+            for m0, c0 in terms:
+                for a_part, w_part, cc in self._etaL_times(a, m0):
+                    k = (a_part, (w_part,) + ws, out_gen)
+                    acc[k] = (acc.get(k, 0) + c0 * cc) % p
         if s == 0:
             # the subtracted unit term 1 (x) (a*m) = eta_R(a) (x) m is not
             # degenerate when a carries a coefficient
+            sign = _neg_pow(s + 1)
             self._reduce_word(
-                -sign % self.p, None, [self._etaR_monomial(a)], mgen, acc
+                -sign % p, None, [self._etaR_monomial(a)], mgen, acc
             )
-        return {k: v for k, v in acc.items() if v % self.p}
+        return {k: v for k, v in acc.items() if v % p}
 
     def differential(self, s, t):
         """Matrix of d: C^{s,t} -> C^{s+1,t} in the deterministic bases
@@ -300,16 +388,10 @@ class CobarComplex:
         d1 = self.differential(s + 1, t)
         if not d0 or not d0[0] or not d1:
             return True
-        p = self.p
-        for j in range(len(d0[0])):
-            col = [row[j] for row in d0]
-            out = [
-                sum(d1[r][k] * col[k] for k in range(len(col))) % p
-                for r in range(len(d1))
-            ]
-            if any(out):
-                return False
-        return True
+        # entries are below p and the inner dimension is at most a few
+        # thousand, so the int64 product cannot overflow
+        prod = np.array(d1, dtype=np.int64) @ np.array(d0, dtype=np.int64)
+        return not (prod % self.p).any()
 
     def ext_dim(self, s, t):
         """dim Ext^{s,t} = dim ker d_{s,t} - rank d_{s-1,t}."""
@@ -327,7 +409,7 @@ class CobarComplex:
 
     def key_weight(self, key):
         a, word, _ = key
-        return self.H.A.weight(a) + sum(self._mor_weight(w) for w in word)
+        return self.H.A.weight(a) + sum(self._word_degree[w] for w in word)
 
     def ext_dim_stable(self, s, t, inner):
         """dim of the image H^{s,t}(C_{<=inner}) -> H^{s,t}(C).

@@ -22,13 +22,10 @@ def rank_fp(rows, p):
     for col in range(n):
         if r == m:
             break
-        piv = None
-        for i in range(r, m):
-            if a[i, col] % p:
-                piv = i
-                break
-        if piv is None:
+        nz = np.flatnonzero(a[r:, col] % p)
+        if not nz.size:
             continue
+        piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         inv = pow(int(a[r, col]), -1, p)
@@ -53,34 +50,27 @@ def kernel_basis_fp(rows, ncols, p):
     for col in range(ncols):
         if r == m:
             break
-        piv = None
-        for i in range(r, m):
-            if a[i, col] % p:
-                piv = i
-                break
-        if piv is None:
+        nz = np.flatnonzero(a[r:, col] % p)
+        if not nz.size:
             continue
+        piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         inv = pow(int(a[r, col]), -1, p)
         a[r] = (a[r] * inv) % p
         colvals = a[:, col] % p
-        nz = [i for i in np.nonzero(colvals)[0] if i != r]
-        for i in nz:
-            a[i] = (a[i] - colvals[i] * a[r]) % p
+        colvals[r] = 0
+        nz = np.flatnonzero(colvals)
+        if nz.size:
+            a[nz] = (a[nz] - np.outer(colvals[nz], a[r])) % p
         pivots.append(col)
         r += 1
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for row, col in enumerate(pivots):
-            v[col] = (-int(a[row, free])) % p
-        basis.append(v)
-    return basis
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-a[:r, free].T) % p
+    return basis.tolist()
 
 
 def rank_frac(rows):

@@ -1,8 +1,13 @@
-"""Shared fixtures: small algebroids, the BP pairs, and the flagship
-localized pair at p=3."""
+"""Shared fixtures and helpers: small algebroids, the BP pairs, the
+flagship localized pair at p=3, and the CLI runner."""
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+import hopfalg
 from hopfalg.hopf import HopfAlgebroid
 from hopfalg.presentation import BaseMode, GradedPresentation, RingMorphism
 
@@ -13,6 +18,21 @@ settings.register_profile(
     max_examples=60,
 )
 settings.load_profile("suite")
+
+
+def run_cli(*args):
+    """Run the CLI as `python -m hopfalg` under this interpreter, with the
+    test process's PYTHONPATH led by the directory of the hopfalg package
+    the tests import, so that no install step is needed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfalg.__file__)))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return subprocess.run(
+        [sys.executable, "-m", "hopfalg", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=300,
+    )
 
 
 def primitive_line(p, xdeg, power, truncation=16, name=""):

@@ -5,7 +5,6 @@ they are the contract for the package as a whole.
 """
 import json
 import random
-import subprocess
 import time
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from hopfalg.morita import (
 )
 from hopfalg.presentation import RingMorphism
 
+from conftest import run_cli
 from test_cobar import oracle_ext_dim
 from test_comodule import comodule_catalog
 
@@ -191,12 +191,9 @@ def test_criterion_9_determinism(flagship, jw_files):
     assert tables[0].to_dict() == tables[1].to_dict()
     outs = []
     for k in ("1", "8"):
-        r = subprocess.run(
-            ["hopfalg", "ext", str(jw_files / "target.ini"),
-             "--smax", "2", "--tmin", "-12", "--tmax", "12",
-             "--inner", "24", "--format", "json", "--parallel", k],
-            capture_output=True, text=True, timeout=300,
-        )
+        r = run_cli("ext", str(jw_files / "target.ini"),
+                    "--smax", "2", "--tmin", "-12", "--tmax", "12",
+                    "--inner", "24", "--format", "json", "--parallel", k)
         assert r.returncode == 0
         outs.append(r.stdout)
     assert outs[0] == outs[1]

@@ -1,22 +1,11 @@
-"""End-to-end CLI tests through the installed console script."""
+"""End-to-end CLI tests through `python -m hopfalg`."""
 import json
-import subprocess
 
 import pytest
 
 from hopfalg import files
 
-from conftest import mu2_algebroid
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        ["hopfalg", *map(str, args)],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        timeout=300,
-    )
+from conftest import mu2_algebroid, run_cli
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,8 @@ from hopfalg.cobar import CobarComplex, compare_ext, ext_dims, primitive_dims
 from hopfalg.errors import DegreeError
 from hopfalg.presentation import BaseMode, GradedPresentation
 
-from conftest import primitive_line
+from conftest import mu2_algebroid, primitive_line
+from test_comodule import comodule_catalog
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,17 @@ def test_d_squared_flagship(flagship):
                 assert C.d_squared_is_zero(s, t), (H.name, s, t)
 
 
+def test_d_squared_detects_a_corrupted_differential():
+    C = CobarComplex(primitive_line(3, 2, 3), s_max=3, t_min=0, t_max=12)
+    s, t = 2, 8
+    assert C.d_squared_is_zero(s, t)
+    d1 = C.differential(s + 1, t)
+    r = next(k for k in range(len(d1[0])) if any(row[k] for row in d1))
+    d0 = C.differential(s, t)  # the cached matrix, corrupted in place
+    d0[r][0] = (d0[r][0] + 1) % C.p
+    assert not C.d_squared_is_zero(s, t)
+
+
 def test_ext0_equals_primitives(flagship):
     _, H1, _, _ = flagship
     C = CobarComplex(H1, s_max=0, t_min=-16, t_max=16)
@@ -210,3 +222,92 @@ def test_mode_guards():
         CobarComplex(H_int)
     with pytest.raises(DegreeError):
         CobarComplex(primitive_line(3, 3, 3))  # odd degree off char 2
+
+
+# ---------------------------------------------------------------------------
+# the assembled differential against a face-by-face reference
+
+
+def reference_d_of_key(C, key):
+    """d of one basis key with every face expanded for this key alone,
+    eta_L(a) applied inside each face: the assembly the complex used
+    before the a-free faces were shared between keys."""
+    a, word, mgen = key
+    H = C.H
+    s = len(word)
+    acc = {}
+    word_elems = [H.Gamma.monomial_element(w) for w in word]
+    if s >= 1 and any(a):
+        C._reduce_word(
+            1, None, [C._etaR_monomial(a)] + word_elems, mgen, acc
+        )
+    for i in range(1, s + 1):
+        sign = -1 if i % 2 else 1
+        for c, lelem, rmono in C._dbar(word[i - 1]):
+            if not any(rmono):
+                continue
+            slots = (
+                word_elems[: i - 1]
+                + [lelem, H.Gamma.monomial_element(rmono)]
+                + word_elems[i:]
+            )
+            C._reduce_word(sign * int(c) % C.p, a, slots, mgen, acc)
+    sign = -1 if (s + 1) % 2 else 1
+    for other, gamma in C._psi_reduced[mgen]:
+        C._reduce_word(sign, a, word_elems + [gamma], other, acc)
+    if s == 0:
+        C._reduce_word(
+            -sign % C.p, None, [C._etaR_monomial(a)], mgen, acc
+        )
+    return {k: v for k, v in acc.items() if v % C.p}
+
+
+def _reference_differential(C, s, t):
+    src = C.basis(s, t)
+    pos = {k: i for i, k in enumerate(C.basis(s + 1, t))}
+    mat = [[0] * len(src) for _ in range(len(pos))]
+    for j, k in enumerate(src):
+        for outk, c in reference_d_of_key(C, k).items():
+            if outk not in pos:
+                raise AssertionError("differential leaves the basis")
+            mat[pos[outk]][j] = c
+    return mat
+
+
+def _outcome(differential, C, s, t):
+    """The matrix, or the exception type for a key outside the basis."""
+    try:
+        return differential(C, s, t)
+    except AssertionError as exc:
+        return type(exc)
+
+
+def assert_differentials_match(H, M, s_max, t_min, t_max):
+    """Fresh complexes on both sides, so that no cache is shared."""
+    C = CobarComplex(H, M=M)
+    R = CobarComplex(H, M=M)
+    for s in range(s_max + 1):
+        for t in range(t_min, t_max + 1):
+            got = _outcome(CobarComplex.differential, C, s, t)
+            want = _outcome(_reference_differential, R, s, t)
+            assert got == want, (H.name, M and M.name, s, t)
+
+
+def test_differential_matches_reference_flagship(flagship):
+    _, H1, H2, _ = flagship
+    for H in (H1, H2):
+        assert_differentials_match(H, None, 2, -12, 12)
+
+
+def test_differential_matches_reference_p2():
+    from hopfalg.fgl import assemble_bp, quotient_localize
+
+    H = quotient_localize(assemble_bp(2, 16, max_gens=3), 1)
+    assert_differentials_match(H, None, 2, -16, 16)
+
+
+def test_differential_matches_reference_comodules(flagship):
+    """Includes the t1-extension, whose coaction has an off-diagonal
+    term, and windows where a key leaves the enumerated basis."""
+    for M in comodule_catalog(mu2_algebroid(), flagship):
+        assert_differentials_match(M.H, M, 3, -16, 16)

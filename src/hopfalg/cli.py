@@ -6,7 +6,10 @@ in files; outputs are deterministic (sorted JSON, fixed table layouts)
 including under --parallel.
 
 Exit codes: 0 = all verified properties pass, 1 = a property failed,
-2 = input error, 3 = search budget exceeded / infinite basis.
+2 = input error, 3 = search budget exceeded / infinite basis, 4 =
+internal error (an invariant of the computation broke, such as d^2 != 0
+or a cobar differential leaving its enumerated basis: a bug, not bad
+input).
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(obj):
@@ -367,6 +371,9 @@ def run(argv=None):
     except HopfAlgError as exc:
         print(f"property failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main():

@@ -6,7 +6,7 @@ of keys (a, w_1|...|w_s, m) with `a` an A-monomial, each w_i a nonempty
 monomial in the morphism generators, and m a module generator.  The
 scalar coefficients (powers of inverted generators and the like) are
 folded into the monomial enumeration so every bidegree is a finite
-F_p-vector space; dimensions come from exact Gaussian elimination.
+F_p-vector space; dimensions come from exact elimination over F_p.
 
 The differential is the alternating sum of the reduced diagonals applied
 in each slot plus the reduced coaction on the module slot; A-coefficients
@@ -24,19 +24,27 @@ a full Gamma-element, degenerate terms included, and each key multiplies
 them by eta_L(a) in Gamma's normal form (relations, Koszul signs and
 weight truncation as in any product) before projecting degenerate keys
 away.  The normal form is linear, so this gives the same coordinates as
-expanding every face of every key.  The caches of the complex (F, the
-products eta_L(a)*m, eta_R of A-monomials, words and their Gamma-elements,
-bases, matrices) are only ever filled with the value a computation from
-the same inputs produces, so threads that race to fill an entry store
-identical values and `ext_dims(parallel>1)` stays correct.
+expanding every face of every key.
+
+Each differential d_{s,t} is stored sparse, as the columns `d_columns`
+returns: column j is d of the j-th source key, {target position: residue}.
+The differentials are more than 99% zero, so every rank, kernel and
+boundary count goes through `linalg.echelon_fp` on these columns; no
+dense matrix is formed.  `differential` builds the dense matrix from the
+columns on demand, for tests and for callers that want the matrix, and
+never caches it.
+
+The caches of the complex (F, the products eta_L(a)*m, eta_R of
+A-monomials, words and their Gamma-elements, bases, sparse differentials,
+ranks) are only ever filled with the value a computation from the same
+inputs produces, so threads that race to fill an entry store identical
+values and `ext_dims(parallel>1)` stays correct.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import mul
-
-import numpy as np
 
 from . import linalg
 from .errors import DegreeError, InfiniteBasis, Verdict
@@ -88,9 +96,13 @@ class CobarComplex:
             int(i in H.morphism_gens) for i in range(len(H.Gamma.gens))
         )
         self._base_mask = tuple(1 - m for m in self._morphism_mask)
+        self._base_positions = tuple(compress(
+            range(len(H.Gamma.gens)), self._base_mask
+        ))
         self._words_cache = {}
         self._basis_cache = {}
-        self._matrix_cache = {}
+        self._columns_cache = {}
+        self._rank_cache = {}
         self._dbar_cache = {}
         self._faces_cache = {}
         self._etaL_times_cache = {}
@@ -146,9 +158,12 @@ class CobarComplex:
         return prod
 
     def _etaL_monomial(self, a_mono):
+        """eta_L of an A-monomial: its exponents scattered onto the base
+        generators of Gamma, wherever they sit among the morphism
+        generators."""
         G = self.H.Gamma
         mono = [0] * len(G.gens)
-        for i, e in enumerate(a_mono):
+        for i, e in zip(self._base_positions, a_mono):
             mono[i] = e
         return G.monomial_element(tuple(mono))
 
@@ -361,51 +376,71 @@ class CobarComplex:
             )
         return {k: v for k, v in acc.items() if v % p}
 
-    def differential(self, s, t):
-        """Matrix of d: C^{s,t} -> C^{s+1,t} in the deterministic bases
-        (rows = target basis, columns = source basis)."""
+    def d_columns(self, s, t):
+        """d: C^{s,t} -> C^{s+1,t} as sparse columns, cached: column j is
+        d of the j-th source key, {target basis position: residue}."""
         key = (s, t)
-        got = self._matrix_cache.get(key)
+        got = self._columns_cache.get(key)
         if got is not None:
             return got
-        src = self.basis(s, t)
-        tgt = self.basis(s + 1, t)
-        pos = {k: i for i, k in enumerate(tgt)}
-        mat = [[0] * len(src) for _ in range(len(tgt))]
-        for j, k in enumerate(src):
+        pos = {k: i for i, k in enumerate(self.basis(s + 1, t))}
+        cols = []
+        for k in self.basis(s, t):
+            col = {}
             for outk, c in self.d_of_key(k).items():
                 r = pos.get(outk)
                 if r is None:
                     raise AssertionError(
                         f"differential leaves the enumerated basis at {outk}"
                     )
+                col[r] = c
+            cols.append(col)
+        self._columns_cache[key] = cols
+        return cols
+
+    def differential(self, s, t):
+        """Matrix of d: C^{s,t} -> C^{s+1,t} in the deterministic bases
+        (rows = target basis, columns = source basis): a dense view of
+        `d_columns`, built on every call."""
+        cols = self.d_columns(s, t)
+        mat = [[0] * len(cols) for _ in self.basis(s + 1, t)]
+        for j, col in enumerate(cols):
+            for r, c in col.items():
                 mat[r][j] = c
-        self._matrix_cache[key] = mat
         return mat
 
+    def _d_pivots(self, s, t):
+        """An echelon form of the column span of d_{s,t}."""
+        pivots, _ = linalg.echelon_fp(
+            ((dict(col), None) for col in self.d_columns(s, t)), self.p
+        )
+        return pivots
+
+    def d_rank(self, s, t):
+        """rank d_{s,t}, cached."""
+        key = (s, t)
+        got = self._rank_cache.get(key)
+        if got is None:
+            got = self._rank_cache[key] = len(self._d_pivots(s, t))
+        return got
+
     def d_squared_is_zero(self, s, t):
-        d0 = self.differential(s, t)
-        d1 = self.differential(s + 1, t)
-        if not d0 or not d0[0] or not d1:
-            return True
-        # entries are below p and the inner dimension is at most a few
-        # thousand, so the int64 product cannot overflow
-        prod = np.array(d1, dtype=np.int64) @ np.array(d0, dtype=np.int64)
-        return not (prod % self.p).any()
+        """d_{s+1,t} d_{s,t} = 0, as a sparse product of the columns."""
+        p = self.p
+        d1 = self.d_columns(s + 1, t)
+        for col in self.d_columns(s, t):
+            acc = {}
+            for r, c in col.items():
+                for i, x in d1[r].items():
+                    acc[i] = acc.get(i, 0) + c * x
+            if any(v % p for v in acc.values()):
+                return False
+        return True
 
     def ext_dim(self, s, t):
         """dim Ext^{s,t} = dim ker d_{s,t} - rank d_{s-1,t}."""
-        d_out = self.differential(s, t)
-        n = len(self.basis(s, t))
-        rank_out = linalg.rank_fp(d_out, self.p) if n and d_out else 0
-        ker = n - rank_out
-        if s == 0:
-            return ker
-        d_in = self.differential(s - 1, t)
-        rank_in = (
-            linalg.rank_fp(d_in, self.p) if d_in and d_in[0] else 0
-        )
-        return ker - rank_in
+        dim = len(self.basis(s, t)) - self.d_rank(s, t)
+        return dim - self.d_rank(s - 1, t) if s else dim
 
     def key_weight(self, key):
         a, word, _ = key
@@ -420,35 +455,27 @@ class CobarComplex:
         artifacts) are discarded by computing the image of the induced
         map on cohomology instead of the cohomology of either cap alone."""
         basis_s = self.basis(s, t)
-        n = len(basis_s)
-        if n == 0:
+        if not basis_s:
             return 0
-        inner_cols = [
-            j for j, k in enumerate(basis_s) if self.key_weight(k) <= inner
-        ]
-        d_out = self.differential(s, t)
-        if d_out:
-            sub = [[row[j] for j in inner_cols] for row in d_out]
-        else:
-            sub = []
-        ker = linalg.kernel_basis_fp(sub, len(inner_cols), self.p)
-        if s == 0:
-            return len(ker)
-        vecs = []
-        for v in ker:
-            full = [0] * n
-            for idx, j in enumerate(inner_cols):
-                full[j] = v[idx]
-            vecs.append(full)
-        d_in = self.differential(s - 1, t)
-        bd = (
-            [[d_in[i][j] for i in range(n)] for j in range(len(d_in[0]))]
-            if d_in and d_in[0]
-            else []
+        d_out = self.d_columns(s, t)
+        cycles = linalg.kernel_fp(
+            (
+                (j, d_out[j])
+                for j, k in enumerate(basis_s)
+                if self.key_weight(k) <= inner
+            ),
+            self.p,
         )
-        rank_b = linalg.rank_fp(bd, self.p) if bd else 0
-        rank_zb = linalg.rank_fp(vecs + bd, self.p) if vecs or bd else 0
-        return rank_zb - rank_b
+        if s == 0:
+            return len(cycles)
+        # the columns of d_{s-1,t} span the boundaries B; count the
+        # cycles that stay independent modulo B: rank(Z + B) - rank(B)
+        pivots = self._d_pivots(s - 1, t)
+        rank_b = len(pivots)
+        pivots, _ = linalg.echelon_fp(
+            ((z, None) for z in cycles), self.p, pivots
+        )
+        return len(pivots) - rank_b
 
 
 @dataclass
@@ -556,17 +583,13 @@ def primitive_dims(H, t_min, t_max):
         if not ab:
             out[t] = 0
             continue
-        gb = H.Gamma.degree_basis(t)
-        pos = {m: i for i, m in enumerate(gb)}
-        rows = []
+        pos = {m: i for i, m in enumerate(H.Gamma.degree_basis(t))}
+        vecs = []
         for a in ab:
             diff = H.etaR(H.A.monomial_element(a)) - H.etaL(
                 H.A.monomial_element(a)
             )
-            vec = [0] * len(gb)
-            for m, c in diff.terms.items():
-                vec[pos[m]] = int(c)
-            rows.append(vec)
-        rank = linalg.rank_fp(rows, p) if rows and rows[0] else 0
-        out[t] = len(ab) - rank
+            vecs.append(({pos[m]: c for m, c in diff.terms.items()}, None))
+        pivots, _ = linalg.echelon_fp(vecs, p)
+        out[t] = len(ab) - len(pivots)
     return out

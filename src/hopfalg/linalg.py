@@ -1,76 +1,116 @@
-"""Exact linear algebra: Gaussian elimination mod p (vectorized) and over
-the rationals (Fraction).  Deterministic first-nonzero pivoting throughout."""
+"""Exact linear algebra: sparse echelon forms over F_p and Gaussian
+elimination over the rationals (Fraction).
+
+Everything over F_p goes through `echelon_fp`, which works on dict
+vectors {index: residue} and pivots on the leading (smallest) index.
+`rank_fp`, `kernel_basis_fp` and the F_p branch of `solve` are thin
+adapters that take dense lists of rows."""
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
+
+def _scale(v, f, p):
+    """v *= f over F_p, in place; f is a unit."""
+    for i in v:
+        v[i] = v[i] * f % p
 
 
-def _to_fp_array(rows, p):
-    if len(rows) == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    a = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
-    return a
+def _axpy(v, f, w, p):
+    """v += f * w over F_p, in place; zero entries are dropped."""
+    for i, x in w.items():
+        y = (v.get(i, 0) + f * x) % p
+        if y:
+            v[i] = y
+        else:
+            del v[i]
+
+
+def echelon_fp(vectors, p, pivots=None):
+    """Sparse incremental echelon form over F_p.
+
+    Each item of `vectors` is a pair (v, c): v is a dict vector {index:
+    nonzero residue}, and c is None or a dict that records which inputs v
+    combines.  v is reduced leading index first: while a pivot sits at
+    v's smallest index, v loses the multiple of that pivot that clears
+    the index, and c the same multiple of the pivot's record.  A v that is
+    not cleared becomes the pivot of its leading index, scaled with its c
+    to leading entry 1.  Both dicts are reduced in place.
+
+    `pivots` maps each leading index to its pair (v, c); pass the pivots
+    of an earlier call to continue its echelon form (they are extended in
+    place).  Returns (pivots, reduced), where reduced lists each input
+    pair after reduction: its v is empty exactly when the input lies in
+    the span of the pivots present before it."""
+    if pivots is None:
+        pivots = {}
+    reduced = []
+    for v, c in vectors:
+        while v:
+            lead = min(v)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(v[lead], -1, p)
+                if inv != 1:
+                    _scale(v, inv, p)
+                    if c is not None:
+                        _scale(c, inv, p)
+                pivots[lead] = (v, c)
+                break
+            f = p - v[lead]
+            _axpy(v, f, pivot[0], p)
+            if c is not None:
+                _axpy(c, f, pivot[1], p)
+        reduced.append((v, c))
+    return pivots, reduced
+
+
+def kernel_fp(columns, p):
+    """Null-space basis of the matrix whose columns are the (label, dict
+    vector) pairs of `columns`: one dict {label: residue} for each column
+    that depends on the columns before it, in column order.  The kernel
+    vector of column j is e_j minus a combination of the earlier
+    independent columns, so in increasing label order these are the
+    canonical null-space vectors of the reduced row echelon form.  The
+    column dicts are copied, not consumed."""
+    _, reduced = echelon_fp(
+        ((dict(col), {label: 1}) for label, col in columns), p
+    )
+    return [c for v, c in reduced if not v]
+
+
+def _row_dicts(rows, p):
+    return [
+        {j: x for j, x in enumerate(int(y) % p for y in row) if x}
+        for row in rows
+    ]
+
+
+def _column_dicts(rows, ncols, p):
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(_row_dicts(rows, p)):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
 
 def rank_fp(rows, p):
     """Rank of a matrix (list of rows) over F_p."""
-    a = _to_fp_array(rows, p)
-    m, n = a.shape
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        nz = np.flatnonzero(a[r:, col] % p)
-        if not nz.size:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), -1, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1 :, col] % p
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            a[r + 1 + nz] = (a[r + 1 + nz] - np.outer(below[nz], a[r])) % p
-        r += 1
-    return r
+    pivots, _ = echelon_fp(((v, None) for v in _row_dicts(rows, p)), p)
+    return len(pivots)
 
 
 def kernel_basis_fp(rows, ncols, p):
     """Basis of the null space of the matrix over F_p, as vectors of
-    length ncols.  Deterministic: free coordinates in increasing order."""
-    a = _to_fp_array(rows, p)
-    if a.size == 0:
-        a = np.zeros((0, ncols), dtype=np.int64)
-    m = a.shape[0]
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        if r == m:
-            break
-        nz = np.flatnonzero(a[r:, col] % p)
-        if not nz.size:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), -1, p)
-        a[r] = (a[r] * inv) % p
-        colvals = a[:, col] % p
-        colvals[r] = 0
-        nz = np.flatnonzero(colvals)
-        if nz.size:
-            a[nz] = (a[nz] - np.outer(colvals[nz], a[r])) % p
-        pivots.append(col)
-        r += 1
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-a[:r, free].T) % p
-    return basis.tolist()
+    length ncols: the canonical basis of the reduced row echelon form,
+    one vector per free coordinate in increasing order."""
+    out = []
+    for c in kernel_fp(enumerate(_column_dicts(rows, ncols, p)), p):
+        v = [0] * ncols
+        for j, x in c.items():
+            v[j] = x
+        out.append(v)
+    return out
 
 
 def rank_frac(rows):
@@ -106,10 +146,6 @@ def rank(rows, mode):
     return rank_frac(rows)
 
 
-def kernel_dim(rows, ncols, mode):
-    return ncols - rank(rows, mode)
-
-
 def is_invertible(rows, mode):
     if not rows:
         return True
@@ -127,30 +163,21 @@ def solve(rows, rhs, mode):
     n = len(rows[0]) if m else 0
     if mode.kind == "fp":
         p = mode.p
-        a = [[int(x) % p for x in r] + [int(b) % p] for r, b in zip(rows, rhs)]
-        r = 0
-        pivots = []
-        for col in range(n):
-            if r == m:
-                break
-            piv = next((i for i in range(r, m) if a[i][col] % p), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = pow(a[r][col], -1, p)
-            a[r] = [(x * inv) % p for x in a[r]]
-            for i in range(m):
-                if i != r and a[i][col] % p:
-                    f = a[i][col]
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-            pivots.append(col)
-            r += 1
-        for i in range(r, m):
-            if a[i][n] % p:
-                return None
+        pivots, _ = echelon_fp(
+            (
+                (col, {j: 1})
+                for j, col in enumerate(_column_dicts(rows, n, p))
+            ),
+            p,
+        )
+        b = {i: x for i, x in enumerate(int(y) % p for y in rhs) if x}
+        _, [(rest, comb)] = echelon_fp([(b, {})], p, pivots)
+        if rest:
+            return None
+        # b + A comb = 0, and comb lives on the pivot columns only
         x = [0] * n
-        for row, col in enumerate(pivots):
-            x[col] = a[row][n]
+        for j, y in comb.items():
+            x[j] = -y % p
         return x
     a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
     r = 0

@@ -120,3 +120,20 @@ def test_malformed_and_missing_files(tmp_path):
     p.write_text("[base]\nmode = fp\n")  # fp without p
     assert run_cli("ring", "check", p).returncode == 2
     assert run_cli("hopf", "axioms", tmp_path / "nope.ini").returncode == 2
+
+
+def test_internal_error_has_its_own_exit_code(mu2_dir, monkeypatch, capsys):
+    """A broken invariant is reported as an internal error, not as bad
+    input and not as a traceback."""
+    from hopfalg import cli
+    from hopfalg.cobar import CobarComplex
+
+    monkeypatch.setattr(
+        CobarComplex, "d_of_key", lambda self, key: {("stray",): 1}
+    )
+    code = cli.run(["ext", str(mu2_dir / "algebroid.ini"), "--smax", "1",
+                    "--tmin", "0", "--tmax", "0"])
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert "leaves the enumerated basis" in err

@@ -1,5 +1,6 @@
 """Cobar-complex cohomology against an independent hand-rolled oracle."""
 import itertools
+import os
 
 import pytest
 
@@ -151,8 +152,10 @@ def test_d_squared_detects_a_corrupted_differential():
     assert C.d_squared_is_zero(s, t)
     d1 = C.differential(s + 1, t)
     r = next(k for k in range(len(d1[0])) if any(row[k] for row in d1))
-    d0 = C.differential(s, t)  # the cached matrix, corrupted in place
-    d0[r][0] = (d0[r][0] + 1) % C.p
+    col = C.d_columns(s, t)[0]  # the cached column, corrupted in place
+    col[r] = (col.get(r, 0) + 1) % C.p
+    if not col[r]:
+        del col[r]
     assert not C.d_squared_is_zero(s, t)
 
 
@@ -190,6 +193,92 @@ def test_stable_range_flagship_slice(flagship):
     a, b = dims.values()
     assert a == b
     assert a[(0, 0)] == 1 and a[(1, 4)] == 1
+
+
+def _line_over_v(order):
+    """(F_3[v], F_3[v][x]/(x^3)), |v| = 4, |x| = 2, x primitive, with
+    Gamma's generators listed in `order`."""
+    from hopfalg.hopf import HopfAlgebroid
+    from hopfalg.presentation import RingMorphism
+
+    mode = BaseMode("fp", 3)
+    A = GradedPresentation(mode, [("v", 4)], truncation=16)
+    degrees = {"x": 2, "v": 4}
+    Gamma = GradedPresentation(
+        mode, [(g, degrees[g]) for g in order],
+        relations={"x": (3, [])}, truncation=16,
+    )
+    x, v = Gamma.index["x"], Gamma.index["v"]
+    etaL = RingMorphism(A, Gamma, [Gamma.gen(v)])
+    eps = RingMorphism(
+        Gamma, A, [A.zero() if g == "x" else A.gen(0) for g in order]
+    )
+    c = RingMorphism(
+        Gamma, Gamma,
+        [-Gamma.gen(x) if g == "x" else Gamma.gen(v) for g in order],
+    )
+    # tensor-square generators: Gamma's, then the right copy of x
+    left = tuple(int(i == x) for i in range(2)) + (0,)
+    return HopfAlgebroid(
+        A, Gamma, [x], etaL, etaL, eps, c,
+        {"x": [(1, left), (1, (0, 0, 1))]},
+    )
+
+
+def test_base_generators_may_follow_morphism_generators():
+    """eta_L(a) lands on the base generators wherever Gamma lists them:
+    F_3[v] tensor Ext of F_3[x]/(x^3), whichever generator comes first."""
+    tables = [
+        ext_dims(
+            CobarComplex(_line_over_v(order), s_max=3, t_min=0, t_max=16),
+            check_d2=True,
+        )
+        for order in (("v", "x"), ("x", "v"))
+    ]
+    assert tables[0].to_csv() == tables[1].to_csv()
+    classes = {(0, 0), (1, 2), (2, 6), (3, 8)}
+    assert tables[0].nonzero() == sorted(
+        ((s, t + 4 * k), 1)
+        for s, t in classes
+        for k in range(5)
+        if t + 4 * k <= 16
+    )
+
+
+def _frozen_table(name):
+    """(s, t) -> dim from a table frozen under perfbench/reference."""
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "perfbench", "reference", name
+    )
+    with open(path, encoding="utf-8") as fh:
+        _, *rows = fh.read().splitlines()
+    return {
+        (s, t): d for s, t, d in (map(int, row.split(",")) for row in rows)
+    }
+
+
+def test_stable_tables_match_frozen_reference(flagship):
+    """The flagship table (inner weight 36) on a small window of both
+    pairs, against the answer frozen with the benchmark."""
+    _, H1, H2, _ = flagship
+    want = _frozen_table("change_of_rings.csv")
+    for H in (H1, H2):
+        C = CobarComplex(H, s_max=3, t_min=-16, t_max=16)
+        for s in range(4):
+            for t in range(-16, 17):
+                got = C.ext_dim_stable(s, t, 36)
+                assert got == want.get((s, t), 0), (H.name, s, t)
+
+
+def test_plain_table_matches_frozen_reference():
+    from hopfalg.fgl import assemble_bp, quotient_localize
+
+    H = quotient_localize(assemble_bp(2, 16, max_gens=3), 1)
+    want = _frozen_table("plain_ext_p2.csv")
+    C = CobarComplex(H, s_max=3, t_min=-16, t_max=16)
+    for s in range(4):
+        for t in range(-16, 17):
+            assert C.ext_dim(s, t) == want.get((s, t), 0), (s, t)
 
 
 def test_compare_ext_reports_first_disagreement():

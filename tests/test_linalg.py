@@ -1,10 +1,17 @@
-"""The vectorized F_p eliminations against the row-by-row loops they
-replaced, which stay here as the reference."""
+"""The sparse F_p echelon routine and its dense adapters against the
+dense row-by-row loops they replaced, which stay here as the reference."""
 import numpy as np
-from hypothesis import given, seed
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
-from hopfalg.linalg import kernel_basis_fp, rank_fp
+from hopfalg.linalg import (
+    echelon_fp,
+    kernel_basis_fp,
+    kernel_fp,
+    rank_fp,
+    solve,
+)
+from hopfalg.presentation import BaseMode
 
 
 def _to_array(rows, p):
@@ -79,6 +86,38 @@ def reference_kernel_basis_fp(rows, ncols, p):
     return basis
 
 
+def reference_solve_fp(rows, rhs, p):
+    """The augmented-matrix loop `linalg.solve` ran over F_p: pivots
+    reduced above and below, free variables set to 0."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[int(x) % p for x in r] + [int(b) % p] for r, b in zip(rows, rhs)]
+    r = 0
+    pivots = []
+    for col in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][col] % p), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [(x * inv) % p for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] % p:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, m):
+        if a[i][n] % p:
+            return None
+    x = [0] * n
+    for row, col in enumerate(pivots):
+        x[col] = a[row][n]
+    return x
+
+
 @st.composite
 def matrices(draw):
     """(p, rows, ncols): sparse-ish random matrices, entries not reduced."""
@@ -98,3 +137,45 @@ def test_eliminations_match_reference_loops(case):
     kernel = kernel_basis_fp(rows, ncols, p)
     assert kernel == reference_kernel_basis_fp(rows, ncols, p)
     assert all(type(x) is int for v in kernel for x in v)
+
+
+@st.composite
+def systems(draw):
+    """(p, rows, ncols, rhs): a matrix and a right-hand side, half the
+    time A x for a drawn x, so that consistent systems are common."""
+    p, rows, ncols = draw(matrices())
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, p - 1), min_size=ncols,
+                          max_size=ncols))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(-7, 7), min_size=len(rows),
+                            max_size=len(rows)))
+    return p, rows, ncols, rhs
+
+
+def _dicts(rows, p):
+    return [{j: x % p for j, x in enumerate(row) if x % p} for row in rows]
+
+
+@seed(20010517)
+@given(systems())
+@example((2, [], 0, []))  # empty
+@example((3, [[], [], []], 0, [1, 0, 2]))  # zero columns
+@example((5, [[0, 0, 0], [0, 5, -10]], 3, [0, 0]))  # all zero mod p
+@example((3, [[0, 0], [0, 0]], 2, [0, 4]))  # all zero, inconsistent
+def test_echelon_matches_reference_loops(case):
+    p, rows, ncols, rhs = case
+    pivots, reduced = echelon_fp(((v, None) for v in _dicts(rows, p)), p)
+    assert len(pivots) == reference_rank_fp(rows, p)
+    assert sum(1 for v, _ in reduced if v) == len(pivots)
+    assert all(v[lead] == 1 and min(v) == lead for lead, (v, _) in
+               pivots.items())
+    columns = _dicts([[row[j] for row in rows] for j in range(ncols)], p)
+    kernel = kernel_fp(enumerate(columns), p)
+    assert len(kernel) == len(reference_kernel_basis_fp(rows, ncols, p))
+    for c in kernel:
+        for row in rows:
+            assert sum(row[j] * x for j, x in c.items()) % p == 0
+    mode = BaseMode("fp", p)
+    assert solve(rows, rhs, mode) == reference_solve_fp(rows, rhs, p)

@@ -15,8 +15,6 @@ from .errors import (
     InfiniteBasis,
     IntegralityFailure,
     NotACover,
-    NotAnEquivalence,
-    NotComposable,
     NotFreeOverA,
     NotQuasiCoherent,
     ParseError,
@@ -46,8 +44,6 @@ __all__ = [
     "InfiniteBasis",
     "IntegralityFailure",
     "NotACover",
-    "NotAnEquivalence",
-    "NotComposable",
     "NotFreeOverA",
     "NotQuasiCoherent",
     "ParseError",

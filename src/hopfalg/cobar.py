@@ -47,7 +47,7 @@ from itertools import compress
 from operator import mul
 
 from . import linalg
-from .errors import DegreeError, InfiniteBasis, Verdict
+from .errors import DegreeError, InfiniteBasis
 from .presentation import invert_element
 
 

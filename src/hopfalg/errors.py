@@ -38,10 +38,6 @@ class UnsupportedBaseMap(HopfAlgError):
     pass
 
 
-class NotComposable(HopfAlgError):
-    pass
-
-
 class SearchBudgetExceeded(HopfAlgError):
     pass
 
@@ -57,10 +53,6 @@ class NotQuasiCoherent(HopfAlgError):
 class NotACover(HopfAlgError):
     """The proposed family of ring maps is not faithfully flat: the unit of
     the would-be descent datum already fails to be injective."""
-
-
-class NotAnEquivalence(HopfAlgError):
-    pass
 
 
 class ParseError(HopfAlgError):

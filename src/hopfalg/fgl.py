@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import IntegralityFailure, SolveFailure
-from .hopf import HopfAlgebroid, TensorSquare, check_hopf_axioms
+from .errors import SolveFailure
+from .hopf import HopfAlgebroid, TensorSquare
 from .presentation import (
     BaseMode,
     GradedPresentation,
@@ -202,27 +202,6 @@ def assemble_bp(p, D, max_gens=None):
     return BPData(
         p, D, N, A, Gamma, H, logdata, etaR_images, delta_images, c_images[1:]
     )
-
-
-def right_unit(p, n, D):
-    bp = assemble_bp(p, D)
-    if n > bp.N:
-        raise ValueError(f"v{n} has degree {gen_degree(p, n)} > D={D}")
-    return bp.etaR_images[n]
-
-
-def diagonal(p, n, D):
-    bp = assemble_bp(p, D)
-    if n > bp.N:
-        raise ValueError(f"t{n} has degree {gen_degree(p, n)} > D={D}")
-    return bp.delta_images[f"t{n}"]
-
-
-def conjugation(p, n, D):
-    bp = assemble_bp(p, D)
-    if n > bp.N:
-        raise ValueError(f"t{n} has degree {gen_degree(p, n)} > D={D}")
-    return bp.c_images[n - 1]
 
 
 def quotient_localize(bp, n):

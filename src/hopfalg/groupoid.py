@@ -10,7 +10,9 @@ only falsify or corroborate, never prove.
 The same module houses the finite-instance descent checker: for a family
 of R-algebras S_i (char p throughout) and a finite R-module M it verifies
 that M -> prod_i S_i (x) M  is the equalizer of the two coface maps into
-prod_{i,j} S_i (x) S_j (x) M.
+prod_{i,j} S_i (x) S_j (x) M.  Everything there is an F_p-vector space,
+and the check is exact linear algebra through `linalg`: a rank and a
+kernel, never an enumeration of vectors.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .errors import (
     AxiomFailure,
     NotACover,
@@ -581,34 +584,6 @@ def analyze_map(f, R, budget=DEFAULT_BUDGET):
 # descent (everything an F_p-vector space)
 
 
-def _fp_rref(rows, p):
-    """Row-reduce over F_p; returns (rref rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f_ = rows[r][col]
-                rows[r] = [
-                    (x - f_ * y) % p for x, y in zip(rows[r], rows[rank])
-                ]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
 class FpSpaceBasis:
     """Coordinates on a finite ring or module whose additive group is an
     F_p-vector space: picks a basis greedily from the carrier."""
@@ -780,38 +755,34 @@ def projection_noncover():
     return R, [AlgebraOver(R, S, hom, name="F_2xF_2->F_2 (pr_1)")]
 
 
+def _dict_vector(dense, p):
+    return {i: x % p for i, x in enumerate(dense) if x % p}
+
+
 class _Quotient:
-    """An F_p-vector-space quotient V / rowspace(rels), with projection to
-    canonical coordinates on the non-pivot positions."""
+    """An F_p-vector-space quotient V / span(rels), with projection to
+    canonical coordinates on the non-pivot positions.  Vectors are dict
+    vectors {index: residue}."""
 
     def __init__(self, p, big_dim, rels):
         self.p = p
-        self.big_dim = big_dim
-        self.rref, self.pivots = _fp_rref(rels, p) if rels else ([], [])
-        pivset = set(self.pivots)
-        self.free = [i for i in range(big_dim) if i not in pivset]
+        self.pivots, _ = linalg.echelon_fp(((r, None) for r in rels), p)
+        self.free = [i for i in range(big_dim) if i not in self.pivots]
         self.dim = len(self.free)
 
     def project(self, vec):
-        p = self.p
-        vec = list(vec)
-        for row, col in zip(self.rref, self.pivots):
-            c = vec[col] % p
-            if c:
-                vec = [(x - c * y) % p for x, y in zip(vec, row)]
-        return tuple(vec[i] % p for i in self.free)
+        v = linalg.reduce_fp(dict(vec), self.pivots, self.p)
+        return tuple(v.get(i, 0) for i in self.free)
 
-    def lift(self, coords):
-        vec = [0] * self.big_dim
-        for i, c in zip(self.free, coords):
-            vec[i] = c % self.p
-        return vec
+
+def _columns_to_matrix(cols, nrows):
+    return [[col[i] for col in cols] for i in range(nrows)]
 
 
 def tensor_algebra_module(alg, M):
-    """S (x)_R M as an FpModule over R, together with the projection from
-    the (S-coordinates x M-coordinates) product space and the map
-    m -> 1 (x) m."""
+    """S (x)_R M as an FpModule over R, together with the quotient of the
+    (S-coordinates x M-coordinates) product space that presents it and
+    the matrix of the map m -> 1 (x) m."""
     R = alg.base
     p = R.char
     sbasis, smod = alg.as_module()
@@ -829,70 +800,99 @@ def tensor_algebra_module(alg, M):
                 # (r.s_i) (x) m_j - s_i (x) (r.m_j)
                 row = [0] * (ks * km)
                 for i2 in range(ks):
-                    row[idx(i2, j)] = (row[idx(i2, j)] + smat[i2][i]) % p
+                    row[idx(i2, j)] += smat[i2][i]
                 for j2 in range(km):
-                    row[idx(i, j2)] = (row[idx(i, j2)] - mmat[j2][j]) % p
-                if any(row):
-                    rels.append(row)
+                    row[idx(i, j2)] -= mmat[j2][j]
+                rels.append(_dict_vector(row, p))
     Q = _Quotient(p, ks * km, rels)
 
     action = {}
     for r in range(R.n):
         mmat = M.action[r]
-        cols = []
-        for i in range(ks):
-            for j in range(km):
-                # r.(s_i (x) m_j) = s_i (x) r.m_j
-                vec = [0] * (ks * km)
-                for j2 in range(km):
-                    vec[idx(i, j2)] = mmat[j2][j]
-                cols.append(vec)
+        # r.(s_i (x) m_j) = s_i (x) r.m_j
         qcols = []
         for c in Q.free:
             i, j = divmod(c, km)
-            qcols.append(Q.project(cols[idx(i, j)]))
-        action[r] = [
-            [qcols[j][i] for j in range(Q.dim)] for i in range(Q.dim)
-        ]
+            qcols.append(Q.project(
+                {idx(i, j2): mmat[j2][j] for j2 in range(km) if mmat[j2][j]}
+            ))
+        action[r] = _columns_to_matrix(qcols, Q.dim)
     out = FpModule(R, Q.dim, action, name=f"{alg.name}(x){M.name}")
 
     one_coords = sbasis.coords(alg.ring.one)
-    unit_cols = []
-    for j in range(km):
-        vec = [0] * (ks * km)
-        for i in range(ks):
-            vec[idx(i, j)] = one_coords[i]
-        unit_cols.append(Q.project(vec))
-    unit_map = [[unit_cols[j][i] for j in range(km)] for i in range(Q.dim)]
-
-    # lift of s (x) -: the map M -> S(x)M sending m_j to s (x) m_j,
-    # parameterized by an S-coordinate vector
-    def pure_tensor_map(s_coords):
-        cols = []
-        for j in range(km):
-            vec = [0] * (ks * km)
-            for i in range(ks):
-                vec[idx(i, j)] = s_coords[i]
-            cols.append(Q.project(vec))
-        return [[cols[j][i] for j in range(km)] for i in range(Q.dim)]
-
-    return out, Q, unit_map, pure_tensor_map, sbasis
+    unit_cols = [
+        Q.project({idx(i, j): x for i, x in enumerate(one_coords) if x})
+        for j in range(km)
+    ]
+    return out, Q, _columns_to_matrix(unit_cols, Q.dim)
 
 
-def _apply(mat, vec, p):
-    return tuple(
-        sum(row[j] * vec[j] for j in range(len(vec))) % p for row in mat
-    )
+def _image(cols, x, p):
+    """sum_k x_k cols[k] for dict vectors x and cols[k]."""
+    out = {}
+    for k, xk in x.items():
+        for i, y in cols[k].items():
+            out[i] = (out.get(i, 0) + xk * y) % p
+    return {i: y for i, y in out.items() if y}
 
 
-def check_descent(cover, M, purity_probe=None, cap=10 ** 5, _depth=0):
-    """Exhaustively verify the descent equalizer
-        M -> prod_i S_i (x) M  =>  prod_{i,j} S_i (x) S_j (x) M.
+def _descent_maps(cover, M):
+    """The start of the descent complex of M over `cover`,
+        e: M -> P0 = prod_i S_i (x) M,
+        d0, d1: P0 -> P1 = prod_{i,j} S_i (x) (S_j (x) M),
+    with d0 (xi_i)_i = (xi_i (x) 1)_{i,j} (1 inserted in the S_j slot)
+    and d1 (xi_i)_i = (1 (x) xi_j)_{i,j}.  Returns (e, d0, d1) as lists
+    of columns: e[c] is the image of the c-th basis vector of M, d0[c]
+    and d1[c] those of the c-th basis vector of P0, as dict vectors."""
+    p = M.p
+    level1 = [tensor_algebra_module(entry, M) for entry in cover]
+    offsets = [0]
+    for SM, _, _ in level1:
+        offsets.append(offsets[-1] + SM.dim)
+    e = [{} for _ in range(M.dim)]
+    for (SM, _, unit), off in zip(level1, offsets):
+        for c in range(M.dim):
+            e[c].update(
+                (off + r, unit[r][c]) for r in range(SM.dim) if unit[r][c]
+            )
+    d0 = [{} for _ in range(offsets[-1])]
+    d1 = [{} for _ in range(offsets[-1])]
+    row_off = 0
+    for i, (ei, (_, Qi, _)) in enumerate(zip(cover, level1)):
+        for j, (SMj, _, unitj) in enumerate(level1):
+            SSM, Q2, unit2 = tensor_algebra_module(ei, SMj)
+            km2 = SMj.dim
+            for col in range(km2):
+                d1[offsets[j] + col].update(
+                    (row_off + r, unit2[r][col])
+                    for r in range(SSM.dim) if unit2[r][col]
+                )
+            # s_a (x) m_b |-> s_a (x) (1_{S_j} (x) m_b); well defined
+            # because the assignment is balanced over R
+            for col, c in enumerate(Qi.free):
+                a, b = divmod(c, M.dim)
+                img = Q2.project(
+                    {a * km2 + t: unitj[t][b] for t in range(km2) if unitj[t][b]}
+                )
+                d0[offsets[i] + col].update(
+                    (row_off + r, x) for r, x in enumerate(img) if x
+                )
+            row_off += SSM.dim
+    return e, d0, d1
+
+
+def check_descent(cover, M, purity_probe=None, _depth=0):
+    """Verify the descent equalizer
+        M -> prod_i S_i (x) M  =>  prod_{i,j} S_i (x) S_j (x) M
+    by exact linear algebra over F_p (no enumeration of vectors).
 
     `cover` is a list of AlgebraOver a common char-p base; `M` an FpModule
-    over that base.  Injectivity failure raises NotACover with a named
-    witness element.  With `purity_probe` (a further test algebra T) the
-    whole check is repeated for T (x) M."""
+    over that base.  The unit map e must be injective: otherwise NotACover
+    is raised, naming the coordinates of a vector it kills.  The two
+    coface maps must agree on im e.  Then im e lies in the equalizer
+    ker(d0 - d1), and equals it exactly when dim ker(d0 - d1) = dim M.
+    With `purity_probe` (a further test algebra T) the whole check is
+    repeated for T (x) M."""
     v = Verdict()
     if not cover:
         raise ValueError("empty cover")
@@ -905,150 +905,32 @@ def check_descent(cover, M, purity_probe=None, cap=10 ** 5, _depth=0):
     if _depth == 0:
         M.check()
 
-    # level 1: P0 = prod_i S_i (x) M, with e: M -> P0
-    level1 = []
-    for entry in cover:
-        SM, _, unit, pure, sbasis = tensor_algebra_module(entry, M)
-        level1.append((entry, SM, unit, pure, sbasis))
-    e_blocks = [unit for (_, _, unit, _, _) in level1]
-
-    # level 2: for each (i, j): S_i (x) (S_j (x) M); the two coface maps
-    # d0: (xi_i)_i |-> (xi_i (x) 1)_{i,j}   (1 inserted in the j slot)
-    # d1: (xi_i)_i |-> (1 (x) xi_j)_{i,j}
-    d0_blocks = {}
-    d1_blocks = {}
-    level2_dims = {}
-    km = M.dim
-    for i, (ei, SMi, uniti, purei, sbi) in enumerate(level1):
-        # the quotient of S_i (x) M records the pure-tensor lift
-        # s_a (x) m_b of each of its canonical coordinates
-        _, Qi, _, _, _ = tensor_algebra_module(ei, M)
-        for j, (ej, SMj, unitj, purej, sbj) in enumerate(level1):
-            SSM, _, unit2, pure2, sb2 = tensor_algebra_module(ei, SMj)
-            level2_dims[(i, j)] = SSM.dim
-            # d1 component: P0_j -> S_i (x) (S_j (x) M), xi |-> 1 (x) xi
-            d1_blocks[(i, j)] = unit2
-            # d0 component: P0_i -> S_i (x) (S_j (x) M) by
-            # s_a (x) m_b |-> s_a (x) (1_{S_j} (x) m_b); well defined
-            # because the assignment is balanced over R
-            mat = [[0] * SMi.dim for _ in range(SSM.dim)]
-            for colidx, c in enumerate(Qi.free):
-                a, b = divmod(c, km)
-                inner = _apply(
-                    unitj, tuple(1 if t == b else 0 for t in range(km)), p
-                )
-                pmap = pure2(tuple(1 if t == a else 0 for t in range(sb2.dim)))
-                img = _apply(pmap, inner, p)
-                for r_ in range(SSM.dim):
-                    mat[r_][colidx] = img[r_]
-            d0_blocks[(i, j)] = mat
-
-    # totals
-    p0_dim = sum(SM.dim for (_, SM, _, _, _) in level1)
-    p1_dim = sum(level2_dims.values())
-
-    def embed(vecM):
-        return tuple(
-            x
-            for (_, SM, unit, _, _) in level1
-            for x in _apply(unit, vecM, p)
-        )
-
-    offsets1 = []
-    off = 0
-    for (_, SM, _, _, _) in level1:
-        offsets1.append((off, SM.dim))
-        off += SM.dim
-
-    def d0d1(vec):
-        out0, out1 = [], []
-        for i in range(len(level1)):
-            oi, di = offsets1[i]
-            xi_i = vec[oi : oi + di]
-            for j in range(len(level1)):
-                oj, dj = offsets1[j]
-                xi_j = vec[oj : oj + dj]
-                out0.extend(_apply(d0_blocks[(i, j)], xi_i, p))
-                out1.extend(_apply(d1_blocks[(i, j)], xi_j, p))
-        return tuple(out0), tuple(out1)
-
-    # injectivity of e
-    e_matrix = [embed(tuple(1 if t == c else 0 for t in range(M.dim)))
-                for c in range(M.dim)]
-    # rank of the M.dim x p0_dim matrix (rows = images of basis vectors)
-    _, pivots = _fp_rref([list(r) for r in e_matrix], p)
-    if len(pivots) < M.dim:
-        # find an explicit kernel vector
-        wit = _kernel_vector(e_matrix, M.dim, p)
+    e, d0, d1 = _descent_maps(cover, M)
+    kernel = linalg.kernel_fp(enumerate(e), p)
+    if kernel:
+        wit = tuple(kernel[0].get(c, 0) for c in range(M.dim))
         raise NotACover(
             f"unit map {M.name} -> product of "
             f"{[c.name for c in cover]} kills {wit}"
         )
 
-    # the two cofaces agree on the image of e (simplicial identity)
-    for c in range(M.dim):
-        ev = embed(tuple(1 if t == c else 0 for t in range(M.dim)))
-        a0, a1 = d0d1(ev)
-        if a0 != a1:
+    # the columns of d0 - d1
+    diff = [
+        _image([d0c, d1c], {0: 1, 1: p - 1}, p) for d0c, d1c in zip(d0, d1)
+    ]
+    for c, col in enumerate(e):
+        if _image(diff, col, p):
             v.fail(f"coface maps disagree on 1 (x) m_{c}")
     if not v.ok:
         return v
 
-    # equalizer: every vector with d0 = d1 must come from M
-    image = {embed(vec): vec for vec in _all_vectors(M.dim, p, cap)}
-    count = 0
-    if p ** p0_dim <= cap:
-        for vec in _all_vectors(p0_dim, p, cap):
-            a0, a1 = d0d1(vec)
-            if a0 == a1:
-                count += 1
-                if vec not in image:
-                    v.fail(
-                        f"equalizer element {vec} is not in the image of {M.name}"
-                    )
-        if count != p ** M.dim and v.ok:
-            v.fail(
-                f"equalizer has {count} elements, image has {p ** M.dim}"
-            )
-    else:
-        # exact linear algebra: ker(d0 - d1) must equal the image of e
-        diff_rows = []
-        for c in range(p0_dim):
-            basis_vec = tuple(1 if t == c else 0 for t in range(p0_dim))
-            a0, a1 = d0d1(basis_vec)
-            diff_rows.append([(x - y) % p for x, y in zip(a0, a1)])
-        # kernel dimension of the p0_dim x p1_dim map
-        _, piv = _fp_rref(diff_rows, p)
-        ker_dim = p0_dim - len(piv)
-        if ker_dim != M.dim:
-            v.fail(
-                f"equalizer dimension {ker_dim} differs from dim M = {M.dim}"
-            )
+    pivots, _ = linalg.echelon_fp(((col, None) for col in diff), p)
+    ker_dim = len(diff) - len(pivots)
+    if ker_dim != M.dim:
+        v.fail(f"equalizer dimension {ker_dim} differs from dim M = {M.dim}")
 
     if v.ok and purity_probe is not None:
-        TM, _, _, _, _ = tensor_algebra_module(purity_probe, M)
+        TM, _, _ = tensor_algebra_module(purity_probe, M)
         TM.name = f"{purity_probe.name}(x){M.name}"
-        v.merge(
-            check_descent(cover, TM, purity_probe=None, cap=cap, _depth=_depth + 1)
-        )
+        v.merge(check_descent(cover, TM, _depth=_depth + 1))
     return v
-
-
-def _all_vectors(dim, p, cap):
-    if p ** dim > cap:
-        raise SearchBudgetExceeded(f"{p}^{dim} vectors exceed cap {cap}")
-    return itertools.product(range(p), repeat=dim)
-
-
-def _kernel_vector(rows, dim, p):
-    """A nonzero vector x with sum_c x_c rows[c] = 0 (rows = basis images)."""
-    for vec in itertools.product(range(p), repeat=dim):
-        if not any(vec):
-            continue
-        acc = [0] * len(rows[0])
-        for c, x in enumerate(vec):
-            if x:
-                acc = [(a + x * b) % p for a, b in zip(acc, rows[c])]
-        if not any(acc):
-            return vec
-    raise AssertionError("rank deficit without kernel vector")

@@ -1,5 +1,6 @@
-"""Hopf algebroids: the data type, bimodule tensor squares/cubes,
-degreewise axiom verification, and point-level groupoid composition.
+"""Hopf algebroids: the data type, bimodule tensor squares/cubes, and
+degreewise axiom verification.  Points and their composition over finite
+rings live in `groupoid`.
 
 Conventions.  Gamma is required to be free as an A-algebra via eta_L on a
 declared list of morphism generators; the remaining "base" generators of
@@ -11,12 +12,8 @@ generator b rewrites to eta_R(b) in the left factor (the balanced
 relation)."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
-    AxiomFailure,
     InfiniteBasis,
-    NotComposable,
     NotFreeOverA,
     Verdict,
 )
@@ -25,8 +22,6 @@ from .presentation import (
     GradedPresentation,
     RingMorphism,
     Rule,
-    check_morphism,
-    identity_morphism,
 )
 
 R_TAG = "'"
@@ -355,10 +350,6 @@ class HopfAlgebroid:
         return v
 
 
-def tensor_square(H):
-    return H.ts
-
-
 def check_hopf_axioms(H, bound):
     """Verify the Hopf algebroid identities on all generators of degree
     <= bound (in absolute value)."""
@@ -524,34 +515,3 @@ def check_hopf_axioms(H, bound):
         if H.c(H.etaR(ga)) != H.etaL(ga):
             v.fail(f"c.etaR != etaL at {A.names[a]}")
     return v
-
-
-def identity_point(H, x):
-    """The identity morphism-point of an object-point x: A -> R."""
-    return x.compose(H.eps)
-
-
-def compose_points(H, beta, alpha):
-    """mu . (alpha (x) beta) . Delta, defined when cod(alpha) = dom(beta)."""
-    for a in range(len(H.A.gens)):
-        ga = H.A.gen(a)
-        if alpha(H.etaR(ga)) != beta(H.etaL(ga)):
-            raise NotComposable(
-                f"cod(alpha) != dom(beta) at generator {H.A.names[a]}"
-            )
-    R = alpha.target
-    images = list(alpha.images)
-    for i in H.morphism_order:
-        images.append(beta.images[i])
-    mu_ab = RingMorphism(H.ts.pres, R, images, name="mu_ab", check_degrees=False)
-    return RingMorphism(
-        H.Gamma,
-        R,
-        [mu_ab(H.delta(H.Gamma.gen(i))) for i in range(len(H.Gamma.gens))],
-        name="compose",
-        check_degrees=False,
-    )
-
-
-def invert_point(H, alpha):
-    return alpha.compose(H.c)

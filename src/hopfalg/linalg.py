@@ -1,10 +1,12 @@
-"""Exact linear algebra: sparse echelon forms over F_p and Gaussian
-elimination over the rationals (Fraction).
+"""Exact linear algebra: one elimination routine per field.
 
 Everything over F_p goes through `echelon_fp`, which works on dict
 vectors {index: residue} and pivots on the leading (smallest) index.
-`rank_fp`, `kernel_basis_fp` and the F_p branch of `solve` are thin
-adapters that take dense lists of rows."""
+`reduce_fp` takes a vector to its normal form modulo those pivots;
+`kernel_fp`, `rank_fp`, `kernel_basis_fp` and the F_p branch of `solve`
+are adapters over `echelon_fp`, the last three taking dense lists of
+rows.  Everything over Q (Fraction) goes through `_gauss_jordan_frac`:
+`rank` counts its pivots and `solve` reads its solution off them."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -65,6 +67,20 @@ def echelon_fp(vectors, p, pivots=None):
     return pivots, reduced
 
 
+def reduce_fp(v, pivots, p):
+    """Clear the dict vector v, in place, at every index of `pivots` (as
+    built by `echelon_fp`), in increasing order, and return it.  A pivot
+    vanishes below its leading index, so an index once cleared stays
+    clear: the result is the unique representative of v modulo the
+    pivots' span that is zero at every pivot index, the normal form of
+    the reduced row echelon form."""
+    for lead in sorted(pivots):
+        x = v.get(lead)
+        if x:
+            _axpy(v, p - x, pivots[lead][0], p)
+    return v
+
+
 def kernel_fp(columns, p):
     """Null-space basis of the matrix whose columns are the (label, dict
     vector) pairs of `columns`: one dict {label: residue} for each column
@@ -113,37 +129,38 @@ def kernel_basis_fp(rows, ncols, p):
     return out
 
 
-def rank_frac(rows):
-    if not rows or not rows[0]:
-        return 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    m, n = len(a), len(a[0])
-    r = 0
-    for col in range(n):
+def _gauss_jordan_frac(a, ncols):
+    """Gauss-Jordan elimination over Q, in place, on the first `ncols`
+    columns of the rows `a` (lists of Fractions; any further columns are
+    carried along).  Each pivot row is scaled to 1 at its pivot column and
+    cleared from every other row.  Returns the pivot columns: row k of the
+    result is the row of pivot k, and the rows after the last pivot are
+    zero on the first `ncols` columns."""
+    m = len(a)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
         if r == m:
             break
-        piv = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         pv = a[r][col]
         a[r] = [x / pv for x in a[r]]
-        for i in range(r + 1, m):
-            f = a[i][col]
-            if f != 0:
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+        pivots.append(col)
+    return pivots
 
 
 def rank(rows, mode):
     if mode.kind == "fp":
         return rank_fp(rows, mode.p)
-    return rank_frac(rows)
+    a = [[Fraction(x) for x in r] for r in rows]
+    return len(_gauss_jordan_frac(a, len(a[0]) if a else 0))
 
 
 def is_invertible(rows, mode):
@@ -180,23 +197,8 @@ def solve(rows, rhs, mode):
             x[j] = -y % p
         return x
     a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    r = 0
-    pivots = []
-    for col in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
+    pivots = _gauss_jordan_frac(a, n)
+    r = len(pivots)
     for i in range(r, m):
         if a[i][n] != 0:
             return None

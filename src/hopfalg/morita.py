@@ -17,7 +17,6 @@ from . import linalg
 from .errors import (
     AxiomFailure,
     InfiniteBasis,
-    NotAnEquivalence,
     UnsupportedBaseMap,
     Verdict,
 )
@@ -26,7 +25,6 @@ from .presentation import (
     GradedPresentation,
     RingMorphism,
     Rule,
-    check_morphism,
     invert_element,
 )
 
@@ -561,16 +559,3 @@ def theoremD_verdict(f, witness=None, assume_flat=False, bound=None, catalog=Non
     return EquivalenceCertificate(
         status, iso, witness_status, witness_verdict, oracle, inconsistent, refutation
     )
-
-
-def equivalence_functor(f, M, certificate=None, **kwargs):
-    """Base change of comodules along an established equivalence."""
-    from .comodule import base_change
-
-    if certificate is None:
-        certificate = theoremD_verdict(f, **kwargs)
-    if certificate.status not in ("yes", "conditional"):
-        raise NotAnEquivalence(f"verdict is {certificate.status}")
-    out = base_change(f, M)
-    out.certificate = certificate
-    return out

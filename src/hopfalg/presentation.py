@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import (
     DegreeError,
@@ -639,29 +638,6 @@ class RingMorphism:
 
 def identity_morphism(P):
     return RingMorphism(P, P, [P.gen(i) for i in range(len(P.gens))], name="id")
-
-
-# -- spec-level operation wrappers ----------------------------------------
-
-
-def normalize(raw, P):
-    return P.element(raw)
-
-
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
-def apply(phi, a):
-    return phi(a)
-
-
-def degree_basis(P, t):
-    return P.degree_basis(t)
 
 
 def check_morphism(phi, bound=None):

@@ -115,6 +115,17 @@ def test_descent_ok_and_planted_noncover():
     assert "kills (1, 0)" in refuted
 
 
+def test_descent_of_a_large_module():
+    """Seed 7 draws F_3-modules of dims 7 and 11; 3^11 vectors exceeded
+    the budget of the enumerating checker, which exited with code 3."""
+    r = run_cli("descent", "--modules", 2, "--max-dim", 12, "--seed", 7)
+    assert r.returncode == 0, r.stderr
+    results = json.loads(r.stdout)["results"]
+    assert all(res["ok"] for res in results)
+    assert max(res["module_dim"] for res in results
+               if res["cover"] == "F_3 -> F_9") >= 11
+
+
 def test_malformed_and_missing_files(tmp_path):
     p = tmp_path / "junk.ini"
     p.write_text("[base]\nmode = fp\n")  # fp without p

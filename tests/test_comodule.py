@@ -92,6 +92,25 @@ def test_fibre_laws_exhaustive(mu2):
         assert len(maps) == len(G.morphisms)
 
 
+def test_sheaf_rejects_a_singular_fibre(mu2):
+    """psi(m1) = g (x) m0 makes every psi~_alpha singular (its second row
+    is zero); the identity and cocycle laws must catch it."""
+    g = mu2.Gamma.gen(0)
+    bad = Comodule(
+        mu2,
+        [("m0", 0), ("m1", 0)],
+        {"m0": [(mu2.Gamma.one(), "m0")], "m1": [(g, "m0")]},
+        name="singular",
+    )
+    G = evaluate_groupoid(mu2, catalog_rings()[1])  # F_3
+    maps, v = sheaf_over_groupoid(bad, G)
+    assert maps and all(mat[1] == [G.ring.zero] * 2 for mat in maps)
+    assert not v.ok
+    assert any("identity" in msg for msg in v.failures)
+    assert any("cocycle" in msg for msg in v.failures)
+    assert all("identity" in msg or "cocycle" in msg for msg in v.failures)
+
+
 def test_corrupted_psi_fails_counit(mu2):
     g = mu2.Gamma.gen(0)
     bad = Comodule(

@@ -1,4 +1,5 @@
 """Finite-ring groupoid oracles and faithfully-flat descent."""
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from hopfalg.groupoid import (
     product_ring,
     projection_noncover,
     random_module,
+    _descent_maps,
+    _Quotient,
 )
 
 
@@ -92,13 +95,106 @@ def test_essential_image_over_F3(flagship):
     assert d["ring"] == "F_3" and d["full"] and d["faithful"]
 
 
+def reference_fp_rref(rows, p):
+    """Row-reduce dense rows over F_p; returns (rref rows, pivot columns).
+    The elimination descent ran before it moved onto `linalg`."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] % p:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                f_ = rows[r][col]
+                rows[r] = [
+                    (x - f_ * y) % p for x, y in zip(rows[r], rows[rank])
+                ]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def reference_project(rref, pivots, vec, p):
+    """Coordinates of vec modulo the RREF rows on the non-pivot columns."""
+    vec = list(vec)
+    for row, col in zip(rref, pivots):
+        c = vec[col] % p
+        if c:
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+    return tuple(vec[i] % p for i in range(len(vec)) if i not in pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_projection_matches_rref(p):
+    rng = random.Random(20260901 + p)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        rows = [
+            [rng.choice([0, 0, rng.randrange(p)]) for _ in range(n)]
+            for _ in range(rng.randint(0, 6))
+        ]
+        Q = _Quotient(p, n, [
+            {i: x for i, x in enumerate(r) if x} for r in rows
+        ])
+        rref, pivots = reference_fp_rref(rows, p) if rows else ([], [])
+        assert sorted(Q.pivots) == pivots
+        for _ in range(5):
+            vec = [rng.randrange(p) for _ in range(n)]
+            assert Q.project({i: x for i, x in enumerate(vec) if x}) == (
+                reference_project(rref, pivots, vec, p)
+            )
+
+
+def _apply_columns(cols, x, p):
+    out = {}
+    for xk, col in zip(x, cols):
+        if xk:
+            for i, y in col.items():
+                out[i] = (out.get(i, 0) + xk * y) % p
+    return {i: y for i, y in out.items() if y}
+
+
 @pytest.mark.parametrize("p,q", [(2, 4), (3, 9)])
 def test_descent_on_random_modules(p, q):
+    """Every module passes; where P0 has at most 10^4 vectors, an
+    enumeration confirms that the equalizer {x : d0 x = d1 x} has exactly
+    p^dim M elements, as the rank test in `check_descent` concludes."""
     R, cover = field_extension_cover(p, q)
     rng = random.Random(20260823 + p)
+    enumerated = 0
     for k in range(20):
         M = random_module(R, rng, max_dim=3, name=f"M{k}")
         assert check_descent(cover, M).ok
+        _, d0, d1 = _descent_maps(cover, M)
+        if p ** len(d0) > 10 ** 4:
+            continue
+        count = sum(
+            _apply_columns(d0, x, p) == _apply_columns(d1, x, p)
+            for x in itertools.product(range(p), repeat=len(d0))
+        )
+        assert count == p ** M.dim, M.name
+        enumerated += 1
+    assert enumerated == 20
+
+
+@pytest.mark.parametrize("purity", [False, True])
+def test_descent_past_the_old_enumeration_budget(purity):
+    """Rank 11 over F_3 has 3^11 > 10^5 vectors, which the enumerating
+    checker refused with SearchBudgetExceeded."""
+    R, cover = field_extension_cover(3, 9)
+    M = free_module(R, 11)
+    probe = cover[0] if purity else None
+    assert check_descent(cover, M, purity_probe=probe).ok
 
 
 def test_descent_with_purity_probe():

@@ -47,8 +47,7 @@ from itertools import compress
 from operator import mul
 
 from . import linalg
-from .errors import DegreeError, InfiniteBasis
-from .presentation import invert_element
+from .errors import DegreeError, InfiniteBasis, SolveFailure
 
 
 def _neg_pow(i):
@@ -108,8 +107,6 @@ class CobarComplex:
         self._etaL_times_cache = {}
         self._elem_cache = {}
         self._etaR_cache = {}
-        self._etaR_gen = None
-        self._etaR_inv = {}
         self._psi_reduced = {
             g: sorted(
                 (other, gamma)
@@ -128,34 +125,18 @@ class CobarComplex:
         return got
 
     def _etaR_monomial(self, a_mono):
-        """eta_R of an A-monomial, computed from generator images so the
-        monomial may lie beyond A's own truncation boundary."""
+        """eta_R of an A-monomial, cached per monomial.  It comes from
+        `etaR.monomial`, which multiplies out the generator images, so the
+        monomial may lie beyond A's own truncation boundary.  A non-unit
+        image of an inverted generator makes the basis infinite."""
         got = self._etaR_cache.get(a_mono)
-        if got is not None:
-            return got
-        H = self.H
-        if self._etaR_gen is None:
-            self._etaR_gen = [
-                H.etaR(H.A.gen(i)) for i in range(len(H.A.gens))
-            ]
-        prod = H.Gamma.one()
-        for i, e in enumerate(a_mono):
-            if e == 0:
-                continue
-            if e > 0:
-                prod = prod * (self._etaR_gen[i] ** e)
-            else:
-                inv = self._etaR_inv.get(i)
-                if inv is None:
-                    inv = invert_element(self._etaR_gen[i])
-                    if inv is None:
-                        raise InfiniteBasis(
-                            f"eta_R({H.A.names[i]}) is not invertible"
-                        )
-                    self._etaR_inv[i] = inv
-                prod = prod * (inv ** (-e))
-        self._etaR_cache[a_mono] = prod
-        return prod
+        if got is None:
+            try:
+                got = self.H.etaR.monomial(a_mono)
+            except SolveFailure as exc:
+                raise InfiniteBasis(f"eta_R: {exc}") from exc
+            self._etaR_cache[a_mono] = got
+        return got
 
     def _etaL_monomial(self, a_mono):
         """eta_L of an A-monomial: its exponents scattered onto the base
@@ -576,10 +557,7 @@ def primitive_dims(H, t_min, t_max):
     p = H.Gamma.mode.p
     out = {}
     for t in range(t_min, t_max + 1):
-        try:
-            ab = H.A.degree_basis(t)
-        except InfiniteBasis:
-            raise
+        ab = H.A.degree_basis(t)
         if not ab:
             out[t] = 0
             continue

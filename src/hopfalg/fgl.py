@@ -157,7 +157,6 @@ def assemble_bp(p, D, max_gens=None):
     c_images = [None]
     pure_right = {}
     for n in range(1, N + 1):
-        mono = [0] * (2 * N) + [0] * N
         # layout of ts.pres: v's, t's, then t-right copies
         mono = [0] * len(ts.pres.gens)
         mono[ts.slots[("'", N + n - 1)]] = 1

@@ -887,10 +887,11 @@ def check_descent(cover, M, purity_probe=None, _depth=0):
     by exact linear algebra over F_p (no enumeration of vectors).
 
     `cover` is a list of AlgebraOver a common char-p base; `M` an FpModule
-    over that base.  The unit map e must be injective: otherwise NotACover
-    is raised, naming the coordinates of a vector it kills.  The two
-    coface maps must agree on im e.  Then im e lies in the equalizer
-    ker(d0 - d1), and equals it exactly when dim ker(d0 - d1) = dim M.
+    over that base (ValueError otherwise).  The unit map e must be
+    injective: otherwise NotACover is raised, naming the coordinates of a
+    vector it kills.  The two coface maps must agree on im e.  Then im e
+    lies in the equalizer ker(d0 - d1), and equals it exactly when
+    dim ker(d0 - d1) = dim M.
     With `purity_probe` (a further test algebra T) the whole check is
     repeated for T (x) M."""
     v = Verdict()
@@ -902,6 +903,8 @@ def check_descent(cover, M, purity_probe=None, _depth=0):
         if entry.base is not R and entry.base.name != R.name:
             raise ValueError("cover entries must share one base ring")
         entry.check()
+    if M.ring is not R and M.ring.name != R.name:
+        raise ValueError(f"module {M.name} is not over the cover's base {R.name}")
     if _depth == 0:
         M.check()
 

@@ -9,7 +9,12 @@ must send each A-generator to its mirror.  The tensor square realizes
 Gamma_{eta_R} (x)_A Gamma_{eta_L}: its generators are Gamma's plus a tagged
 right copy of each morphism generator, and the right copy of a base
 generator b rewrites to eta_R(b) in the left factor (the balanced
-relation)."""
+relation).  The tensor cube adds a middle copy the same way.
+
+Every map into or out of the square and the cube (the inclusions, the
+counit and antipode composites, slots 1-2 and 2-3 of the cube, Delta (x) 1
+and 1 (x) Delta) is a RingMorphism whose generator images are computed
+once; `RingMorphism.monomial` does all the multiplying out."""
 from __future__ import annotations
 
 from .errors import (
@@ -41,12 +46,12 @@ def _embed_terms(elem, target, offset=0):
     return out
 
 
-def _extend_presentation(Gamma, morphism_gens, copy_tags, copy_images, name):
+def _extend_presentation(Gamma, morphism_gens, copy_tags, copies, name):
     """Build Gamma extended by tagged copies of its morphism generators.
 
-    copy_images: for each tag, a function (built against the provisional
-    presentation) sending a Gamma element to the copy's embedding; used to
-    transport power-rule right-hand sides onto the copies."""
+    copies(provisional, slots) returns, for each tag, the RingMorphism from
+    Gamma onto that copy in the provisional presentation; it transports
+    power-rule right-hand sides onto the copies."""
     gens = list(Gamma.gens)
     slots = {}
     for tag in copy_tags:
@@ -63,8 +68,7 @@ def _extend_presentation(Gamma, morphism_gens, copy_tags, copy_images, name):
         Gamma.mode, gens, relations, inverted, Gamma.truncation, name=name + "~"
     )
     copy_rules = {}
-    for tag in copy_tags:
-        embed = copy_images[tag](provisional, slots)
+    for tag, embed in copies(provisional, slots).items():
         for i in morphism_gens:
             rule = Gamma.rules.get(i)
             if rule is None:
@@ -84,33 +88,31 @@ def _extend_presentation(Gamma, morphism_gens, copy_tags, copy_images, name):
     )
 
 
+def _copy_map(A, Gamma, etaR, P, slots, tag, through=None):
+    """The ring map Gamma -> P onto the copy `tag`: a morphism generator
+    goes to its tagged copy, a base generator b to eta_R(b) in the factor
+    to the copy's left, reached through the map `through` (default: P's
+    leading Gamma generators)."""
+    images = []
+    for i, gname in enumerate(Gamma.names):
+        slot = slots.get((tag, i))
+        if slot is not None:
+            images.append(P.gen(slot))
+            continue
+        b = etaR(A.gen(A.index[gname]))
+        images.append(_embed_terms(b, P) if through is None else through(b))
+    return RingMorphism(Gamma, P, images, name="incl" + tag)
+
+
 class TensorSquare:
     """Gamma tensor_A Gamma with both inclusion morphisms."""
 
     def __init__(self, A, Gamma, morphism_gens, etaL, etaR, name="TS"):
-        def right_images(provisional, slots):
-            def embed(elem):
-                # right inclusion: base gens move left through eta_R,
-                # morphism gens become their tagged copies
-                out = provisional.zero()
-                for m, c in elem.terms.items():
-                    term = provisional.scalar(c)
-                    for i, e in enumerate(m):
-                        if e == 0:
-                            continue
-                        if i in morphism_gens:
-                            g = provisional.gen(slots[(R_TAG, i)])
-                        else:
-                            a = A.index[Gamma.names[i]]
-                            g = _embed_terms(etaR(A.gen(a)), provisional)
-                        term = term * (g ** e)
-                    out = out + term
-                return out
-
-            return embed
+        def copies(P, slots):
+            return {R_TAG: _copy_map(A, Gamma, etaR, P, slots, R_TAG)}
 
         self.pres, self.slots = _extend_presentation(
-            Gamma, morphism_gens, [R_TAG], {R_TAG: right_images}, name
+            Gamma, morphism_gens, [R_TAG], copies, name
         )
         self.Gamma = Gamma
         self.morphism_gens = tuple(morphism_gens)
@@ -118,14 +120,7 @@ class TensorSquare:
         self.incl_l = RingMorphism(
             Gamma, self.pres, [self.pres.gen(i) for i in range(n)], name="incl_l"
         )
-        r_images = []
-        for i in range(n):
-            if i in morphism_gens:
-                r_images.append(self.pres.gen(self.slots[(R_TAG, i)]))
-            else:
-                a = A.index[Gamma.names[i]]
-                r_images.append(_embed_terms(etaR(A.gen(a)), self.pres))
-        self.incl_r = RingMorphism(Gamma, self.pres, r_images, name="incl_r")
+        self.incl_r = _copy_map(A, Gamma, etaR, self.pres, self.slots, R_TAG)
 
     def split_monomial(self, m):
         """Split a tensor-square monomial into (A-part over base gens,
@@ -156,52 +151,13 @@ class TensorCube:
     """Gamma tensor_A Gamma tensor_A Gamma, for coassociativity."""
 
     def __init__(self, A, Gamma, morphism_gens, etaL, etaR, name="TC"):
-        def middle_images(provisional, slots):
-            def embed(elem):
-                out = provisional.zero()
-                for m, c in elem.terms.items():
-                    term = provisional.scalar(c)
-                    for i, e in enumerate(m):
-                        if e == 0:
-                            continue
-                        if i in morphism_gens:
-                            g = provisional.gen(slots[(M_TAG, i)])
-                        else:
-                            a = A.index[Gamma.names[i]]
-                            g = _embed_terms(etaR(A.gen(a)), provisional)
-                        term = term * (g ** e)
-                    out = out + term
-                return out
-
-            return embed
-
-        def right_images(provisional, slots):
-            middle = middle_images(provisional, slots)
-
-            def embed(elem):
-                out = provisional.zero()
-                for m, c in elem.terms.items():
-                    term = provisional.scalar(c)
-                    for i, e in enumerate(m):
-                        if e == 0:
-                            continue
-                        if i in morphism_gens:
-                            g = provisional.gen(slots[(R_TAG, i)])
-                        else:
-                            a = A.index[Gamma.names[i]]
-                            g = middle(etaR(A.gen(a)))
-                        term = term * (g ** e)
-                    out = out + term
-                return out
-
-            return embed
+        def copies(P, slots):
+            middle = _copy_map(A, Gamma, etaR, P, slots, M_TAG)
+            right = _copy_map(A, Gamma, etaR, P, slots, R_TAG, through=middle)
+            return {M_TAG: middle, R_TAG: right}
 
         self.pres, self.slots = _extend_presentation(
-            Gamma,
-            morphism_gens,
-            [M_TAG, R_TAG],
-            {M_TAG: middle_images, R_TAG: right_images},
-            name,
+            Gamma, morphism_gens, [M_TAG, R_TAG], copies, name
         )
         self.Gamma = Gamma
         self.morphism_gens = tuple(morphism_gens)
@@ -307,7 +263,6 @@ class HopfAlgebroid:
                 w = wt + e * d
                 if w > cap:
                     break
-                full = [0] * len(Gamma.gens)
                 expo[i] = e
                 rec(pos + 1, expo, w, deg + e * d)
                 expo[i] = 0
@@ -315,39 +270,6 @@ class HopfAlgebroid:
 
         rec(0, [0] * len(Gamma.gens), 0, 0)
         return sorted(out)
-
-    def check_freeness(self, bound):
-        """Per-degree rank check that Gamma is A-free on the morphism
-        monomials (weight-aware)."""
-        v = Verdict()
-        words = self.morphism_monomials()
-        by_deg = {}
-        for w in words:
-            d = self.Gamma.monomial_degree(w)
-            by_deg.setdefault(d, []).append(w)
-        for t in range(-bound, bound + 1):
-            try:
-                gamma_count = len(self.Gamma.degree_basis(t))
-            except InfiniteBasis:
-                v.fail(f"Gamma basis infinite in degree {t}")
-                continue
-            count = 0
-            for d, ws in by_deg.items():
-                for w in ws:
-                    wt = self.Gamma.weight(w)
-                    try:
-                        count += len(
-                            self.A.degree_basis(t - d, self.Gamma.truncation - wt)
-                        )
-                    except InfiniteBasis:
-                        v.fail(f"A basis infinite in degree {t - d}")
-                        return v
-            if count != gamma_count:
-                v.fail(
-                    f"freeness rank mismatch in degree {t}: "
-                    f"Gamma has {gamma_count}, A-basis x words gives {count}"
-                )
-        return v
 
 
 def check_hopf_axioms(H, bound):
@@ -369,111 +291,33 @@ def check_hopf_axioms(H, bound):
         if H.eps(H.etaR(ga)) != ga:
             v.fail(f"eps.etaR != id at {A.names[a]}")
 
-    # TS -> Gamma evaluation morphisms
-    def ts_map(l_image, r_image, name):
-        images = []
-        for i in range(n):
-            images.append(l_image(i))
-        for i in H.morphism_order:
-            images.append(r_image(i))
-        return RingMorphism(ts.pres, Gamma, images, name=name, check_degrees=False)
+    # maps out of TS, given by the images of Gamma's generators in the
+    # left factor and of the right copies of the morphism generators
+    def ts_map(target, l_image, r_image, name):
+        images = [l_image(i) for i in range(n)]
+        images += [r_image(i) for i in H.morphism_order]
+        return RingMorphism(ts.pres, target, images, name=name, check_degrees=False)
 
-    eps1 = ts_map(
-        lambda i: H.etaL(H.eps(Gamma.gen(i))),
-        lambda i: Gamma.gen(i),
-        "eps@1",
-    )
-    one_eps = ts_map(
-        lambda i: Gamma.gen(i),
-        lambda i: H.etaR(H.eps(Gamma.gen(i))),
-        "1@eps",
-    )
-    mu_1c = ts_map(
-        lambda i: Gamma.gen(i),
-        lambda i: H.c(Gamma.gen(i)),
-        "mu(1@c)",
-    )
-    mu_c1 = ts_map(
-        lambda i: H.c(Gamma.gen(i)),
-        lambda i: Gamma.gen(i),
-        "mu(c@1)",
-    )
+    eps1 = ts_map(Gamma, lambda i: H.etaL(H.eps(Gamma.gen(i))), Gamma.gen, "eps@1")
+    one_eps = ts_map(Gamma, Gamma.gen, lambda i: H.etaR(H.eps(Gamma.gen(i))), "1@eps")
+    mu_1c = ts_map(Gamma, Gamma.gen, lambda i: H.c(Gamma.gen(i)), "mu(1@c)")
+    mu_c1 = ts_map(Gamma, lambda i: H.c(Gamma.gen(i)), Gamma.gen, "mu(c@1)")
 
-    # TS -> TC maps for coassociativity
-    def retag(elem, tag_map):
-        """Transport a TS element into TC, retagging the right copy."""
-        out = tc.pres.zero()
-        for m, c in elem.terms.items():
-            term = tc.pres.scalar(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                if i < n:
-                    g = tc.pres.gen(tag_map["l"](i))
-                else:
-                    g = tc.pres.gen(tag_map["r"](ts._slot_origin(i)))
-                term = term * (g ** e)
-            out = out + term
-        return out
+    # TS -> TC for coassociativity: slots12 and slots23 put the square into
+    # slots 1-2 and 2-3 of the cube (a base generator in the middle slot
+    # acts through eta_R); (Delta (x) 1) and (1 (x) Delta) follow from them
+    def copy(tag):
+        return lambda j: tc.pres.gen(tc.slots[(tag, j)])
 
-    def delta_left(elem):
-        """(Delta (x) 1) of a TS element."""
-        out = tc.pres.zero()
-        for m, c in elem.terms.items():
-            term = tc.pres.scalar(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                if i < n:
-                    # Delta of the left factor, landing in slots 1-2
-                    img = retag(
-                        H.delta(Gamma.gen(i)),
-                        {
-                            "l": lambda j: j,
-                            "r": lambda j: tc.slots[(M_TAG, j)],
-                        },
-                    )
-                else:
-                    img = tc.pres.gen(tc.slots[(R_TAG, ts._slot_origin(i))])
-                term = term * (img ** e)
-            out = out + term
-        return out
-
-    def delta_right(elem):
-        """(1 (x) Delta) of a TS element."""
-        out = tc.pres.zero()
-        for m, c in elem.terms.items():
-            term = tc.pres.scalar(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                if i < n:
-                    img = tc.pres.gen(i)
-                else:
-                    orig = ts._slot_origin(i)
-                    # Delta of the right factor lands in slots 2-3; a base
-                    # gen in the middle slot acts on slot 1 through eta_R
-                    img = tc.pres.zero()
-                    for m2, c2 in H.delta(Gamma.gen(orig)).terms.items():
-                        t2 = tc.pres.scalar(c2)
-                        for j, e2 in enumerate(m2):
-                            if e2 == 0:
-                                continue
-                            if j < n:
-                                if j in H.morphism_gens:
-                                    g = tc.pres.gen(tc.slots[(M_TAG, j)])
-                                else:
-                                    a = A.index[Gamma.names[j]]
-                                    g = _embed_terms(H.etaR(A.gen(a)), tc.pres)
-                            else:
-                                g = tc.pres.gen(
-                                    tc.slots[(R_TAG, ts._slot_origin(j))]
-                                )
-                            t2 = t2 * (g ** e2)
-                        img = img + t2
-                term = term * (img ** e)
-            out = out + term
-        return out
+    middle = _copy_map(A, Gamma, H.etaR, tc.pres, tc.slots, M_TAG)
+    slots12 = ts_map(tc.pres, tc.pres.gen, copy(M_TAG), "slots12")
+    slots23 = ts_map(tc.pres, middle.image, copy(R_TAG), "slots23")
+    delta_left = ts_map(
+        tc.pres, lambda i: slots12(H.delta.image(i)), copy(R_TAG), "Delta@1"
+    )
+    delta_right = ts_map(
+        tc.pres, tc.pres.gen, lambda j: slots23(H.delta.image(j)), "1@Delta"
+    )
 
     for i in range(n):
         if abs(Gamma.degrees[i]) > bound:

@@ -20,19 +20,30 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def run_cli(*args):
-    """Run the CLI as `python -m hopfalg` under this interpreter, with the
-    test process's PYTHONPATH led by the directory of the hopfalg package
-    the tests import, so that no install step is needed."""
+def _run(*argv):
+    """Run argv under this interpreter, with the test process's PYTHONPATH
+    led by the directory of the hopfalg package the tests import, so that
+    no install step is needed."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hopfalg.__file__)))
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     return subprocess.run(
-        [sys.executable, "-m", "hopfalg", *map(str, args)],
+        [sys.executable, *map(str, argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         timeout=300,
     )
+
+
+def run_cli(*args):
+    """Run the CLI as `python -m hopfalg`."""
+    return _run("-m", "hopfalg", *args)
+
+
+def run_script(name, *args):
+    """Run a script from the repository's scripts/ directory."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return _run(os.path.join(root, "scripts", name), *args)
 
 
 def primitive_line(p, xdeg, power, truncation=16, name=""):

@@ -224,3 +224,12 @@ def test_two_element_cover_of_a_product():
     ]
     M = free_module(R, 1)
     assert check_descent(cover, M).ok
+
+
+def test_descent_rejects_a_module_over_another_ring():
+    """An F_3-module is no module over the base F_2 of F_2 -> F_4.  It
+    still has action matrices for the elements 0 and 1, which is all the
+    equalizer reads, so without the ring check it passed descent."""
+    _, cover = field_extension_cover(2, 4)
+    with pytest.raises(ValueError, match="not over the cover's base"):
+        check_descent(cover, free_module(GF(3), 1))

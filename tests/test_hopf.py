@@ -96,3 +96,27 @@ def test_morphism_monomials_power_bounded(flagship):
     t1 = min(H2.morphism_order)
     assert all(m[t1] <= 2 for m in monos)
     assert any(m[t1] == 2 for m in monos)
+
+
+def test_counital_but_not_coassociative_delta():
+    """Delta(y) = y(x)1 + 1(x)y + x(x)x^3 over F_2 with x primitive is
+    counital and has an antipode (c(y) = y + x^4), but x(x)x^3 is not a
+    Hochschild cocycle, so only coassociativity fails."""
+    mode = BaseMode("fp", 2)
+    A = GradedPresentation(mode, [], truncation=16, name="F_2")
+    G = GradedPresentation(mode, [("x", 2), ("y", 8)], truncation=16)
+    x, y = G.gen(0), G.gen(1)
+    H = HopfAlgebroid(
+        A, G, [0, 1],
+        RingMorphism(A, G, []),
+        RingMorphism(A, G, []),
+        RingMorphism(G, A, [A.zero(), A.zero()]),
+        RingMorphism(G, G, [x, y + x ** 4]),
+        {
+            "x": [(1, (1, 0, 0, 0)), (1, (0, 0, 1, 0))],
+            "y": [(1, (0, 1, 0, 0)), (1, (0, 0, 0, 1)), (1, (1, 0, 3, 0))],
+        },
+    )
+    v = check_hopf_axioms(H, 16)
+    assert len(v.failures) == 1
+    assert v.failures[0].startswith("coassociativity fails at y: ")

@@ -106,3 +106,21 @@ def test_m2_case_is_the_identity_construction(flagship):
     H22, f22 = johnson_wilson(bp, 2, 1)
     assert H22.Gamma.gens == H1.Gamma.gens
     assert check_iso(combined_map(f22), 24).ok
+
+
+def test_corrupted_f1_breaks_delta_compatibility(flagship):
+    """f1(t2) -> f1(t2) + f1(t1)^4 keeps every generator's degree, but
+    (t1(x)1 + 1(x)t1)^4 has cross terms mod 3 that (f1(x)f1)(Delta t2)
+    does not, so the Delta compatibility fails at t2."""
+    _, _, _, f = flagship
+    S = f.f1.source
+    images = list(f.f1.images)
+    images[S.index["t2"]] = images[S.index["t2"]] + images[S.index["t1"]] ** 4
+    bad = HopfMap(
+        f.source, f.target, f.f0, RingMorphism(S, f.f1.target, images, name="bad")
+    )
+    failures = check_hopf_map(bad, 48).failures
+    assert any(
+        s.startswith("Delta.f1 != (f1@f1).Delta at t2: ") for s in failures
+    )
+    assert not any("at t1" in s for s in failures)

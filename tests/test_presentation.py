@@ -198,3 +198,42 @@ def test_int_mode_exactness():
         acc = acc * (x + P.one())
     # binomial coefficients exact
     assert acc.terms[(6,)] == 924
+
+
+def test_morphism_monomial_with_an_inverted_generator():
+    """`RingMorphism.monomial` is the one routine that multiplies out
+    generator images: it agrees with the morphism applied to the normal
+    form and with the product of image powers, reaches monomials past the
+    source's truncation, and needs the image of an inverted generator to
+    be a unit."""
+    import random
+
+    from hopfalg.errors import SolveFailure
+
+    rng = random.Random(7)
+    P = laurent_ring()
+    Q = GradedPresentation(
+        FP3, [("u", 4), ("w", 16)], inverted=["u"], truncation=64
+    )
+    u, w = Q.gen(0), Q.gen(1)
+    for _ in range(5):
+        a, b, k = rng.randint(1, 2), rng.randint(1, 2), rng.randint(0, 2)
+        phi = RingMorphism(P, Q, [a * u, b * w + k * u ** 4])
+        x, y = phi.images
+        for t in range(-16, 33, 4):
+            for m in P.degree_basis(t):
+                c = rng.randint(1, 2)
+                powers = Q.scalar(c) * x ** m[0] * y ** m[1]
+                assert phi.monomial(m, c) == powers
+                assert phi(P.monomial_element(m, c)) == powers
+        # w^3 has weight 48 > 32: zero in P, but its image in Q is not
+        past = (-2, 3)
+        assert P.monomial_element(past).is_zero()
+        powers = x ** -2 * y ** 3
+        assert not powers.is_zero()
+        assert phi.monomial(past) == powers
+    # u^-3 w has the degree of u but is nilpotent, so it is not a unit
+    psi = RingMorphism(P, Q, [Q.monomial_element((-3, 1)), w])
+    assert psi.monomial((2, 1)) == Q.monomial_element((-6, 3))
+    with pytest.raises(SolveFailure):
+        psi.monomial((-1, 0))

@@ -20,7 +20,7 @@ from .errors import (
     PresentationMismatch,
     Verdict,
 )
-from .groupoid import eval_at
+from .groupoid import compile_poly, eval_compiled
 from .presentation import identity_morphism
 
 
@@ -152,19 +152,6 @@ def sheafify(M, alpha):
     return mat
 
 
-def sheafify_point(M, R, assign):
-    """psi~_alpha over a FiniteRing R at the point `assign` (a tuple of
-    R-elements indexed by Gamma's generators)."""
-    n = len(M.gens)
-    names = [g for g, _ in M.gens]
-    mat = [[R.zero for _ in range(n)] for _ in range(n)]
-    for j, g in enumerate(names):
-        for other, gamma in M.psi[g].items():
-            raw = tuple(sorted(gamma.terms.items()))
-            mat[M.index[other]][j] = eval_at(R, assign, raw)
-    return mat
-
-
 def _ring_mat_mul(R, A, B):
     n = len(A)
     out = [[R.zero] * n for _ in range(n)]
@@ -184,7 +171,18 @@ def sheaf_over_groupoid(M, G):
     v = Verdict()
     n = len(M.gens)
     ident = [[R.one if i == j else R.zero for j in range(n)] for i in range(n)]
-    maps = [sheafify_point(M, R, a) for a in G.morphisms]
+    # psi~_alpha at every point alpha; each entry of psi compiled once
+    entries = [
+        (M.index[other], j, compile_poly(R, tuple(sorted(gamma.terms.items()))))
+        for j, (g, _) in enumerate(M.gens)
+        for other, gamma in M.psi[g].items()
+    ]
+    maps = []
+    for a in G.morphisms:
+        mat = [[R.zero] * n for _ in range(n)]
+        for i, j, poly in entries:
+            mat[i][j] = eval_compiled(R, a, poly)
+        maps.append(mat)
     # No separate invertibility check, and no verdict differs for its
     # absence: evaluate_groupoid has verified comp(inv a, a) = id, so where
     # the identity and cocycle laws hold, psi~_{inv a} psi~_a = I.

@@ -1,4 +1,4 @@
-"""Brute-force finite-ring oracle.
+"""Finite-ring oracle.
 
 Evaluating (Spec A, Spec Gamma) at a small finite ring R yields a literal
 groupoid: objects are ring maps A -> R, morphisms are ring maps
@@ -6,6 +6,13 @@ Gamma -> R, with dom/cod by precomposition with eta_L/eta_R and
 composition through the diagonal.  Grading is forgotten; the oracle
 samples the ungraded statements on a fixed catalog of test rings and can
 only falsify or corroborate, never prove.
+
+Points are found by trying every assignment of generators to R-elements
+(bounded by a budget).  Each polynomial that is evaluated at many points
+(a relation, a structure map, a map of algebroids) is compiled once per
+ring into table lookups: a scalar image and one power row per generator
+factor.  Morphisms are indexed by domain, so composition and the
+associativity check visit only composable pairs and triples.
 
 The same module houses the finite-instance descent checker: for a family
 of R-algebras S_i (char p throughout) and a finite R-module M it verifies
@@ -67,6 +74,7 @@ class FiniteRing:
             k += 1
         self.char = k
         self._scalars = {}
+        self._power_rows = {}
 
     def _validate(self):
         n, add, mul = self.n, self.add, self.mul
@@ -124,6 +132,18 @@ class FiniteRing:
         for _ in range(e):
             out = self.mul[out][a]
         return out
+
+    def power_row(self, e):
+        """x^e for every element x, indexed by x; for e < 0 a non-unit's
+        entry is None."""
+        row = self._power_rows.get(e)
+        if row is None:
+            row = tuple(
+                self.power(a, e) if e >= 0 or a in self.units else None
+                for a in range(self.n)
+            )
+            self._power_rows[e] = row
+        return row
 
     def __repr__(self):
         return f"FiniteRing({self.name or self.n})"
@@ -289,17 +309,55 @@ def _mode_admits(P, R):
     return True
 
 
-def eval_at(R, assign, terms):
-    """Evaluate raw (monomial -> coefficient) terms at a generator
-    assignment (tuple of R-elements)."""
-    out = R.zero
+def compile_poly(R, terms):
+    """Compile raw (monomial, coefficient) terms for evaluation in R.
+
+    Each term becomes (coefficient, scalar image or None where the
+    coefficient's denominator is no unit of R, negative factors, positive
+    factors); a factor is (generator index, `R.power_row(e)`)."""
+    out = []
     for mono, coeff in terms:
-        val = R.scalar(coeff)
-        for i, e in enumerate(mono):
-            if e:
-                val = R.mul[val][R.power(assign[i], e)]
-        out = R.add[out][val]
+        try:
+            val = R.scalar(coeff)
+        except ZeroDivisionError:
+            val = None
+        neg = tuple((i, R.power_row(e)) for i, e in enumerate(mono) if e < 0)
+        pos = tuple((i, R.power_row(e)) for i, e in enumerate(mono) if e > 0)
+        out.append((coeff, val, neg, pos))
+    return tuple(out)
+
+
+def eval_compiled(R, assign, compiled):
+    """Evaluate `compile_poly(R, terms)` at a generator assignment (tuple
+    of R-elements).
+
+    A term whose coefficient or negative power cannot be formed in R
+    raises ZeroDivisionError even when another factor is zero, so the
+    early stop on a zero product only starts after those factors."""
+    add, mul, zero = R.add, R.mul, R.zero
+    out = zero
+    for coeff, val, neg, pos in compiled:
+        if val is None:
+            R.scalar(coeff)  # raises
+        for i, row in neg:
+            x = row[assign[i]]
+            if x is None:
+                R.power(assign[i], -1)  # raises
+            val = mul[val][x]
+        for i, row in pos:
+            if val == zero:
+                break
+            val = mul[val][row[assign[i]]]
+        out = add[out][val]
     return out
+
+
+def eval_at(R, assign, terms):
+    """Evaluate raw (monomial, coefficient) terms at a generator
+    assignment (tuple of R-elements).  Compiles them first; to evaluate
+    one polynomial at many points, call `compile_poly` once and then
+    `eval_compiled`."""
+    return eval_compiled(R, assign, compile_poly(R, terms))
 
 
 def enumerate_points(P, R, budget=DEFAULT_BUDGET):
@@ -315,7 +373,8 @@ def enumerate_points(P, R, budget=DEFAULT_BUDGET):
         return []
     rules = []
     for i, rule in P.rules.items():
-        rules.append((i, rule.power, tuple((m, c) for c, m in rule.rhs)))
+        rhs = tuple((m, c) for c, m in rule.rhs)
+        rules.append((i, R.power_row(rule.power), compile_poly(R, rhs)))
     inverted = sorted(P.inverted)
     points = []
     for assign in itertools.product(range(R.n), repeat=ngen):
@@ -325,8 +384,8 @@ def enumerate_points(P, R, budget=DEFAULT_BUDGET):
                 ok = False
                 break
         if ok:
-            for i, power, rhs in rules:
-                if R.power(assign[i], power) != eval_at(R, assign, rhs):
+            for i, lhs, rhs in rules:
+                if lhs[assign[i]] != eval_compiled(R, assign, rhs):
                     ok = False
                     break
         if ok:
@@ -348,6 +407,15 @@ def _raw_elem(elem):
     return tuple(sorted(elem.terms.items()))
 
 
+def _compiled_images(R, f, P):
+    """f of each generator of P, compiled for R."""
+    return [compile_poly(R, _raw_elem(f(P.gen(i)))) for i in range(len(P.gens))]
+
+
+def _eval_all(R, assign, polys):
+    return tuple(eval_compiled(R, assign, poly) for poly in polys)
+
+
 @dataclass
 class FiniteGroupoid:
     ring: FiniteRing
@@ -359,12 +427,13 @@ class FiniteGroupoid:
     inverse: list  # morphism index -> morphism index
     comp: dict  # (beta index, alpha index) -> morphism index, beta.alpha
 
-    def hom(self, x, y):
-        return [
-            m
-            for m in range(len(self.morphisms))
-            if self.dom[m] == x and self.cod[m] == y
-        ]
+
+def _by_domain(dom, nobj):
+    """Morphism indices grouped by domain object, each list ascending."""
+    out = [[] for _ in range(nobj)]
+    for m, x in enumerate(dom):
+        out[x].append(m)
+    return out
 
 
 def evaluate_groupoid(H, R, budget=DEFAULT_BUDGET):
@@ -376,21 +445,15 @@ def evaluate_groupoid(H, R, budget=DEFAULT_BUDGET):
     obj_index = {x: i for i, x in enumerate(objects)}
     mor_index = {a: i for i, a in enumerate(morphisms)}
 
-    etaL_raw = [_raw_elem(H.etaL(A.gen(i))) for i in range(len(A.gens))]
-    etaR_raw = [_raw_elem(H.etaR(A.gen(i))) for i in range(len(A.gens))]
-    eps_raw = [_raw_elem(H.eps(Gamma.gen(i))) for i in range(len(Gamma.gens))]
-    c_raw = [_raw_elem(H.c(Gamma.gen(i))) for i in range(len(Gamma.gens))]
-    delta_raw = [
-        _raw_elem(H.delta(Gamma.gen(i))) for i in range(len(Gamma.gens))
-    ]
-
-    def precomp(assign, raws):
-        return tuple(eval_at(R, assign, raw) for raw in raws)
+    etaL, etaR = (_compiled_images(R, f, A) for f in (H.etaL, H.etaR))
+    eps, c, delta = (
+        _compiled_images(R, f, Gamma) for f in (H.eps, H.c, H.delta)
+    )
 
     dom, cod = [], []
     for a in morphisms:
-        d = precomp(a, etaL_raw)
-        c_ = precomp(a, etaR_raw)
+        d = _eval_all(R, a, etaL)
+        c_ = _eval_all(R, a, etaR)
         if d not in obj_index or c_ not in obj_index:
             raise AxiomFailure("dom/cod of a point is not a point")
         dom.append(obj_index[d])
@@ -398,7 +461,7 @@ def evaluate_groupoid(H, R, budget=DEFAULT_BUDGET):
 
     identity = {}
     for xi, x in enumerate(objects):
-        idm = precomp(x, eps_raw)
+        idm = _eval_all(R, x, eps)
         mi = mor_index.get(idm)
         if mi is None:
             raise AxiomFailure(f"identity of {point_name(R, A, x)} is not a point")
@@ -407,24 +470,21 @@ def evaluate_groupoid(H, R, budget=DEFAULT_BUDGET):
         identity[xi] = mi
 
     inverse = []
-    for ai, a in enumerate(morphisms):
-        inv = precomp(a, c_raw)
-        mi = mor_index.get(inv)
+    for a in morphisms:
+        mi = mor_index.get(_eval_all(R, a, c))
         if mi is None:
             raise AxiomFailure("inverse of a point is not a point")
         inverse.append(mi)
 
-    nmor = len(H.Gamma.gens)
+    # composable pairs only: beta runs over the morphisms out of cod alpha.
+    # The tensor square's assignment takes its left slots from alpha and
+    # its right copies from beta's morphism generators.
+    by_dom = _by_domain(dom, len(objects))
+    right = [tuple(b[i] for i in H.morphism_order) for b in morphisms]
     comp = {}
     for ai, a in enumerate(morphisms):
-        for bi, b in enumerate(morphisms):
-            if cod[ai] != dom[bi]:
-                continue
-            # assignment for the tensor square: left slots from alpha,
-            # right copies from beta's morphism generators
-            ts_assign = tuple(a) + tuple(b[i] for i in H.morphism_order)
-            g = tuple(eval_at(R, ts_assign, raw) for raw in delta_raw)
-            gi = mor_index.get(g)
+        for bi in by_dom[cod[ai]]:
+            gi = mor_index.get(_eval_all(R, a + right[bi], delta))
             if gi is None:
                 raise AxiomFailure("composite of points is not a point")
             if dom[gi] != dom[ai] or cod[gi] != cod[bi]:
@@ -437,8 +497,7 @@ def evaluate_groupoid(H, R, budget=DEFAULT_BUDGET):
 
 
 def _verify_groupoid(G):
-    nm = len(G.morphisms)
-    for ai in range(nm):
+    for ai in range(len(G.morphisms)):
         il, ir = G.identity[G.cod[ai]], G.identity[G.dom[ai]]
         if G.comp[(il, ai)] != ai or G.comp[(ai, ir)] != ai:
             raise AxiomFailure(f"identity law fails at morphism {ai}")
@@ -449,10 +508,10 @@ def _verify_groupoid(G):
             raise AxiomFailure(f"left inverse law fails at morphism {ai}")
         if G.comp[(ai, inv)] != G.identity[G.cod[ai]]:
             raise AxiomFailure(f"right inverse law fails at morphism {ai}")
+    # every composable triple (gamma, beta, alpha)
+    by_dom = _by_domain(G.dom, len(G.objects))
     for (bi, ai), ba in G.comp.items():
-        for ci in range(nm):
-            if G.dom[ci] != G.cod[bi]:
-                continue
+        for ci in by_dom[G.cod[bi]]:
             left = G.comp[(ci, ba)]
             right = G.comp[(G.comp[(ci, bi)], ai)]
             if left != right:
@@ -493,6 +552,14 @@ class GroupoidMapReport:
         }
 
 
+def _hom_sets(G):
+    """{(dom, cod): morphism indices}, each list ascending."""
+    out = {}
+    for m, key in enumerate(zip(G.dom, G.cod)):
+        out.setdefault(key, []).append(m)
+    return out
+
+
 def analyze_map(f, R, budget=DEFAULT_BUDGET):
     """The induced functor (Spec B, Spec Sigma)(R) -> (Spec A, Spec Gamma)(R)
     by precomposition with (f_0, f_1), checked exhaustively for
@@ -500,18 +567,16 @@ def analyze_map(f, R, budget=DEFAULT_BUDGET):
     Gdom = evaluate_groupoid(f.target, R, budget)
     Gcod = evaluate_groupoid(f.source, R, budget)
     H = f.source
-    f0_raw = [_raw_elem(f.f0(H.A.gen(i))) for i in range(len(H.A.gens))]
-    f1_raw = [
-        _raw_elem(f.f1(H.Gamma.gen(i))) for i in range(len(H.Gamma.gens))
-    ]
+    f0 = _compiled_images(R, f.f0, H.A)
+    f1 = _compiled_images(R, f.f1, H.Gamma)
     cobj = {x: i for i, x in enumerate(Gcod.objects)}
     cmor = {a: i for i, a in enumerate(Gcod.morphisms)}
 
     def F_obj(x):
-        return cobj[tuple(eval_at(R, x, raw) for raw in f0_raw)]
+        return cobj[_eval_all(R, x, f0)]
 
     def F_mor(a):
-        return cmor[tuple(eval_at(R, a, raw) for raw in f1_raw)]
+        return cmor[_eval_all(R, a, f1)]
 
     obj_im = [F_obj(x) for x in Gdom.objects]
     mor_im = [F_mor(a) for a in Gdom.morphisms]
@@ -535,14 +600,11 @@ def analyze_map(f, R, budget=DEFAULT_BUDGET):
             break
 
     full = True
+    dom_homs, cod_homs = _hom_sets(Gdom), _hom_sets(Gcod)
     for xi in range(len(Gdom.objects)):
         for yi in range(len(Gdom.objects)):
-            targets = set(Gcod.hom(obj_im[xi], obj_im[yi]))
-            hits = {
-                mor_im[m]
-                for m in range(len(Gdom.morphisms))
-                if Gdom.dom[m] == xi and Gdom.cod[m] == yi
-            }
+            targets = set(cod_homs.get((obj_im[xi], obj_im[yi]), ()))
+            hits = {mor_im[m] for m in dom_homs.get((xi, yi), ())}
             missing = targets - hits
             if missing:
                 full = False
@@ -618,19 +680,6 @@ class FpSpaceBasis:
 
     def coords(self, elem):
         return self._coords[elem]
-
-    def element(self, vec, add):
-        out = None
-        for i, k in enumerate(vec):
-            b = self.basis[i]
-            for _ in range(k % self.p):
-                out = b if out is None else add[out][b]
-        if out is None:
-            # the zero element is the unique one with all-zero coordinates
-            for e, c in self._coords.items():
-                if all(x == 0 for x in c):
-                    return e
-        return out
 
 
 @dataclass

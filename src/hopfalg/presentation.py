@@ -20,6 +20,7 @@ degree piece finite while staying multiplicative.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,6 +114,10 @@ class GradedPresentation:
         for g in inverted:
             inv.add(g if isinstance(g, int) else self.index[g])
         self.inverted = frozenset(inv)
+        # the degrees that count towards a monomial's weight
+        self._weight_degrees = tuple(
+            0 if i in self.inverted else d for i, d in enumerate(self.degrees)
+        )
         rules = {}
         for key, val in (relations or {}).items():
             i = key if isinstance(key, int) else self.index[key]
@@ -160,11 +165,7 @@ class GradedPresentation:
         return sum(e * d for e, d in zip(m, self.degrees))
 
     def weight(self, m):
-        return sum(
-            e * d
-            for i, (e, d) in enumerate(zip(m, self.degrees))
-            if i not in self.inverted
-        )
+        return sum(map(operator.mul, m, self._weight_degrees))
 
     def _mul_mono(self, m1, m2):
         """Merge two exponent vectors with the Koszul sign.
@@ -186,7 +187,7 @@ class GradedPresentation:
                     sign += e2 * (total1 - seen1)
                 if not char2 and e1 + e2 >= 2:
                     return None
-        mono = tuple(a + b for a, b in zip(m1, m2))
+        mono = tuple(map(operator.add, m1, m2))
         return (-1) ** (sign % 2), mono
 
     # -- normalization ----------------------------------------------------

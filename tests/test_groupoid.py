@@ -1,10 +1,13 @@
 """Finite-ring groupoid oracles and faithfully-flat descent."""
+import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from hopfalg.errors import AxiomFailure, NotACover, SearchBudgetExceeded
+from hopfalg.fgl import assemble_bp
 from hopfalg.groupoid import (
     GF,
     AlgebraOver,
@@ -15,6 +18,7 @@ from hopfalg.groupoid import (
     check_descent,
     dual_numbers,
     enumerate_points,
+    eval_at,
     evaluate_groupoid,
     field_extension_cover,
     free_module,
@@ -22,8 +26,12 @@ from hopfalg.groupoid import (
     projection_noncover,
     random_module,
     _descent_maps,
+    _mode_admits,
     _Quotient,
+    _verify_groupoid,
 )
+from hopfalg.hopf import HopfAlgebroid
+from hopfalg.presentation import BaseMode, GradedPresentation, RingMorphism
 
 
 def test_ring_table_validation():
@@ -233,3 +241,225 @@ def test_descent_rejects_a_module_over_another_ring():
     _, cover = field_extension_cover(2, 4)
     with pytest.raises(ValueError, match="not over the cover's base"):
         check_descent(cover, free_module(GF(3), 1))
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator and composition by domain, against the old loops
+
+
+def reference_eval_at(R, assign, terms):
+    """Point evaluation as it was before polynomials were compiled: every
+    factor through `FiniteRing.power`, no early stop."""
+    out = R.zero
+    for mono, coeff in terms:
+        val = R.scalar(coeff)
+        for i, e in enumerate(mono):
+            if e:
+                val = R.mul[val][R.power(assign[i], e)]
+        out = R.add[out][val]
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _random_coefficient(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-12, 12)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 7))
+
+
+@pytest.mark.parametrize("ring", range(6))
+def test_eval_at_matches_the_old_loop(ring):
+    """Random polynomials with int and p-local coefficients, negative
+    exponents mostly at unit values, and assignments with zeros: the same
+    value or the same ZeroDivisionError as the old loop."""
+    R = catalog_rings()[ring]
+    units = sorted(R.units)
+    rng = random.Random(20261018 + ring)
+    values = raised = neg_values = zero_hits = 0
+    for _ in range(400):
+        ngen = rng.randint(1, 4)
+        terms = [
+            (
+                tuple(rng.choice([0, 0, 1, 2, 3, 5, 9, -1, -2]) for _ in range(ngen)),
+                _random_coefficient(rng),
+            )
+            for _ in range(rng.randint(0, 6))
+        ]
+        negative = {i for m, _ in terms for i, e in enumerate(m) if e < 0}
+        assign = tuple(
+            rng.choice(units)
+            if i in negative and rng.random() < 0.8
+            else rng.choice([R.zero, rng.randrange(R.n)])
+            for i in range(ngen)
+        )
+        want = _outcome(reference_eval_at, R, assign, terms)
+        assert _outcome(eval_at, R, assign, terms) == want, (terms, assign)
+        if want is ZeroDivisionError:
+            raised += 1
+        else:
+            values += 1
+            neg_values += bool(negative)
+            zero_hits += R.zero in assign
+    assert values and neg_values and zero_hits
+    if len(units) < R.n:
+        assert raised
+
+
+@pytest.mark.parametrize("ring", range(6))
+def test_negative_power_of_a_non_unit_raises(ring):
+    """Also where the term is zero anyway: its coefficient is 0 in R, or
+    an earlier factor is 0.  The old loop raised there too."""
+    R = catalog_rings()[ring]
+    non_units = [a for a in range(R.n) if a not in R.units]
+    assert non_units  # 0 at least
+    for a in non_units:
+        with pytest.raises(ZeroDivisionError):
+            R.power(a, -1)
+        for assign, terms in [
+            ((a,), [((-1,), 1)]),
+            ((a,), [((-2,), R.char)]),  # coefficient 0 in R
+            ((R.zero, a), [((1, -1), 1)]),  # x_0 = 0 comes first
+            ((a, R.zero), [((-1, 3), 1)]),
+            ((R.one, a), [((1, 0), 1), ((2, -1), 0)]),
+        ]:
+            for fn in (reference_eval_at, eval_at):
+                with pytest.raises(ZeroDivisionError):
+                    fn(R, assign, terms)
+
+
+def reference_groupoid(H, R):
+    """(objects, morphisms, dom, cod, identity, inverse, comp) as the old
+    code built them: every assignment checked with `reference_eval_at`,
+    every ordered pair of morphisms tried for composition."""
+
+    def points(P):
+        if not _mode_admits(P, R):
+            return []
+        rules = [
+            (i, rule.power, [(m, c) for c, m in rule.rhs])
+            for i, rule in P.rules.items()
+        ]
+        return [
+            a
+            for a in itertools.product(range(R.n), repeat=len(P.gens))
+            if all(a[i] in R.units for i in P.inverted)
+            and all(
+                R.power(a[i], k) == reference_eval_at(R, a, rhs)
+                for i, k, rhs in rules
+            )
+        ]
+
+    def at(assign, f, P):
+        return tuple(
+            reference_eval_at(R, assign, sorted(f(P.gen(i)).terms.items()))
+            for i in range(len(P.gens))
+        )
+
+    A, Gamma = H.A, H.Gamma
+    objects, morphisms = points(A), points(Gamma)
+    obj, mor = objects.index, morphisms.index
+    dom = [obj(at(a, H.etaL, A)) for a in morphisms]
+    cod = [obj(at(a, H.etaR, A)) for a in morphisms]
+    identity = {xi: mor(at(x, H.eps, Gamma)) for xi, x in enumerate(objects)}
+    inverse = [mor(at(a, H.c, Gamma)) for a in morphisms]
+    comp = {}
+    for ai, a in enumerate(morphisms):
+        for bi, b in enumerate(morphisms):
+            if cod[ai] == dom[bi]:
+                ts = a + tuple(b[i] for i in H.morphism_order)
+                comp[(bi, ai)] = mor(at(ts, H.delta, Gamma))
+    return objects, morphisms, dom, cod, identity, inverse, comp
+
+
+def test_groupoids_match_the_all_pairs_reference(flagship):
+    """The flagship pair has only automorphisms at every catalog ring;
+    BP at p=2 with two generators also has morphisms between distinct
+    objects, 192 of them over Z/4."""
+    _, source, target, _ = flagship
+    cases = [(H, R) for H in (source, target) for R in catalog_rings()]
+    cases.append((assemble_bp(2, 16, max_gens=2).H, Zmod(4)))
+    between = 0
+    for H, R in cases:
+        G = evaluate_groupoid(H, R)
+        got = (G.objects, G.morphisms, G.dom, G.cod, G.identity,
+               G.inverse, G.comp)
+        want = reference_groupoid(H, R)
+        assert got == want, (H.name, R.name)
+        assert list(G.comp) == list(want[-1])  # same insertion order
+        between += sum(x != y for x, y in zip(G.dom, G.cod))
+    assert between == 192
+
+
+def _corruptible(G):
+    """A composite (bi, ai) of two non-identity morphisms with bi not the
+    inverse of ai, and another morphism with the same endpoints."""
+    ids = set(G.identity.values())
+    for (bi, ai), gi in G.comp.items():
+        if bi in ids or ai in ids or G.inverse[ai] == bi:
+            continue
+        for other in range(len(G.morphisms)):
+            if other != gi and (G.dom[other], G.cod[other]) == (
+                G.dom[gi], G.cod[gi]
+            ):
+                return (bi, ai), other
+    raise AssertionError("no corruptible composite")
+
+
+def test_verify_groupoid_catches_a_non_associative_table(flagship):
+    _, _, target, _ = flagship
+    G = evaluate_groupoid(target, GF(3))
+    _verify_groupoid(G)
+    key, other = _corruptible(G)
+    bad = dataclasses.replace(G, comp={**G.comp, key: other})
+    with pytest.raises(AxiomFailure, match="associativity fails on triple") as exc:
+        _verify_groupoid(bad)
+    ci, bi, ai = map(int, str(exc.value).split("(")[1].rstrip(")").split(","))
+    C = bad.comp
+    assert C[(ci, C[(bi, ai)])] != C[(C[(ci, bi)], ai)]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_verify_groupoid_catches_a_broken_identity(flagship, side):
+    _, _, target, _ = flagship
+    G = evaluate_groupoid(target, GF(3))
+    ai = next(m for m in range(len(G.morphisms)) if m not in G.identity.values())
+    key = (
+        (G.identity[G.cod[ai]], ai) if side == "left"
+        else (ai, G.identity[G.dom[ai]])
+    )
+    bad = dataclasses.replace(G, comp={**G.comp, key: G.inverse[ai]})
+    with pytest.raises(AxiomFailure, match=f"identity law fails at morphism {ai}"):
+        _verify_groupoid(bad)
+
+
+def test_coefficients_missing_from_R_matter_only_at_points():
+    """eta_R(v) = v + t/2 over Z_(3): 1/2 has no image in the rings of
+    characteristic 2, 4 or 6, but those have no points either, so their
+    groupoids are empty rather than a ZeroDivisionError."""
+    mode = BaseMode("plocal", 3)
+    A = GradedPresentation(mode, [("v", 2)], truncation=8)
+    Gamma = GradedPresentation(mode, [("v", 2), ("t", 2)], truncation=8)
+    v, t = Gamma.gen(0), Gamma.gen(1)
+    shift = v + Gamma.scalar(Fraction(1, 2)) * t
+    H = HopfAlgebroid(
+        A, Gamma, ["t"],
+        RingMorphism(A, Gamma, [v], name="etaL"),
+        RingMorphism(A, Gamma, [shift], name="etaR"),
+        RingMorphism(Gamma, A, [A.gen(0), A.zero()], name="eps"),
+        RingMorphism(Gamma, Gamma, [shift, -t], name="c"),
+        {"t": [(1, (0, 1, 0)), (1, (0, 0, 1))]},
+        name="half-shift",
+    )
+    sizes = []
+    for R in catalog_rings():
+        G = evaluate_groupoid(H, R)
+        assert (G.objects, G.morphisms, G.dom, G.cod, G.identity, G.inverse,
+                G.comp) == reference_groupoid(H, R), R.name
+        sizes.append(len(G.morphisms))
+    assert sizes == [0, 9, 0, 0, 0, 0]

@@ -17,22 +17,27 @@ an empty slot are degenerate and are projected away.
 
 The differential is assembled as a left A-module map.  The inner faces
 and the coaction face of a*[w|m] are eta_L(a) times the same faces of
-[w|m]; only the outer face sees `a`, as (eta_L(a) - eta_R(a)) (x) w (x) m
-(Ravenel, Complex Cobordism, A1.2.11).  So the a-free faces F(w, m) are
-computed once per (word, module generator), with the first slot kept as
-a full Gamma-element, degenerate terms included, and each key multiplies
-them by eta_L(a) in Gamma's normal form (relations, Koszul signs and
-weight truncation as in any product) before projecting degenerate keys
-away.  The normal form is linear, so this gives the same coordinates as
-expanding every face of every key.
+[w|m]; only the outer face sees `a`, as (eta_R(a) - eta_L(a)) (x) w (x) m
+(Ravenel, Complex Cobordism, A1.2.11).  One formula covers it at every
+s, s = 0 included: the eta_L(a) part is degenerate, so the outer face is
+the terms of eta_R(a) with a nonempty morphism part, each put in front
+of w.  The a-free faces F(w, m) are computed once per (word, module
+generator), with the first slot kept as a full Gamma-element, degenerate
+terms included, and each key multiplies them by eta_L(a) in Gamma's
+normal form (relations, Koszul signs and weight truncation as in any
+product) before projecting degenerate keys away.  The normal form is
+linear, so this gives the same coordinates as expanding every face of
+every key.
 
 Each differential d_{s,t} is stored sparse, as the columns `d_columns`
 returns: column j is d of the j-th source key, {target position: residue}.
-The differentials are more than 99% zero, so every rank, kernel and
-boundary count goes through `linalg.echelon_fp` on these columns; no
-dense matrix is formed.  `differential` builds the dense matrix from the
-columns on demand, for tests and for callers that want the matrix, and
-never caches it.
+The differentials are more than 99% zero, so every count is a rank, taken
+by `linalg.echelon_fp` on these columns (or on a restriction of them)
+without record vectors: the plain dimension needs rank d_{s,t} and
+rank d_{s-1,t}, and the stable-range dimension two further ranks (see
+`ext_dim_stable`).  No dense matrix is formed.  `differential` builds the
+dense matrix from the columns on demand, for tests and for callers that
+want the matrix, and never caches it.
 
 The caches of the complex (F, the products eta_L(a)*m, eta_R of
 A-monomials, words and their Gamma-elements, bases, sparse differentials,
@@ -42,7 +47,7 @@ values and `ext_dims(parallel>1)` stays correct.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import mul
 
@@ -168,18 +173,8 @@ class CobarComplex:
         D = H.delta(elem) - ts.incl_l(elem) - ts.incl_r(elem)
         out = []
         for mono, c in sorted(D.terms.items()):
-            base, left, right = ts.split_monomial(mono)
-            lmono = [0] * len(H.Gamma.gens)
-            for j, e in base.items():
-                lmono[j] = e
-            for j, e in left.items():
-                lmono[j] = e
-            rmono = [0] * len(H.Gamma.gens)
-            for j, e in right.items():
-                rmono[j] = e
-            out.append(
-                (c, H.Gamma.monomial_element(tuple(lmono)), tuple(rmono))
-            )
+            lmono, rmono = ts.split_monomial(mono)
+            out.append((c, H.Gamma.monomial_element(lmono), rmono))
         self._dbar_cache[w] = out
         return out
 
@@ -250,20 +245,6 @@ class CobarComplex:
             for c, ws, carry in branches
         ]
 
-    def _reduce_word(self, coeff, outer, slots, mgen, acc):
-        """Accumulate the canonical coordinates of
-        eta_L(outer) * slots[0] (x) ... (x) slots[-1] (x) mgen into acc."""
-        p = self.p
-        for c, g, ws in self._slide(coeff, slots):
-            if outer is not None:
-                g = self._etaL_monomial(outer) * g
-            for mono, cc in g.terms.items():
-                a_part, w_part = self._split_gamma_mono(mono)
-                if not any(w_part):
-                    continue
-                k = (a_part, (w_part,) + ws, mgen)
-                acc[k] = (acc.get(k, 0) + c * int(cc)) % p
-
     def _faces(self, word, mgen):
         """F(w, m): the inner faces and the coaction face of [w|m], before
         the outer coefficient multiplies the first slot.  A list of
@@ -328,33 +309,29 @@ class CobarComplex:
         return got
 
     def d_of_key(self, key):
-        """The differential of one basis key, as canonical coordinates."""
+        """The differential of one basis key, as canonical coordinates.
+
+        The outer face of a*[w|m] is (eta_R(a) - eta_L(a)) (x) w (x) m at
+        every s, s = 0 included (Ravenel, Complex Cobordism, A1.2.11): the
+        face 1 (x) a*[w|m] reads the coefficient through eta_R.  The
+        eta_L(a) part is degenerate, and the slots of w are pure morphism
+        monomials with nothing to slide, so the face adds each term of
+        eta_R(a) with a nonempty morphism part, put in front of w, with
+        coefficient +1.  The inner faces and the coaction face are
+        eta_L(a) times F(w, m)."""
         a, word, mgen = key
         p = self.p
-        s = len(word)
         acc = {}
-        if s >= 1 and any(a):
-            # the outer coefficient's own face: the subtracted term
-            # 1 (x) (a*w_1) reads the coefficient through eta_R, so d picks
-            # up sign_1 * (eta_L(a) - eta_R(a)) (x) w_1 (x) ...; the
-            # eta_L(a) part is degenerate and drops in reduction
-            self._reduce_word(
-                1, None,
-                [self._etaR_monomial(a)] + [self._elem(w) for w in word],
-                mgen, acc,
-            )
+        for mono, cc in self._etaR_monomial(a).terms.items():
+            a_part, w_part = self._split_gamma_mono(mono)
+            if any(w_part):
+                k = (a_part, (w_part,) + word, mgen)
+                acc[k] = (acc.get(k, 0) + int(cc)) % p
         for ws, out_gen, terms in self._faces(word, mgen):
             for m0, c0 in terms:
                 for a_part, w_part, cc in self._etaL_times(a, m0):
                     k = (a_part, (w_part,) + ws, out_gen)
                     acc[k] = (acc.get(k, 0) + c0 * cc) % p
-        if s == 0:
-            # the subtracted unit term 1 (x) (a*m) = eta_R(a) (x) m is not
-            # degenerate when a carries a coefficient
-            sign = _neg_pow(s + 1)
-            self._reduce_word(
-                -sign % p, None, [self._etaR_monomial(a)], mgen, acc
-            )
         return {k: v for k, v in acc.items() if v % p}
 
     def d_columns(self, s, t):
@@ -390,19 +367,14 @@ class CobarComplex:
                 mat[r][j] = c
         return mat
 
-    def _d_pivots(self, s, t):
-        """An echelon form of the column span of d_{s,t}."""
-        pivots, _ = linalg.echelon_fp(
-            ((dict(col), None) for col in self.d_columns(s, t)), self.p
-        )
-        return pivots
-
     def d_rank(self, s, t):
         """rank d_{s,t}, cached."""
         key = (s, t)
         got = self._rank_cache.get(key)
         if got is None:
-            got = self._rank_cache[key] = len(self._d_pivots(s, t))
+            got = self._rank_cache[key] = _sparse_rank(
+                map(dict, self.d_columns(s, t)), self.p
+            )
         return got
 
     def d_squared_is_zero(self, s, t):
@@ -431,32 +403,38 @@ class CobarComplex:
         """dim of the image H^{s,t}(C_{<=inner}) -> H^{s,t}(C).
 
         The differential never raises weight, so the keys of weight <=
-        inner span a subcomplex; cocycles there that only bound once
+        inner span a subcomplex C_in; cocycles there that only bound once
         higher-weight cochains are available (truncation-boundary
         artifacts) are discarded by computing the image of the induced
-        map on cohomology instead of the cohomology of either cap alone."""
-        basis_s = self.basis(s, t)
-        if not basis_s:
+        map on cohomology instead of the cohomology of either cap alone.
+
+        The image is Z_in / (Z_in n B), with Z_in the cocycles of C_in and
+        B the image of d_{s-1,t}.  Since B lies in ker d, Z_in n B =
+        C_in n B, which is the kernel of P_out on B, where P_out drops the
+        rows of weight <= inner.  So, by ranks alone,
+
+            dim = n_in - rank(d_{s,t}|inner cols)
+                  - rank d_{s-1,t} + rank(P_out d_{s-1,t}).
+
+        At s = 0 there are no boundaries, and with no inner key the
+        image is 0."""
+        is_inner = [self.key_weight(k) <= inner for k in self.basis(s, t)]
+        n_in = sum(is_inner)
+        if not n_in:
             return 0
-        d_out = self.d_columns(s, t)
-        cycles = linalg.kernel_fp(
+        dim = n_in - _sparse_rank(
+            map(dict, compress(self.d_columns(s, t), is_inner)), self.p
+        )
+        if s == 0:
+            return dim
+        outer_rank = _sparse_rank(
             (
-                (j, d_out[j])
-                for j, k in enumerate(basis_s)
-                if self.key_weight(k) <= inner
+                {r: c for r, c in col.items() if not is_inner[r]}
+                for col in self.d_columns(s - 1, t)
             ),
             self.p,
         )
-        if s == 0:
-            return len(cycles)
-        # the columns of d_{s-1,t} span the boundaries B; count the
-        # cycles that stay independent modulo B: rank(Z + B) - rank(B)
-        pivots = self._d_pivots(s - 1, t)
-        rank_b = len(pivots)
-        pivots, _ = linalg.echelon_fp(
-            ((z, None) for z in cycles), self.p, pivots
-        )
-        return len(pivots) - rank_b
+        return dim - self.d_rank(s - 1, t) + outer_rank
 
 
 @dataclass
@@ -491,6 +469,11 @@ class ExtTable:
                 {"s": s, "t": t, "dim": d} for (s, t), d in self.nonzero()
             ],
         }
+
+
+def _sparse_rank(vectors, p):
+    """Rank over F_p of the dict vectors, which the elimination consumes."""
+    return len(linalg.echelon_fp(((v, None) for v in vectors), p)[0])
 
 
 def ext_dims(C, parallel=1, check_d2=False, inner=None):
@@ -567,7 +550,6 @@ def primitive_dims(H, t_min, t_max):
             diff = H.etaR(H.A.monomial_element(a)) - H.etaL(
                 H.A.monomial_element(a)
             )
-            vecs.append(({pos[m]: c for m, c in diff.terms.items()}, None))
-        pivots, _ = linalg.echelon_fp(vecs, p)
-        out[t] = len(ab) - len(pivots)
+            vecs.append({pos[m]: c for m, c in diff.terms.items()})
+        out[t] = len(ab) - _sparse_rank(vecs, p)
     return out

@@ -134,7 +134,7 @@ def assemble_bp(p, D, max_gens=None):
         etaR_images.append(assert_p_integral(acc, p))
     etaR = RingMorphism(A, Gamma, etaR_images[1:], name="etaR")
 
-    ts = TensorSquare(A, Gamma, morphism_order, etaL, etaR, name="BP.TS")
+    ts = TensorSquare(A, Gamma, morphism_order, etaR, name="BP.TS")
     incl_l, incl_r = ts.incl_l, ts.incl_r
 
     # diagonal
@@ -169,15 +169,11 @@ def assemble_bp(p, D, max_gens=None):
         for mono, coeff in dn.terms.items():
             if mono == pure_right[n]:
                 continue
-            base, left, right = ts.split_monomial(mono)
-            term = Gamma.scalar(coeff)
-            for j, e in base.items():
-                term = term * (Gamma.gen(j) ** e)
-            for j, e in left.items():
-                term = term * (Gamma.gen(j) ** e)
-            for j, e in right.items():
-                cj = c_images[j - N + 1]
-                term = term * (cj ** e)
+            lmono, rmono = ts.split_monomial(mono)
+            term = Gamma.monomial_element(lmono, coeff)
+            for j, e in enumerate(rmono):
+                if e:
+                    term = term * (c_images[j - N + 1] ** e)
             acc = acc + term
         c_images.append(assert_p_integral(-acc, p))
     c = RingMorphism(

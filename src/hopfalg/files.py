@@ -347,7 +347,7 @@ def parse_algebroid(path):
     etaR = RingMorphism(A, Gamma, etaR_imgs, name="etaR")
     eps = RingMorphism(Gamma, A, eps_imgs, name="eps")
     c = RingMorphism(Gamma, Gamma, c_imgs, name="c")
-    ts = TensorSquare(A, Gamma, morphism_order, etaL, etaR)
+    ts = TensorSquare(A, Gamma, morphism_order, etaR)
     special = {"l": ts.incl_l, "r": ts.incl_r}
     delta_texts = _image_list(cp.get("maps", "delta"), len(morphism_order), "delta"
     )
@@ -368,15 +368,7 @@ def _delta_str(H, elem):
     parts = []
     for mono, c in sorted(elem.terms.items()):
         c = _coeff_int(c)
-        base, left, right = ts.split_monomial(mono)
-        lmono = [0] * len(names)
-        for j, e in base.items():
-            lmono[j] = e
-        for j, e in left.items():
-            lmono[j] = e
-        rmono = [0] * len(names)
-        for j, e in right.items():
-            rmono[j] = e
+        lmono, rmono = ts.split_monomial(mono)
         factors = []
         ls = _mono_str(names, lmono)
         rs = _mono_str(names, rmono)

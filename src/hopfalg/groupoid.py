@@ -582,22 +582,20 @@ def analyze_map(f, R, budget=DEFAULT_BUDGET):
     mor_im = [F_mor(a) for a in Gdom.morphisms]
     witnesses = {}
 
-    faithful = True
-    for ai in range(len(Gdom.morphisms)):
-        for bi in range(ai + 1, len(Gdom.morphisms)):
-            if (
-                Gdom.dom[ai] == Gdom.dom[bi]
-                and Gdom.cod[ai] == Gdom.cod[bi]
-                and mor_im[ai] == mor_im[bi]
-            ):
-                faithful = False
-                witnesses["faithful"] = (
-                    point_name(R, f.target.Gamma, Gdom.morphisms[ai]),
-                    point_name(R, f.target.Gamma, Gdom.morphisms[bi]),
-                )
-                break
-        if not faithful:
-            break
+    # faithful: no two parallel morphisms share an image.  The witness is
+    # the lexicographically first colliding pair: the smallest first member
+    # of a colliding (dom, cod, image) class, with the class's second member
+    first, collision = {}, None
+    for bi, key in enumerate(zip(Gdom.dom, Gdom.cod, mor_im)):
+        ai = first.setdefault(key, bi)
+        if ai != bi and (collision is None or ai < collision[0]):
+            collision = (ai, bi)
+    faithful = collision is None
+    if not faithful:
+        witnesses["faithful"] = tuple(
+            point_name(R, f.target.Gamma, Gdom.morphisms[i])
+            for i in collision
+        )
 
     full = True
     dom_homs, cod_homs = _hom_sets(Gdom), _hom_sets(Gcod)

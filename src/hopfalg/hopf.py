@@ -107,7 +107,7 @@ def _copy_map(A, Gamma, etaR, P, slots, tag, through=None):
 class TensorSquare:
     """Gamma tensor_A Gamma with both inclusion morphisms."""
 
-    def __init__(self, A, Gamma, morphism_gens, etaL, etaR, name="TS"):
+    def __init__(self, A, Gamma, morphism_gens, etaR, name="TS"):
         def copies(P, slots):
             return {R_TAG: _copy_map(A, Gamma, etaR, P, slots, R_TAG)}
 
@@ -115,42 +115,28 @@ class TensorSquare:
             Gamma, morphism_gens, [R_TAG], copies, name
         )
         self.Gamma = Gamma
-        self.morphism_gens = tuple(morphism_gens)
         n = len(Gamma.gens)
         self.incl_l = RingMorphism(
             Gamma, self.pres, [self.pres.gen(i) for i in range(n)], name="incl_l"
         )
         self.incl_r = _copy_map(A, Gamma, etaR, self.pres, self.slots, R_TAG)
+        self._slot_origin = {s: i for (_, i), s in self.slots.items()}
 
     def split_monomial(self, m):
-        """Split a tensor-square monomial into (A-part over base gens,
-        left morphism part, right morphism part) exponent data."""
-        Gamma = self.Gamma
-        n = len(Gamma.gens)
-        base, left, right = {}, {}, {}
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            if i < n:
-                if i in self.morphism_gens:
-                    left[i] = e
-                else:
-                    base[i] = e
-            else:
-                right[self._slot_origin(i)] = e
-        return base, left, right
-
-    def _slot_origin(self, j):
-        for (tag, i), s in self.slots.items():
-            if s == j:
-                return i
-        raise KeyError(j)
+        """Split a tensor-square monomial into (left Gamma-monomial, base
+        exponents included; right Gamma-monomial), both full-width
+        exponent tuples over Gamma's generators."""
+        n = len(self.Gamma.gens)
+        right = [0] * n
+        for j in range(n, len(m)):
+            right[self._slot_origin[j]] = m[j]
+        return tuple(m[:n]), tuple(right)
 
 
 class TensorCube:
     """Gamma tensor_A Gamma tensor_A Gamma, for coassociativity."""
 
-    def __init__(self, A, Gamma, morphism_gens, etaL, etaR, name="TC"):
+    def __init__(self, A, Gamma, morphism_gens, etaR, name="TC"):
         def copies(P, slots):
             middle = _copy_map(A, Gamma, etaR, P, slots, M_TAG)
             right = _copy_map(A, Gamma, etaR, P, slots, R_TAG, through=middle)
@@ -160,7 +146,6 @@ class TensorCube:
             Gamma, morphism_gens, [M_TAG, R_TAG], copies, name
         )
         self.Gamma = Gamma
-        self.morphism_gens = tuple(morphism_gens)
 
 
 class HopfAlgebroid:
@@ -184,7 +169,7 @@ class HopfAlgebroid:
         self.eps = eps
         self.c = c
         self.ts = TensorSquare(
-            A, Gamma, self.morphism_order, etaL, etaR, name=(name or "H") + ".TS"
+            A, Gamma, self.morphism_order, etaR, name=(name or "H") + ".TS"
         )
         images = []
         for i in range(len(Gamma.gens)):
@@ -225,7 +210,6 @@ class HopfAlgebroid:
                 self.A,
                 self.Gamma,
                 self.morphism_order,
-                self.etaL,
                 self.etaR,
                 name=(self.name or "H") + ".TC",
             )

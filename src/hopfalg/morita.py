@@ -278,11 +278,8 @@ def check_iso(m, bound):
     src, tgt = m.source, m.target
     mode = tgt.mode
     for t in range(-bound, bound + 1):
-        try:
-            bs = src.degree_basis(t)
-            bt = tgt.degree_basis(t)
-        except InfiniteBasis as exc:
-            raise
+        bs = src.degree_basis(t)
+        bt = tgt.degree_basis(t)
         if len(bs) != len(bt):
             v.fail(f"degree {t}: basis sizes {len(bs)} vs {len(bt)}")
             continue

@@ -22,15 +22,19 @@ from hopfalg.groupoid import (
     evaluate_groupoid,
     field_extension_cover,
     free_module,
+    point_name,
     product_ring,
     projection_noncover,
     random_module,
+    _compiled_images,
     _descent_maps,
+    _eval_all,
     _mode_admits,
     _Quotient,
     _verify_groupoid,
 )
 from hopfalg.hopf import HopfAlgebroid
+from hopfalg.morita import HopfMap
 from hopfalg.presentation import BaseMode, GradedPresentation, RingMorphism
 
 
@@ -101,6 +105,80 @@ def test_essential_image_over_F3(flagship):
     assert "v2" in rep.witnesses["essentially_surjective"]
     d = rep.to_dict()
     assert d["ring"] == "F_3" and d["full"] and d["faithful"]
+
+
+def reference_faithful_witness(f, R):
+    """The all-pairs faithfulness loop analyze_map ran before it keyed
+    morphisms by (dom, cod, image): the lexicographically first pair of
+    parallel morphisms with one image, named, or None."""
+    Gdom = evaluate_groupoid(f.target, R)
+    Gcod = evaluate_groupoid(f.source, R)
+    f1 = _compiled_images(R, f.f1, f.source.Gamma)
+    cmor = {a: i for i, a in enumerate(Gcod.morphisms)}
+    mor_im = [cmor[_eval_all(R, a, f1)] for a in Gdom.morphisms]
+    n = len(Gdom.morphisms)
+    for ai in range(n):
+        for bi in range(ai + 1, n):
+            if (
+                Gdom.dom[ai] == Gdom.dom[bi]
+                and Gdom.cod[ai] == Gdom.cod[bi]
+                and mor_im[ai] == mor_im[bi]
+            ):
+                return tuple(
+                    point_name(R, f.target.Gamma, Gdom.morphisms[i])
+                    for i in (ai, bi)
+                )
+    return None
+
+
+def _primitive_algebroid(names):
+    """(F_2, F_2[names]/(x^2 for each name)), every generator primitive of
+    degree 1."""
+    mode = BaseMode("fp", 2)
+    n = len(names)
+    A = GradedPresentation(mode, [], truncation=8, name="F_2")
+    Gamma = GradedPresentation(
+        mode, [(x, 1) for x in names],
+        relations={x: (2, []) for x in names}, truncation=8,
+    )
+    none = RingMorphism(A, Gamma, [])
+
+    def unit(i, slot):
+        return tuple(int(j == slot * n + i) for j in range(2 * n))
+
+    return HopfAlgebroid(
+        A, Gamma, list(range(n)), none, none,
+        RingMorphism(Gamma, A, [A.zero()] * n),
+        RingMorphism(Gamma, Gamma, [-Gamma.gen(i) for i in range(n)]),
+        {x: [(1, unit(i, 0)), (1, unit(i, 1))] for i, x in enumerate(names)},
+        name="+".join(names),
+    )
+
+
+def test_forgetting_a_generator_is_not_faithful():
+    """The line on x mapped into the plane on x, y by x -> x: over
+    F_2[e]/(e^2) the points x -> 0 with y -> 0 and y -> e are parallel
+    morphisms with one image, so the functor is not faithful."""
+    line, plane = _primitive_algebroid(["x"]), _primitive_algebroid(["x", "y"])
+    f = HopfMap(
+        line, plane,
+        RingMorphism(line.A, plane.A, []),
+        RingMorphism(line.Gamma, plane.Gamma, [plane.Gamma.gen(0)]),
+    )
+    R = dual_numbers(2)
+    rep = analyze_map(f, R)
+    assert rep.morphism_counts == (4, 2)
+    assert not rep.faithful and rep.full
+    assert rep.witnesses["faithful"] == reference_faithful_witness(f, R)
+    assert rep.witnesses["faithful"] == ("{x->0, y->0}", "{x->0, y->e}")
+    assert analyze_map(f, GF(2)).faithful
+
+
+def test_faithfulness_witness_matches_reference(flagship):
+    _, _, _, f = flagship
+    for R in (GF(3), Zmod(6)):
+        assert reference_faithful_witness(f, R) is None
+        assert analyze_map(f, R).faithful
 
 
 def reference_fp_rref(rows, p):

@@ -13,6 +13,7 @@ from .errors import (
     HopfAlgError,
     IllegalExponent,
     InfiniteBasis,
+    InputError,
     IntegralityFailure,
     NotACover,
     NotFreeOverA,
@@ -42,6 +43,7 @@ __all__ = [
     "HopfAlgError",
     "IllegalExponent",
     "InfiniteBasis",
+    "InputError",
     "IntegralityFailure",
     "NotACover",
     "NotFreeOverA",

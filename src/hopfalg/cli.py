@@ -9,7 +9,8 @@ Exit codes: 0 = all verified properties pass, 1 = a property failed,
 2 = input error, 3 = search budget exceeded / infinite basis, 4 =
 internal error (an invariant of the computation broke, such as d^2 != 0
 or a cobar differential leaving its enumerated basis: a bug, not bad
-input).
+input).  Input validation raises ParseError or InputError; any other
+ValueError is an internal error.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import sys
 from .errors import (
     HopfAlgError,
     InfiniteBasis,
+    InputError,
     NotACover,
     ParseError,
     SearchBudgetExceeded,
@@ -362,7 +364,7 @@ def run(argv=None):
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, FileNotFoundError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InfiniteBasis, SearchBudgetExceeded) as exc:
@@ -371,7 +373,7 @@ def run(argv=None):
     except HopfAlgError as exc:
         print(f"property failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

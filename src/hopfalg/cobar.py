@@ -52,7 +52,7 @@ from itertools import compress
 from operator import mul
 
 from . import linalg
-from .errors import DegreeError, InfiniteBasis, SolveFailure
+from .errors import DegreeError, InfiniteBasis, InputError, SolveFailure
 
 
 def _neg_pow(i):
@@ -520,7 +520,7 @@ def ext_dims(C, parallel=1, check_d2=False, inner=None):
 def compare_ext(T1, T2):
     """Bidegree-by-bidegree diff on the common window; empty = agreement."""
     if T1.p != T2.p:
-        raise ValueError("tables at different primes")
+        raise InputError("tables at different primes")
     s_max = min(T1.s_max, T2.s_max)
     t_min = max(T1.t_min, T2.t_min)
     t_max = min(T1.t_max, T2.t_max)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DegreeError,
+    InputError,
     NotQuasiCoherent,
     PresentationMismatch,
     Verdict,
@@ -48,12 +49,12 @@ class Comodule:
         self.psi = {}
         for gname, _ in self.gens:
             if gname not in psi:
-                raise ValueError(f"missing coaction image for {gname}")
+                raise InputError(f"missing coaction image for {gname}")
             self.psi[gname] = _norm_tensor(H, psi[gname])
         for gname, word in self.psi.items():
             for other, gamma in word.items():
                 if other not in self.index:
-                    raise ValueError(f"unknown generator {other} in psi")
+                    raise InputError(f"unknown generator {other} in psi")
                 if not gamma.is_zero():
                     want = self.degrees[gname] - self.degrees[other]
                     if gamma.degree() != want:

@@ -6,6 +6,12 @@ class HopfAlgError(Exception):
     pass
 
 
+class InputError(HopfAlgError, ValueError):
+    """Input that fails validation: a malformed ring, module, presentation
+    or argument.  The command line reports it as an input error (exit 2),
+    while any other ValueError is an internal error (exit 4)."""
+
+
 class PresentationMismatch(HopfAlgError):
     pass
 

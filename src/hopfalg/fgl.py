@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import SolveFailure
+from .errors import InputError, SolveFailure
 from .hopf import HopfAlgebroid, TensorSquare
 from .presentation import (
     BaseMode,
@@ -260,7 +260,7 @@ def johnson_wilson(bp, m, n):
     from .morita import induced_algebroid
 
     if not (1 <= n <= m):
-        raise ValueError("need 1 <= n <= m")
+        raise InputError("need 1 <= n <= m")
     H = quotient_localize(bp, n)
     p, N, D = bp.p, bp.N, bp.D
     mode = BaseMode("fp", p)

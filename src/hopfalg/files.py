@@ -28,7 +28,7 @@ import configparser
 import os
 import re
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .hopf import HopfAlgebroid, TensorSquare
 from .morita import HopfMap
 from .presentation import (
@@ -213,6 +213,14 @@ def element_str(elem, names=None):
 # presentation files
 
 
+def _int(text, what):
+    """An integer read from a document; ParseError otherwise."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {text!r} is not an integer") from exc
+
+
 def _config(text=None):
     cp = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     cp.optionxform = str
@@ -228,13 +236,13 @@ def _presentation_from_config(cp, name_hint=""):
     if not cp.has_section("base") or not cp.has_section("generators"):
         raise ParseError("presentation needs [base] and [generators]")
     kind = cp.get("base", "mode", fallback="int").strip()
-    p = cp.getint("base", "p", fallback=None) if kind != "int" else None
+    p = cp.get("base", "p", fallback=None) if kind != "int" else None
     try:
-        mode = BaseMode(kind, p)
-    except ValueError as exc:
+        mode = BaseMode(kind, None if p is None else _int(p, "p"))
+    except InputError as exc:
         raise ParseError(str(exc)) from exc
-    gens = [(n, int(v)) for n, v in cp.items("generators")]
-    D = cp.getint("truncation", "D", fallback=64)
+    gens = [(n, _int(v, f"degree of {n}")) for n, v in cp.items("generators")]
+    D = _int(cp.get("truncation", "D", fallback="64"), "D")
     inverted = []
     if cp.has_section("inverted"):
         inverted = cp.get("inverted", "names", fallback="").split()
@@ -247,7 +255,7 @@ def _presentation_from_config(cp, name_hint=""):
         for key, val in cp.items("relations"):
             if "^" in key:
                 gname, k = key.split("^", 1)
-                power = int(k)
+                power = _int(k, f"power of {gname}")
             else:
                 gname, power = key, 1
             if gname not in twin.index:
@@ -556,7 +564,7 @@ def parse_comodule(path, H=None):
                 os.path.dirname(path), cp.get("comodule", "algebroid")
             )
         )
-    gens = [(n, int(v)) for n, v in cp.items("generators")]
+    gens = [(n, _int(v, f"degree of {n}")) for n, v in cp.items("generators")]
     psi = {}
     for n, _ in gens:
         if not cp.has_option("psi", n):

@@ -30,6 +30,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (
     AxiomFailure,
+    InputError,
     NotACover,
     SearchBudgetExceeded,
     Verdict,
@@ -80,26 +81,26 @@ class FiniteRing:
         n, add, mul = self.n, self.add, self.mul
         for a in range(n):
             if add[a][self.zero] != a:
-                raise ValueError("0 is not an additive identity")
+                raise InputError("0 is not an additive identity")
             if mul[a][self.one] != a:
-                raise ValueError("1 is not a multiplicative identity")
+                raise InputError("1 is not a multiplicative identity")
             if mul[a][self.zero] != self.zero:
-                raise ValueError("0 does not absorb")
+                raise InputError("0 does not absorb")
             if not any(add[a][b] == self.zero for b in range(n)):
-                raise ValueError("missing additive inverse")
+                raise InputError("missing additive inverse")
         for a in range(n):
             for b in range(n):
                 if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                    raise ValueError("tables not commutative")
+                    raise InputError("tables not commutative")
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if add[add[a][b]][c] != add[a][add[b][c]]:
-                        raise ValueError("addition not associative")
+                        raise InputError("addition not associative")
                     if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        raise ValueError("multiplication not associative")
+                        raise InputError("multiplication not associative")
                     if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                        raise ValueError("distributivity fails")
+                        raise InputError("distributivity fails")
 
     def scalar(self, c):
         """The image of an integer or p-local rational in this ring."""
@@ -161,7 +162,7 @@ def poly_quotient(p, modulus, var="x", name=""):
     encoded base p, constant digit first."""
     k = len(modulus) - 1
     if modulus[-1] % p != 1:
-        raise ValueError("modulus must be monic")
+        raise InputError("modulus must be monic")
     n = p ** k
 
     def decode(i):
@@ -232,7 +233,7 @@ def GF(q, name=None):
         9: lambda: poly_quotient(3, [1, 0, 1], name="F_9"),
     }
     if q not in table:
-        raise ValueError(f"no constructor for GF({q})")
+        raise InputError(f"no constructor for GF({q})")
     R = table[q]()
     R.name = name or f"F_{q}"
     return R
@@ -666,7 +667,7 @@ class FpSpaceBasis:
             if len(span) == size:
                 break
         if len(span) != size:
-            raise ValueError("carrier is not an F_p-vector space")
+            raise InputError("carrier is not an F_p-vector space")
         self.basis = basis
         self.dim = len(basis)
         self._coords = {}
@@ -698,15 +699,15 @@ class FpModule:
         R, p, k = self.ring, self.p, self.dim
         ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
         if self.action[R.one] != ident:
-            raise ValueError("1 must act as the identity")
+            raise InputError("1 must act as the identity")
         for a in range(R.n):
             for b in range(R.n):
                 ab = _mat_mul(self.action[a], self.action[b], p)
                 if ab != self.action[R.mul[a][b]]:
-                    raise ValueError("action not multiplicative")
+                    raise InputError("action not multiplicative")
                 s = _mat_add(self.action[a], self.action[b], p)
                 if s != self.action[R.add[a][b]]:
-                    raise ValueError("action not additive")
+                    raise InputError("action not additive")
         return True
 
 
@@ -765,13 +766,13 @@ class AlgebraOver:
     def check(self):
         R, S, f = self.base, self.ring, self.hom
         if f[R.one] != S.one or f[R.zero] != S.zero:
-            raise ValueError("structure map must be unital")
+            raise InputError("structure map must be unital")
         for a in range(R.n):
             for b in range(R.n):
                 if f[R.add[a][b]] != S.add[f[a]][f[b]]:
-                    raise ValueError("structure map not additive")
+                    raise InputError("structure map not additive")
                 if f[R.mul[a][b]] != S.mul[f[a]][f[b]]:
-                    raise ValueError("structure map not multiplicative")
+                    raise InputError("structure map not multiplicative")
         return True
 
     def as_module(self):
@@ -934,7 +935,7 @@ def check_descent(cover, M, purity_probe=None, _depth=0):
     by exact linear algebra over F_p (no enumeration of vectors).
 
     `cover` is a list of AlgebraOver a common char-p base; `M` an FpModule
-    over that base (ValueError otherwise).  The unit map e must be
+    over that base (InputError otherwise).  The unit map e must be
     injective: otherwise NotACover is raised, naming the coordinates of a
     vector it kills.  The two coface maps must agree on im e.  Then im e
     lies in the equalizer ker(d0 - d1), and equals it exactly when
@@ -943,15 +944,15 @@ def check_descent(cover, M, purity_probe=None, _depth=0):
     repeated for T (x) M."""
     v = Verdict()
     if not cover:
-        raise ValueError("empty cover")
+        raise InputError("empty cover")
     R = cover[0].base
     p = R.char
     for entry in cover:
         if entry.base is not R and entry.base.name != R.name:
-            raise ValueError("cover entries must share one base ring")
+            raise InputError("cover entries must share one base ring")
         entry.check()
     if M.ring is not R and M.ring.name != R.name:
-        raise ValueError(f"module {M.name} is not over the cover's base {R.name}")
+        raise InputError(f"module {M.name} is not over the cover's base {R.name}")
     if _depth == 0:
         M.check()
 

@@ -17,6 +17,7 @@ from . import linalg
 from .errors import (
     AxiomFailure,
     InfiniteBasis,
+    SolveFailure,
     UnsupportedBaseMap,
     Verdict,
 )
@@ -123,7 +124,9 @@ def _extract_power_rule(P, u, taken):
 
     Picks the term whose non-inverted support is a single generator,
     maximizing (generator index, exponent); the coefficient may carry a
-    unit monomial in inverted generators."""
+    unit monomial in inverted generators.  A lead coefficient that is not
+    a unit of the base (say 3 over Z_(3)) gives no such rule:
+    UnsupportedBaseMap."""
     candidates = []
     for mono, coeff in u.terms.items():
         support = [
@@ -139,9 +142,15 @@ def _extract_power_rule(P, u, taken):
     (i, e), mono, coeff = max(candidates, key=lambda c: c[0])
     # divide out the unit part: rule rhs = -(u - term) / (coeff * inverted part)
     unit_mono = tuple(-x if j in P.inverted else 0 for j, x in enumerate(mono))
+    try:
+        coeff_inv = P.mode.inv(coeff)
+    except SolveFailure:
+        raise UnsupportedBaseMap(
+            f"lead coefficient {coeff} of relation {u!r} is not a unit"
+        ) from None
     lead = P.monomial_element(mono, coeff)
     rest = u - lead
-    rhs = (-rest) * P.monomial_element(unit_mono, P.mode.inv(coeff))
+    rhs = (-rest) * P.monomial_element(unit_mono, coeff_inv)
     return i, e, rhs
 
 

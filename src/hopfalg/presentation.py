@@ -28,25 +28,42 @@ from .errors import (
     DegreeError,
     IllegalExponent,
     InfiniteBasis,
+    InputError,
     IntegralityFailure,
     PresentationMismatch,
     SolveFailure,
 )
 
 
+def _canonical(c):
+    """A Fraction with denominator 1 as its numerator, anything else as is."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 @dataclass(frozen=True)
 class BaseMode:
-    """Coefficient universe: "int", "plocal" (exact rationals with p-locality
-    asserted at API boundaries), or "fp" (prime field)."""
+    """Coefficient universe: "int" (Python ints), "plocal" (exact rationals
+    with p-locality asserted at API boundaries), or "fp" (residues 0..p-1).
+
+    A "plocal" coefficient is kept in canonical form: a Python int when it
+    is integral, a Fraction otherwise.  `coerce`, `add`, `mul` and `inv`
+    return that form.  Every coefficient of a p-local ring has a
+    denominator prime to p; only intermediate values, such as the
+    Hazewinkel logs, carry powers of p.  An int and a Fraction of equal
+    value compare and hash equal and print alike, so the form changes no
+    answer; it only spares the integral case the cost of Fraction
+    arithmetic."""
 
     kind: str
     p: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("int", "plocal", "fp"):
-            raise ValueError(f"unknown base mode {self.kind!r}")
+            raise InputError(f"unknown base mode {self.kind!r}")
         if self.kind in ("plocal", "fp") and (self.p is None or self.p < 2):
-            raise ValueError("modes plocal/fp need a prime p")
+            raise InputError("modes plocal/fp need a prime p")
 
     @property
     def characteristic(self):
@@ -61,31 +78,38 @@ class BaseMode:
                 return (num * pow(den, -1, self.p)) % self.p
             return c % self.p
         if self.kind == "plocal":
-            return Fraction(c)
+            if type(c) is int:
+                return c
+            return _canonical(Fraction(c))
         if isinstance(c, Fraction):
             if c.denominator != 1:
                 raise IntegralityFailure(f"non-integer coefficient {c} in integer mode")
             return c.numerator
         return int(c)
 
+    # int-mode values are ints, so _canonical leaves them alone
     def add(self, a, b):
         s = a + b
-        return s % self.p if self.kind == "fp" else s
+        return s % self.p if self.kind == "fp" else _canonical(s)
 
     def mul(self, a, b):
         s = a * b
-        return s % self.p if self.kind == "fp" else s
+        return s % self.p if self.kind == "fp" else _canonical(s)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "fp" else -a
 
     def inv(self, a):
+        """The inverse of a unit; SolveFailure for a non-unit (in "plocal"
+        mode: a value whose numerator p divides)."""
         if self.kind == "fp":
             return pow(a, -1, self.p)
+        if self.kind == "plocal":
+            if Fraction(a).numerator % self.p == 0:
+                raise SolveFailure(f"{a} is not a unit of Z_({self.p})")
+            return _canonical(1 / Fraction(a))
         if a in (1, -1):
             return a
-        if self.kind == "plocal":
-            return Fraction(1) / a
         raise SolveFailure(f"{a} not invertible in integer mode")
 
 
@@ -106,7 +130,7 @@ class GradedPresentation:
         self.names = tuple(n for n, _ in self.gens)
         self.degrees = tuple(d for _, d in self.gens)
         if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate generator names")
+            raise InputError("duplicate generator names")
         self.index = {n: i for i, n in enumerate(self.names)}
         self.truncation = int(truncation)
         self.name = name
@@ -136,13 +160,13 @@ class GradedPresentation:
         n = len(self.gens)
         for i, rule in self.rules.items():
             if i in self.inverted:
-                raise ValueError(f"inverted generator {self.names[i]} may not carry a rule")
+                raise InputError(f"inverted generator {self.names[i]} may not carry a rule")
             if rule.power < 1:
-                raise ValueError("rule power must be >= 1")
+                raise InputError("rule power must be >= 1")
             lhs_deg = rule.power * self.degrees[i]
             for c, m in rule.rhs:
                 if len(m) != n:
-                    raise ValueError("rule monomial has wrong length")
+                    raise InputError("rule monomial has wrong length")
                 if sum(e * d for e, d in zip(m, self.degrees)) != lhs_deg:
                     raise DegreeError(
                         f"inhomogeneous rule for {self.names[i]}^{rule.power}"
@@ -151,11 +175,11 @@ class GradedPresentation:
                     if e < 0:
                         raise IllegalExponent("negative exponent in rule RHS")
                     if e and j > i:
-                        raise ValueError(
+                        raise InputError(
                             f"rule for {self.names[i]} references later generator {self.names[j]}"
                         )
                     if j == i and e >= rule.power:
-                        raise ValueError(
+                        raise InputError(
                             f"rule for {self.names[i]} not exponent-decreasing"
                         )
 
@@ -563,6 +587,9 @@ def invert_element(x):
     sol = linalg.solve(mat, rhs, P.mode)
     if sol is None:
         return None
+    # x is a unit only if this Q-solution, the unique one, is p-integral
+    if P.mode.kind == "plocal" and any(v.denominator % P.mode.p == 0 for v in sol):
+        return None
     out = P.zero()
     for j, b in enumerate(cand):
         if sol[j] != 0:
@@ -573,9 +600,12 @@ def invert_element(x):
 class RingMorphism:
     """A degree-preserving algebra map given by generator images.
 
-    `monomial` is the one routine that multiplies out generator images;
-    calling the morphism on an element sums `monomial` over its terms.  The
-    inverse of an inverted generator's image is computed once and cached."""
+    `monomial` is the one routine that multiplies out generator images.
+    Calling the morphism on an element sums the images of its terms through
+    one power table {(i, e): image_i^e} kept for that call only: every term
+    reuses the powers an earlier term built, and the table is dropped when
+    the call returns.  The inverse of an inverted generator's image is
+    computed once and cached for the morphism's lifetime."""
 
     def __init__(self, source, target, images, name="", check_degrees=True):
         self.source = source
@@ -583,7 +613,7 @@ class RingMorphism:
         self.images = tuple(images)
         self.name = name
         if len(self.images) != len(source.gens):
-            raise ValueError("one image per source generator required")
+            raise InputError("one image per source generator required")
         if check_degrees:
             for (gname, gdeg), img in zip(source.gens, self.images):
                 if img.is_zero():
@@ -604,30 +634,39 @@ class RingMorphism:
         m is never normalized in the source, so it may lie past the
         source's truncation bound.  A negative exponent needs the image of
         that generator to be a unit; SolveFailure otherwise."""
+        return self._monomial(m, c, {})
+
+    def _monomial(self, m, c, powers):
+        """`monomial`, reading and filling the power table `powers`."""
         prod = self.target.scalar(c)
         for i, e in enumerate(m):
             if e == 0:
                 continue
-            if e > 0:
-                prod = prod * (self.images[i] ** e)
-            else:
-                inv = self._inv_cache.get(i)
-                if inv is None:
-                    inv = invert_element(self.images[i])
+            power = powers.get((i, e))
+            if power is None:
+                if e > 0:
+                    power = self.images[i] ** e
+                else:
+                    inv = self._inv_cache.get(i)
                     if inv is None:
-                        raise SolveFailure(
-                            f"image of {self.source.names[i]} is not a unit"
-                        )
-                    self._inv_cache[i] = inv
-                prod = prod * (inv ** (-e))
+                        inv = invert_element(self.images[i])
+                        if inv is None:
+                            raise SolveFailure(
+                                f"image of {self.source.names[i]} is not a unit"
+                            )
+                        self._inv_cache[i] = inv
+                    power = inv ** (-e)
+                powers[(i, e)] = power
+            prod = prod * power
         return prod
 
     def __call__(self, elem):
         if elem.pres is not self.source:
             raise PresentationMismatch("element not in the morphism's source")
+        powers = {}
         out = self.target.zero()
         for m, c in elem.terms.items():
-            out = out + self.monomial(m, c)
+            out = out + self._monomial(m, c, powers)
         if elem.truncated:
             out = Element(self.target, out.terms, True)
         return out

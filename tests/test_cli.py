@@ -148,3 +148,32 @@ def test_internal_error_has_its_own_exit_code(mu2_dir, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")
     assert "leaves the enumerated basis" in err
+
+
+def test_malformed_integer_is_an_input_error(tmp_path, capsys):
+    from hopfalg import cli
+
+    p = tmp_path / "ring.ini"
+    p.write_text("[base]\nmode = fp\np = 3\n\n[generators]\nx = 2\n\n"
+                 "[truncation]\nD = abc\n")
+    assert cli.run(["ring", "check", str(p)]) == cli.EXIT_INPUT == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "'abc'" in err
+    p.write_text("[base]\nmode = fp\np = 3\n\n[generators]\nx = two\n")
+    assert cli.run(["ring", "check", str(p)]) == cli.EXIT_INPUT
+
+
+def test_internal_value_error_is_not_an_input_error(mu2_dir, monkeypatch, capsys):
+    """Only InputError and ParseError mean bad input; a ValueError raised
+    inside the computation is an internal error."""
+    from hopfalg import cli
+    from hopfalg.cobar import CobarComplex
+
+    def broken(self, key):
+        raise ValueError("stray value")
+
+    monkeypatch.setattr(CobarComplex, "d_of_key", broken)
+    code = cli.run(["ext", str(mu2_dir / "algebroid.ini"), "--smax", "1",
+                    "--tmin", "0", "--tmax", "0"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err == "internal error: stray value\n"

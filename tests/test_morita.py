@@ -98,6 +98,23 @@ def test_unsupported_base_map_escape_hatch():
         induced_algebroid(H, f0)
 
 
+def test_power_rule_needs_a_unit_lead_coefficient():
+    """Over Z_(3) the relation x^2 + 3y = 0 has lead term 3y, and y ->
+    -x^2/3 is no p-local rule; x^2 + 2y = 0 gives y -> -x^2/2."""
+    from fractions import Fraction
+
+    from hopfalg.morita import _extract_power_rule
+
+    P = GradedPresentation(
+        BaseMode("plocal", 3), [("x", 2), ("y", 4)], truncation=16
+    )
+    x, y = P.gen(0), P.gen(1)
+    with pytest.raises(UnsupportedBaseMap):
+        _extract_power_rule(P, x * x + y.scale(3), set())
+    i, e, rhs = _extract_power_rule(P, x * x + y.scale(2), set())
+    assert (i, e) == (1, 1) and rhs == (x * x).scale(Fraction(-1, 2))
+
+
 def test_m2_case_is_the_identity_construction(flagship):
     """Inverting v1 with every generator kept induces the same pair."""
     from hopfalg.fgl import johnson_wilson

@@ -1,5 +1,7 @@
 """Property tests for the exact graded-commutative arithmetic layer."""
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -9,12 +11,16 @@ from hopfalg.errors import (
     DegreeError,
     IllegalExponent,
     InfiniteBasis,
+    IntegralityFailure,
     PresentationMismatch,
+    SolveFailure,
 )
 from hopfalg.presentation import (
     BaseMode,
+    Element,
     GradedPresentation,
     RingMorphism,
+    assert_p_integral,
     identity_morphism,
     invert_element,
 )
@@ -237,3 +243,199 @@ def test_morphism_monomial_with_an_inverted_generator():
     assert psi.monomial((2, 1)) == Q.monomial_element((-6, 3))
     with pytest.raises(SolveFailure):
         psi.monomial((-1, 0))
+
+
+# -- p-local coefficients in canonical form ---------------------------------
+
+
+@dataclass(frozen=True)
+class FractionMode(BaseMode):
+    """Reference p-local arithmetic: every coefficient a Fraction."""
+
+    def coerce(self, c):
+        return Fraction(c)
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+
+def plocal_ring(mode):
+    """Z_(2)[u^+-1, x, y] / (y^2 = x^2*y/5 + u^4 + 2/3*u*x*y), weight cap 24."""
+    return GradedPresentation(
+        mode,
+        [("u", 2), ("x", 2), ("y", 4)],
+        relations={
+            "y": (2, [(Fraction(1, 5), (0, 2, 1)), (1, (4, 0, 0)),
+                      (Fraction(2, 3), (1, 1, 1))])
+        },
+        inverted=["u"],
+        truncation=24,
+    )
+
+
+def raw_terms(max_terms=4):
+    coeff = st.builds(
+        Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 1, 3, 5])
+    )
+    mono = st.tuples(
+        st.integers(min_value=-2, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+    )
+    return st.lists(st.tuples(coeff, mono), max_size=max_terms)
+
+
+def assert_canonical(terms):
+    for c in terms.values():
+        if Fraction(c).denominator == 1:
+            assert type(c) is int, c
+        else:
+            assert type(c) is Fraction, c
+
+
+def test_plocal_coefficients_are_canonical():
+    M = BaseMode("plocal", 2)
+    assert type(M.coerce(3)) is int and M.coerce(3) == 3
+    assert type(M.coerce(Fraction(6, 2))) is int
+    assert type(M.coerce(Fraction(1, 5))) is Fraction
+    assert type(M.add(Fraction(1, 3), Fraction(2, 3))) is int
+    assert type(M.add(Fraction(1, 3), Fraction(1, 3))) is Fraction
+    assert type(M.mul(Fraction(3, 5), 5)) is int
+    assert M.mul(Fraction(3, 5), Fraction(5, 3)) == 1
+    assert type(M.mul(Fraction(3, 5), Fraction(5, 3))) is int
+    assert type(M.inv(Fraction(1, 5))) is int and M.inv(Fraction(1, 5)) == 5
+    assert M.inv(5) == Fraction(1, 5)
+    assert type(M.inv(Fraction(-1))) is int and M.inv(Fraction(-1)) == -1
+    # the other modes keep their forms
+    assert BaseMode("fp", 3).coerce(Fraction(1, 2)) == 2
+    assert type(BaseMode("int").coerce(Fraction(4, 2))) is int
+    with pytest.raises(IntegralityFailure):
+        BaseMode("int").coerce(Fraction(1, 2))
+
+
+def test_plocal_arithmetic_matches_fraction_reference():
+    P, R = plocal_ring(BaseMode("plocal", 2)), plocal_ring(FractionMode("plocal", 2))
+
+    @given(raw_terms(), raw_terms(), raw_terms())
+    def inner(a, b, c):
+        x, y, z = P.element(a), P.element(b), P.element(c)
+        xr, yr, zr = R.element(a), R.element(b), R.element(c)
+        for got, ref in (
+            (x, xr),
+            (x + y, xr + yr),
+            (x - y, xr - yr),
+            (x * y, xr * yr),
+            (x * y * z + z, xr * yr * zr + zr),
+        ):
+            assert got.terms == ref.terms
+            assert repr(got) == repr(ref)
+            assert_canonical(got.terms)
+
+    inner()
+
+
+def test_int_coefficients_accepted_at_the_boundaries():
+    from hopfalg.files import _coeff_int
+    from hopfalg.groupoid import Zmod
+
+    P = plocal_ring(BaseMode("plocal", 2))
+    x = P.element([(3, (0, 1, 0)), (Fraction(1, 3), (1, 0, 0))])
+    assert type(x.coefficient((0, 1, 0))) is int
+    assert assert_p_integral(x, 2) is x
+    with pytest.raises(IntegralityFailure):
+        assert_p_integral(P.scalar(Fraction(1, 2)), 2)
+    assert _coeff_int(-7) == -7 and _coeff_int(Fraction(-7)) == -7
+    R = Zmod(5)
+    assert R.scalar(3) == R.scalar(Fraction(3)) == R.scalar(Fraction(6, 2))
+    assert R.mul[R.scalar(Fraction(1, 2))][R.scalar(2)] == R.one
+
+
+# -- units of Z_(p) ---------------------------------------------------------
+
+
+def test_plocal_inverse_only_of_units():
+    M = BaseMode("plocal", 3)
+    with pytest.raises(SolveFailure):
+        M.inv(3)
+    with pytest.raises(SolveFailure):
+        M.inv(Fraction(6, 5))
+    assert M.inv(Fraction(2, 5)) == Fraction(5, 2)
+    # one term in an inverted generator: the fast path
+    P = GradedPresentation(M, [("v", 4)], inverted=["v"], truncation=16)
+    v = P.gen(0)
+    assert invert_element(v.scale(3)) is None
+    assert invert_element(v.scale(2)) == P.monomial_element((-1,), Fraction(1, 2))
+    # u inverted, w nilpotent by truncation: the linear-algebra path, whose
+    # Q-solution for 3u + w has denominators 3, 9, 27 and 81
+    Q = GradedPresentation(M, [("u", 2), ("w", 2)], inverted=["u"], truncation=6)
+    u, w = Q.gen(0), Q.gen(1)
+    assert invert_element(u.scale(3) + w) is None
+    x = u.scale(2) + w
+    y = invert_element(x)
+    assert y is not None and x * y == Q.one()
+    assert assert_p_integral(y, 3) is y
+    assert {Fraction(c).denominator for c in y.terms.values()} == {2, 4, 8, 16}
+
+
+# -- the per-call power table -------------------------------------------------
+
+
+def monomial_reference(phi, m, c=1):
+    """Term-by-term substitution with no power table: every power of every
+    generator image is recomputed for every term."""
+    prod = phi.target.scalar(c)
+    for i, e in enumerate(m):
+        if e > 0:
+            prod = prod * (phi.images[i] ** e)
+        elif e < 0:
+            prod = prod * (invert_element(phi.images[i]) ** (-e))
+    return prod
+
+
+def apply_reference(phi, elem):
+    out = phi.target.zero()
+    for m, c in elem.terms.items():
+        out = out + monomial_reference(phi, m, c)
+    return Element(phi.target, out.terms, out.truncated or elem.truncated)
+
+
+def assert_power_table_matches(phi, elem):
+    got, ref = phi(elem), apply_reference(phi, elem)
+    assert got == ref and got.truncated == ref.truncated
+    assert_canonical(got.terms)
+
+
+def test_power_table_on_bp_structure_maps():
+    from hopfalg.fgl import assemble_bp
+
+    bp = assemble_bp(2, 32)
+    H, Gamma, n = bp.H, bp.Gamma, len(bp.Gamma.gens)
+    images = bp.etaR_images[1:] + bp.c_images
+    for x in images:
+        for phi in (H.delta, H.c, H.eps, H.ts.incl_r):
+            assert_power_table_matches(phi, x)
+    # the antipode multiplied out of the tensor square, on every Delta(t_n)
+    mu_1c = RingMorphism(
+        H.ts.pres, Gamma,
+        [Gamma.gen(i) for i in range(n)] + [H.c.image(j) for j in H.morphism_order],
+        check_degrees=False,
+    )
+    for j in H.morphism_order:
+        assert_power_table_matches(mu_1c, H.delta.image(j))
+
+
+def test_power_table_on_negative_exponents(flagship):
+    """The localized source's eta_R on elements with negative powers of
+    the inverted v_1, one at a time and summed over a degree."""
+    _, H1, _, _ = flagship
+    A = H1.A
+    assert 0 in A.inverted
+    for t in range(-24, 25, 4):
+        basis = A.degree_basis(t)
+        assert any(m[0] < 0 for m in basis)
+        for m in basis:
+            assert_power_table_matches(H1.etaR, A.monomial_element(m))
+        assert_power_table_matches(H1.etaR, A.element([(1, m) for m in basis]))

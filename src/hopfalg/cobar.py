@@ -35,9 +35,15 @@ The differentials are more than 99% zero, so every count is a rank, taken
 by `linalg.echelon_fp` on these columns (or on a restriction of them)
 without record vectors: the plain dimension needs rank d_{s,t} and
 rank d_{s-1,t}, and the stable-range dimension two further ranks (see
-`ext_dim_stable`).  No dense matrix is formed.  `differential` builds the
-dense matrix from the columns on demand, for tests and for callers that
-want the matrix, and never caches it.
+`ext_dim_stable`).  The stable-range dimension reads only the inner
+columns (keys of weight <= inner) of d_{s,t}, so at s = s_max it builds
+those alone, uncached; the outer columns of the top differential, most
+of its keys on the flagship, are never built.  Their rows are still the
+whole of C^{s+1,t}.  Below s_max, one elimination of the inner and then
+the outer columns gives both rank(d_{s,t}|inner) and rank d_{s,t}.  No
+dense matrix is formed.  `differential` builds the dense matrix from the
+columns on demand, for tests and for callers that want the matrix, and
+never caches it.
 
 The caches of the complex (F, the products eta_L(a)*m, eta_R of
 A-monomials, words and their Gamma-elements, bases, sparse differentials,
@@ -334,16 +340,13 @@ class CobarComplex:
                     acc[k] = (acc.get(k, 0) + c0 * cc) % p
         return {k: v for k, v in acc.items() if v % p}
 
-    def d_columns(self, s, t):
-        """d: C^{s,t} -> C^{s+1,t} as sparse columns, cached: column j is
-        d of the j-th source key, {target basis position: residue}."""
-        key = (s, t)
-        got = self._columns_cache.get(key)
-        if got is not None:
-            return got
+    def _columns(self, keys, s, t):
+        """d of each key of C^{s,t} in `keys`, as sparse columns
+        {target basis position: residue} against the whole of
+        basis(s+1, t); not cached."""
         pos = {k: i for i, k in enumerate(self.basis(s + 1, t))}
         cols = []
-        for k in self.basis(s, t):
+        for k in keys:
             col = {}
             for outk, c in self.d_of_key(k).items():
                 r = pos.get(outk)
@@ -353,8 +356,18 @@ class CobarComplex:
                     )
                 col[r] = c
             cols.append(col)
-        self._columns_cache[key] = cols
         return cols
+
+    def d_columns(self, s, t):
+        """d: C^{s,t} -> C^{s+1,t} as sparse columns, cached: column j is
+        d of the j-th source key, {target basis position: residue}."""
+        key = (s, t)
+        got = self._columns_cache.get(key)
+        if got is None:
+            got = self._columns_cache[key] = self._columns(
+                self.basis(s, t), s, t
+            )
+        return got
 
     def differential(self, s, t):
         """Matrix of d: C^{s,t} -> C^{s+1,t} in the deterministic bases
@@ -417,14 +430,42 @@ class CobarComplex:
                   - rank d_{s-1,t} + rank(P_out d_{s-1,t}).
 
         At s = 0 there are no boundaries, and with no inner key the
-        image is 0."""
-        is_inner = [self.key_weight(k) <= inner for k in self.basis(s, t)]
+        image is 0.
+
+        Only the inner columns of d_{s,t} enter; the full d_{s,t} is read
+        again, as d_{s'-1,t}, by the dimension at s' = s + 1.  So at s >=
+        s_max only the inner keys are differentiated, and their columns
+        are not cached.  The rows stay the whole of C^{s+1,t}, with the
+        same check that d stays inside the enumerated basis: a coaction
+        with off-diagonal terms can carry an inner key past the inner
+        weight.  Below s_max, the inner columns and then the outer ones
+        go through one elimination: rank(d_{s,t}|inner cols) is its pivot
+        count after the inner columns, and the full count is rank d_{s,t},
+        which fills the rank cache for the next s."""
+        basis = self.basis(s, t)
+        is_inner = [self.key_weight(k) <= inner for k in basis]
         n_in = sum(is_inner)
         if not n_in:
             return 0
-        dim = n_in - _sparse_rank(
-            map(dict, compress(self.d_columns(s, t), is_inner)), self.p
-        )
+        p = self.p
+        if s >= self.s_max:
+            dim = n_in - _sparse_rank(
+                self._columns(compress(basis, is_inner), s, t), p
+            )
+        else:
+            cols = self.d_columns(s, t)
+            pivots, _ = linalg.echelon_fp(
+                ((dict(c), None) for c in compress(cols, is_inner)), p
+            )
+            dim = n_in - len(pivots)
+            if (s, t) not in self._rank_cache:
+                is_outer = [not x for x in is_inner]
+                linalg.echelon_fp(
+                    ((dict(c), None) for c in compress(cols, is_outer)),
+                    p,
+                    pivots,
+                )
+                self._rank_cache[(s, t)] = len(pivots)
         if s == 0:
             return dim
         outer_rank = _sparse_rank(
@@ -432,7 +473,7 @@ class CobarComplex:
                 {r: c for r, c in col.items() if not is_inner[r]}
                 for col in self.d_columns(s - 1, t)
             ),
-            self.p,
+            p,
         )
         return dim - self.d_rank(s - 1, t) + outer_rank
 

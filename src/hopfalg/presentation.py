@@ -151,6 +151,9 @@ class GradedPresentation:
                 power, rhs = val
                 rules[i] = Rule(int(power), tuple((c, tuple(m)) for c, m in rhs))
         self.rules = rules
+        # no rule and no inverted generator: `normalize_terms` needs no
+        # `_first_violation` scan for a monomial without negative exponents
+        self._plain = not rules and not self.inverted
         self._odd = tuple(i for i, d in enumerate(self.degrees) if d % 2 != 0)
         self._validate()
         self._basis_cache = {}
@@ -236,6 +239,7 @@ class GradedPresentation:
 
         Returns (terms dict, truncated flag)."""
         mode = self.mode
+        plain = self._plain
         out = {}
         truncated = False
         stack = [(mode.coerce(c), tuple(m)) for c, m in raw]
@@ -243,7 +247,10 @@ class GradedPresentation:
             c, m = stack.pop()
             if c == 0:
                 continue
-            i = self._first_violation(m)
+            if plain and min(m, default=0) >= 0:
+                i = None  # only a negative exponent breaks a plain form
+            else:
+                i = self._first_violation(m)
             if i is None:
                 if self.weight(m) > self.truncation:
                     truncated = True
@@ -408,6 +415,21 @@ class GradedPresentation:
         return f"<{label}: {len(self.gens)} gens, {self.mode.kind}>"
 
 
+def _accumulate(terms, other, add):
+    """terms += other for two term dicts, in place; a sum that is zero
+    drops its monomial."""
+    for m, c in other.items():
+        acc = terms.get(m)
+        if acc is None:
+            terms[m] = c
+        else:
+            s = add(acc, c)
+            if s == 0:
+                del terms[m]
+            else:
+                terms[m] = s
+
+
 class Element:
     """A normal-form element of a GradedPresentation."""
 
@@ -426,18 +448,8 @@ class Element:
 
     def __add__(self, other):
         self._check(other)
-        mode = self.pres.mode
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            if acc is None:
-                terms[m] = c
-            else:
-                s = mode.add(acc, c)
-                if s == 0:
-                    del terms[m]
-                else:
-                    terms[m] = s
+        _accumulate(terms, other.terms, self.pres.mode.add)
         return Element(self.pres, terms, self.truncated or other.truncated)
 
     def __neg__(self):
@@ -601,10 +613,10 @@ class RingMorphism:
     """A degree-preserving algebra map given by generator images.
 
     `monomial` is the one routine that multiplies out generator images.
-    Calling the morphism on an element sums the images of its terms through
-    one power table {(i, e): image_i^e} kept for that call only: every term
-    reuses the powers an earlier term built, and the table is dropped when
-    the call returns.  The inverse of an inverted generator's image is
+    Calling the morphism on an element sums the images of its terms into
+    one dict, through one power table {(i, e): image_i^e} kept for that
+    call only: every term reuses the powers an earlier term built, and the
+    table is dropped when the call returns.  The inverse of an inverted generator's image is
     computed once and cached for the morphism's lifetime."""
 
     def __init__(self, source, target, images, name="", check_degrees=True):
@@ -663,13 +675,15 @@ class RingMorphism:
     def __call__(self, elem):
         if elem.pres is not self.source:
             raise PresentationMismatch("element not in the morphism's source")
+        add = self.target.mode.add
         powers = {}
-        out = self.target.zero()
+        terms = {}
+        truncated = elem.truncated
         for m, c in elem.terms.items():
-            out = out + self._monomial(m, c, powers)
-        if elem.truncated:
-            out = Element(self.target, out.terms, True)
-        return out
+            image = self._monomial(m, c, powers)
+            truncated = truncated or image.truncated
+            _accumulate(terms, image.terms, add)
+        return Element(self.target, terms, truncated)
 
     def __repr__(self):
         return f"<morphism {self.name or '?'}: {self.source!r} -> {self.target!r}>"

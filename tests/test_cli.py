@@ -150,6 +150,24 @@ def test_internal_error_has_its_own_exit_code(mu2_dir, monkeypatch, capsys):
     assert "leaves the enumerated basis" in err
 
 
+@pytest.mark.parametrize("smax", ["0", "1"])
+def test_internal_error_in_the_stable_path(mu2_dir, monkeypatch, capsys, smax):
+    """The same on the stable path, where an inner key of the top level
+    (s_max = 0) or of a lower level (s_max = 1) leaves the basis."""
+    from hopfalg import cli
+    from hopfalg.cobar import CobarComplex
+
+    monkeypatch.setattr(
+        CobarComplex, "d_of_key", lambda self, key: {("stray",): 1}
+    )
+    code = cli.run(["ext", str(mu2_dir / "algebroid.ini"), "--smax", smax,
+                    "--tmin", "0", "--tmax", "0", "--inner", "8"])
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert "leaves the enumerated basis" in err
+
+
 def test_malformed_integer_is_an_input_error(tmp_path, capsys):
     from hopfalg import cli
 

@@ -423,23 +423,23 @@ def test_differential_matches_reference_comodules(flagship):
 # the stable-range dimension against kernel-plus-extension
 
 
-def reference_ext_dim_stable(C, s, t, inner):
+def reference_ext_dim_stable(C, s, t, inner, inner_columns=None):
     """dim of the image H^{s,t}(C_{<=inner}) -> H^{s,t}(C) as the complex
     computed it before it took ranks alone: a kernel basis of d_{s,t} on
     the inner columns, then rank(Z_in + B) - rank(B) by extending an
-    echelon form of the boundaries B with those cycles."""
+    echelon form of the boundaries B with those cycles.  The inner
+    columns, (position, column) pairs, default to those of `d_columns`."""
     basis_s = C.basis(s, t)
     if not basis_s:
         return 0
-    d_out = C.d_columns(s, t)
-    cycles = linalg.kernel_fp(
-        (
+    if inner_columns is None:
+        d_out = C.d_columns(s, t)
+        inner_columns = [
             (j, d_out[j])
             for j, k in enumerate(basis_s)
             if C.key_weight(k) <= inner
-        ),
-        C.p,
-    )
+        ]
+    cycles = linalg.kernel_fp(inner_columns, C.p)
     if s == 0:
         return len(cycles)
     pivots, _ = linalg.echelon_fp(
@@ -518,3 +518,71 @@ def test_stable_rank_formula_edge_cases(flagship):
             assert C.ext_dim_stable(s, t, min(weights) - 1) == 0, (
                 H.name, s, t
             )
+
+
+# ---------------------------------------------------------------------------
+# the top differential: inner columns only
+
+
+def test_stable_table_differentiates_no_outer_top_key(flagship, monkeypatch):
+    """The flagship source table (inner weight 36) differentiates every
+    key below s_max and only the inner keys at s_max; the ranks it caches
+    on the way are the full ranks, and the table is the frozen one."""
+    _, H1, _, _ = flagship
+    visited = set()
+    d_of_key = CobarComplex.d_of_key
+
+    def counting(self, key):
+        visited.add(key)
+        return d_of_key(self, key)
+
+    monkeypatch.setattr(CobarComplex, "d_of_key", counting)
+    C = CobarComplex(H1, s_max=3, t_min=-32, t_max=32)
+    T = ext_dims(C, inner=36)
+    monkeypatch.undo()
+    want = _frozen_table("change_of_rings.csv")
+    assert T.dims == {st: want.get(st, 0) for st in _bidegrees(C)}
+    for s, t in _bidegrees(C):
+        keys = C.basis(s, t)
+        if s < C.s_max:
+            assert visited.issuperset(keys), (s, t)
+            pivots, _ = linalg.echelon_fp(
+                ((dict(col), None) for col in C.d_columns(s, t)), C.p
+            )
+            assert C.d_rank(s, t) == len(pivots), (s, t)
+        else:
+            inner = {k for k in keys if C.key_weight(k) <= 36}
+            assert visited.intersection(keys) == inner, t
+    assert sum(C.key_weight(k) > 36 for k in C.basis(3, 0)) > 0
+
+
+def _inner_reference_columns(C, s, t, inner):
+    """The inner columns of d_{s,t}, face by face."""
+    pos = {k: i for i, k in enumerate(C.basis(s + 1, t))}
+    return [
+        (j, {pos[outk]: c for outk, c in reference_d_of_key(C, k).items()})
+        for j, k in enumerate(C.basis(s, t))
+        if C.key_weight(k) <= inner
+    ]
+
+
+def test_top_level_answers_where_an_outer_column_leaves_the_basis(flagship):
+    """On the t1-extension with s_max = 1, every d_{1,t} has an outer
+    column that leaves the enumerated basis, so the plain table raises;
+    the stable table reads only the inner columns of d_{1,t} and matches
+    kernel-plus-extension over the face-by-face inner columns."""
+    M = next(
+        M for M in comodule_catalog(mu2_algebroid(), flagship)
+        if M.name == "t1-extension/induced-pair"
+    )
+    C = CobarComplex(M.H, M=M, s_max=1, t_min=-16, t_max=16)
+    with pytest.raises(AssertionError, match="leaves the enumerated basis"):
+        ext_dims(CobarComplex(M.H, M=M, s_max=1, t_min=-16, t_max=16))
+    T = ext_dims(C, inner=16)
+    for t in range(-16, 17, 4):
+        assert _outcome(CobarComplex.d_columns, C, 1, t) is AssertionError
+        want = reference_ext_dim_stable(
+            C, 1, t, 16, _inner_reference_columns(C, 1, t, 16)
+        )
+        assert T.dims[(1, t)] == want, t
+    assert T.dims[(1, 0)] == 1

@@ -439,3 +439,86 @@ def test_power_table_on_negative_exponents(flagship):
         for m in basis:
             assert_power_table_matches(H1.etaR, A.monomial_element(m))
         assert_power_table_matches(H1.etaR, A.element([(1, m) for m in basis]))
+
+
+# -- presentations with no rule and no inverted generator ---------------------
+
+
+def test_bp_rejects_a_negative_exponent():
+    """BP_*, BP_*BP and its tensor square have no rule and no inverted
+    generator, so normalization skips the rule scan there; a negative
+    exponent is still an IllegalExponent naming the highest such
+    generator."""
+    from hopfalg.fgl import assemble_bp
+
+    bp = assemble_bp(2, 32)
+    for P in (bp.A, bp.Gamma, bp.H.ts.pres):
+        assert not P.rules and not P.inverted
+        n = len(P.gens)
+        top = (1, -1) + (0,) * (n - 3) + (-2,)
+        with pytest.raises(IllegalExponent, match=f"generator {P.names[-1]}$"):
+            P.element([(1, top)])
+        second = (0, -1) + (0,) * (n - 2)
+        with pytest.raises(IllegalExponent, match=f"generator {P.names[1]}$"):
+            P.element([(1, (0,) * n), (1, second)])
+        assert P.element([(1, (0,) * n), (2, (0,) * n)]) == P.scalar(3)
+
+
+# -- RingMorphism.__call__ sums into one dict -------------------------------
+
+
+def old_sum(phi, elem):
+    """`RingMorphism.__call__` as it summed before: `out = out + image`
+    for each term, over the same per-call power table."""
+    powers = {}
+    out = phi.target.zero()
+    for m, c in elem.terms.items():
+        out = out + phi._monomial(m, c, powers)
+    if elem.truncated:
+        out = Element(phi.target, out.terms, True)
+    return out
+
+
+def random_element(rng, P, degrees, truncated=False):
+    raw = []
+    for t in degrees:
+        basis = P.degree_basis(t)
+        for m in rng.sample(basis, min(len(basis), rng.randint(1, 6))):
+            raw.append((rng.choice([-3, -2, -1, 1, 2, 3]), m))
+    return P.element(raw, truncated)
+
+
+def assert_same_sum(phi, x):
+    got, want = phi(x), old_sum(phi, x)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.truncated == want.truncated
+    return got
+
+
+def test_morphism_sum_matches_old_sum():
+    """Seeded elements of BP p=2 D=32 through eta_R and Delta: the same
+    terms in the same order and the same truncated flag, which is set by
+    a truncated element or by a truncated image of one of its terms."""
+    import random
+
+    from hopfalg.fgl import assemble_bp
+
+    bp = assemble_bp(2, 32)
+    H = bp.H
+    rng = random.Random(20011)
+    degrees = range(0, 33, 2)
+    for phi in (H.etaR, H.delta):
+        for k in range(40):
+            x = random_element(
+                rng, phi.source, rng.sample(degrees, 3), truncated=k % 4 == 0
+            )
+            assert assert_same_sum(phi, x).truncated == x.truncated
+    # the same generators capped at 16: images of terms past 16 truncate
+    A = H.A
+    low = GradedPresentation(A.mode, A.gens, truncation=16)
+    to_low = RingMorphism(A, low, [low.gen(i) for i in range(len(A.gens))])
+    flags = set()
+    for _ in range(20):
+        x = random_element(rng, A, rng.sample(degrees, 3))
+        flags.add(assert_same_sum(to_low, x).truncated)
+    assert flags == {False, True}

@@ -1,4 +1,6 @@
 """Smoke runs of the scripts in scripts/, each as a subprocess."""
+import re
+
 from conftest import run_script
 
 
@@ -15,3 +17,5 @@ def test_run_change_of_rings_agrees():
     )
     assert proc.returncode == 0, proc.stderr
     assert "# agreement" in proc.stdout
+    for label in ("source", "induced"):
+        assert re.search(rf"^# {label} table: \d+\.\d\ds$", proc.stdout, re.M)

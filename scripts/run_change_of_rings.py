@@ -37,7 +37,6 @@ def main(argv=None):
     ap.add_argument("--tmax", type=int, default=32)
     ap.add_argument("--inner", type=int, default=36,
                     help="inner weight cap for the stable-range dimensions")
-    ap.add_argument("--parallel", type=int, default=1)
     args = ap.parse_args(argv)
 
     t0 = time.monotonic()
@@ -51,7 +50,7 @@ def main(argv=None):
         C = CobarComplex(
             H, s_max=args.smax, t_min=args.tmin, t_max=args.tmax
         )
-        return ext_dims(C, parallel=args.parallel, inner=args.inner)
+        return ext_dims(C, inner=args.inner)
 
     def timed_table(H, label):
         start = time.monotonic()

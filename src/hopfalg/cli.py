@@ -2,8 +2,8 @@
 
 Subcommands: `ring check`, `hopf axioms`, `hopf bp`, `morita check`,
 `comodule check`, `ext`, `oracle groupoid`, `descent`.  All state lives
-in files; outputs are deterministic (sorted JSON, fixed table layouts)
-including under --parallel.
+in files; outputs are deterministic (sorted JSON, fixed table layouts):
+two runs on the same files print the same bytes.
 
 Exit codes: 0 = all verified properties pass, 1 = a property failed,
 2 = input error, 3 = search budget exceeded / infinite basis, 4 =
@@ -183,7 +183,7 @@ def cmd_ext(args):
     C = CobarComplex(
         H, M=M, s_max=args.smax, t_min=args.tmin, t_max=args.tmax
     )
-    T = ext_dims(C, parallel=args.parallel, inner=args.inner)
+    T = ext_dims(C, inner=args.inner)
     if args.format == "csv":
         sys.stdout.write(T.to_csv())
     elif args.format == "json":
@@ -334,7 +334,9 @@ def build_parser():
     ext.add_argument("--tmin", type=int, required=True)
     ext.add_argument("--tmax", type=int, required=True)
     ext.add_argument("--format", choices=("csv", "json", "chart"), default="csv")
-    ext.add_argument("--parallel", type=int, default=1)
+    ext.add_argument("--parallel", type=int, choices=(1,), default=1,
+                     help="kept for existing scripts; the table is computed "
+                     "serially, so only 1 is accepted")
     ext.add_argument("--inner", type=int, default=None)
     ext.set_defaults(func=cmd_ext)
 

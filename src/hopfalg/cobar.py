@@ -41,15 +41,9 @@ those alone, uncached; the outer columns of the top differential, most
 of its keys on the flagship, are never built.  Their rows are still the
 whole of C^{s+1,t}.  Below s_max, one elimination of the inner and then
 the outer columns gives both rank(d_{s,t}|inner) and rank d_{s,t}.  No
-dense matrix is formed.  `differential` builds the dense matrix from the
-columns on demand, for tests and for callers that want the matrix, and
-never caches it.
-
-The caches of the complex (F, the products eta_L(a)*m, eta_R of
-A-monomials, words and their Gamma-elements, bases, sparse differentials,
-ranks) are only ever filled with the value a computation from the same
-inputs produces, so threads that race to fill an entry store identical
-values and `ext_dims(parallel>1)` stays correct.
+dense matrix is formed on the Ext path.  `differential` builds the dense
+matrix from the columns on demand and never caches it; it is kept only as
+a test reference and as an entry point of the benchmark's tracer.
 """
 from __future__ import annotations
 
@@ -372,7 +366,10 @@ class CobarComplex:
     def differential(self, s, t):
         """Matrix of d: C^{s,t} -> C^{s+1,t} in the deterministic bases
         (rows = target basis, columns = source basis): a dense view of
-        `d_columns`, built on every call."""
+        `d_columns`, built on every call.  Nothing in the package calls
+        it: it stays as a test reference and as an entry point that
+        `perfbench/tracing.py` times, until the tracer times `d_columns`
+        and `linalg.echelon_fp` instead."""
         cols = self.d_columns(s, t)
         mat = [[0] * len(cols) for _ in self.basis(s + 1, t)]
         for j, col in enumerate(cols):
@@ -520,29 +517,18 @@ def _sparse_rank(vectors, p):
 def ext_dims(C, parallel=1, check_d2=False, inner=None):
     """The Ext dimension table on C's window.  With `inner` set, each
     entry is the stable-range dimension `ext_dim_stable(s, t, inner)`
-    instead of the plain cap cohomology.  Bidegrees are independent jobs;
-    assembly is ordered, so the result is identical at any parallelism
-    degree."""
-    jobs = [
-        (s, t)
-        for s in range(C.s_max + 1)
-        for t in range(C.t_min, C.t_max + 1)
-    ]
-    if inner is None:
-        one = lambda st: C.ext_dim(*st)
-    else:
-        one = lambda st: C.ext_dim_stable(st[0], st[1], inner)
+    instead of the plain cap cohomology.  The table is computed serially;
+    `parallel` is accepted for existing callers and must be 1 (InputError
+    otherwise)."""
+    if parallel != 1:
+        raise InputError(f"ext_dims is serial: parallel must be 1, not {parallel}")
     dims = {}
-    if parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(one, jobs))
-        for (s, t), d in zip(jobs, results):
-            dims[(s, t)] = d
-    else:
-        for s, t in jobs:
-            dims[(s, t)] = one((s, t))
+    for s in range(C.s_max + 1):
+        for t in range(C.t_min, C.t_max + 1):
+            if inner is None:
+                dims[(s, t)] = C.ext_dim(s, t)
+            else:
+                dims[(s, t)] = C.ext_dim_stable(s, t, inner)
     if check_d2:
         for s in range(C.s_max):
             for t in range(C.t_min, C.t_max + 1):

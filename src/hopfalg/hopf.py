@@ -27,6 +27,7 @@ from .presentation import (
     GradedPresentation,
     RingMorphism,
     Rule,
+    exponent_vectors,
 )
 
 R_TAG = "'"
@@ -217,43 +218,21 @@ class HopfAlgebroid:
 
     # -- module-basis enumeration (freeness over A via eta_L) -----------
 
-    def morphism_monomials(self, degree=None, weight_cap=None):
+    def morphism_monomials(self):
         """Exponent vectors over the morphism generators (power-rule
-        bounded) with total weight <= cap; if degree is given, restrict to
-        that degree.  Returns full-width exponent tuples over Gamma."""
+        bounded) with total degree <= Gamma's truncation bound, sorted.
+        Returns full-width exponent tuples over Gamma."""
         Gamma = self.Gamma
-        cap = Gamma.truncation if weight_cap is None else weight_cap
-        order = self.morphism_order
-        for i in order:
-            if Gamma.degrees[i] <= 0 and Gamma.rules.get(i) is None:
+        factors = []
+        for i in self.morphism_order:
+            rule = Gamma.rules.get(i)
+            if rule is None and Gamma.degrees[i] <= 0:
                 raise InfiniteBasis(
                     f"morphism generator {Gamma.names[i]} of nonpositive degree"
                 )
-        out = []
-
-        def rec(pos, expo, wt, deg):
-            if pos == len(order):
-                if degree is None or deg == degree:
-                    out.append(tuple(expo))
-                return
-            i = order[pos]
-            d = Gamma.degrees[i]
-            rule = Gamma.rules.get(i)
-            lim = rule.power if rule is not None else None
-            e = 0
-            while True:
-                if lim is not None and e >= lim:
-                    break
-                w = wt + e * d
-                if w > cap:
-                    break
-                expo[i] = e
-                rec(pos + 1, expo, w, deg + e * d)
-                expo[i] = 0
-                e += 1
-
-        rec(0, [0] * len(Gamma.gens), 0, 0)
-        return sorted(out)
+            limit = rule.power if rule is not None else None
+            factors.append((i, Gamma.degrees[i], limit))
+        return exponent_vectors(len(Gamma.gens), factors, Gamma.truncation)
 
 
 def check_hopf_axioms(H, bound):

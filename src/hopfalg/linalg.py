@@ -119,7 +119,11 @@ def rank_fp(rows, p):
 def kernel_basis_fp(rows, ncols, p):
     """Basis of the null space of the matrix over F_p, as vectors of
     length ncols: the canonical basis of the reduced row echelon form,
-    one vector per free coordinate in increasing order."""
+    one vector per free coordinate in increasing order.
+
+    Nothing in the package calls this dense form: it stays as a test
+    reference and as an entry point that `perfbench/tracing.py` times,
+    until the tracer times `echelon_fp` instead."""
     out = []
     for c in kernel_fp(enumerate(_column_dicts(rows, ncols, p)), p):
         v = [0] * ncols

@@ -26,6 +26,7 @@ from .presentation import (
     GradedPresentation,
     RingMorphism,
     Rule,
+    exponent_vectors,
 )
 
 
@@ -358,32 +359,24 @@ def check_flat_witness(f, g, basis, bound=None):
             (CP.weight(b), CP.monomial_degree(b), g(CP.monomial_element(b)))
             for b in basis
         ]
-        # enumerate A-monomials by induced weight
-        def a_monomials(max_w):
-            out = [((0,) * len(A.gens), 0, 0)]
-            for i in range(len(A.gens)):
-                rule = A.rules.get(i)
-                lim = rule.power if rule is not None else None
-                if lim == 1:
-                    continue
-                grown = []
-                for mono, w, d in out:
-                    e = 1
-                    while True:
-                        if lim is not None and e >= lim:
-                            break
-                        if i not in A.inverted and w + e * hw[i] > max_w:
-                            break
-                        if i in A.inverted:
-                            break  # handled by degree solve below
-                        m2 = list(mono)
-                        m2[i] = e
-                        grown.append((tuple(m2), w + e * hw[i], d + e * A.degrees[i]))
-                        e += 1
-                out.extend(grown)
-            return out
-
-        inv = [i for i in A.inverted if A.rules.get(i) is None]
+        for b, (_, _, gb) in zip(basis, basis_elems):
+            if gb.is_zero():
+                v.fail(f"witness element {CP.format_monomial(b)} is zero")
+        # A-monomials by the weight h gives them, once per cap D - wb; the
+        # inverted generator's exponent is solved by degree below
+        factors = [
+            (i, hw[i], A.rules[i].power if i in A.rules else None)
+            for i in range(len(A.gens))
+            if i not in A.inverted
+        ]
+        a_monomials = {}
+        for wb, _, _ in basis_elems:
+            if D - wb not in a_monomials:
+                a_monomials[D - wb] = [
+                    (m, A.monomial_degree(m))
+                    for m in exponent_vectors(len(A.gens), factors, D - wb)
+                ]
+        inv = sorted(A.inverted)
         if len(inv) > 1:
             raise InfiniteBasis("two inverted generators in A")
         for t in range(-bound, bound + 1):
@@ -395,18 +388,16 @@ def check_flat_witness(f, g, basis, bound=None):
             pos = {mono: r for r, mono in enumerate(cb)}
             cols = []
             for wb, db, gb in basis_elems:
-                for mono, w, d in a_monomials(D - wb):
-                    mono = list(mono)
+                for mono, d in a_monomials[D - wb]:
                     if inv:
                         i0 = inv[0]
-                        rem = t - db - d
-                        if rem % A.degrees[i0] != 0:
+                        q, r = divmod(t - db - d, A.degrees[i0])
+                        if r != 0:
                             continue
-                        mono[i0] = rem // A.degrees[i0]
+                        mono = mono[:i0] + (q,) + mono[i0 + 1:]
                     elif d + db != t:
                         continue
-                    img = h_of(mono) * gb
-                    cols.append(img)
+                    cols.append(h_of(mono) * gb)
             if len(cols) != len(cb):
                 v.fail(f"degree {t}: {len(cols)} products vs basis size {len(cb)}")
                 continue
@@ -437,29 +428,15 @@ def identity_witness(f):
     H = f.source
     CP = collapsed_pair(H, f.f0)
     ind = induced_algebroid(H, f.f0, check=False)
-    bounds = {}
-    for _aname, i, e in ind.relations:
-        bounds[i] = e
-    Gamma_f = ind.algebroid.Gamma
-    # enumerate t-monomials of CP with the extracted power bounds
-    nb = len(f.target.A.gens)
-    D = CP.truncation
-    out = [(0,) * len(CP.gens)]
-    for i in range(nb, len(CP.gens)):
+    bounds = {i: e for _aname, i, e in ind.relations}
+    # t-monomials of CP with the extracted power bounds
+    factors = []
+    for i in range(len(f.target.A.gens), len(CP.gens)):
         rule = CP.rules.get(i)
-        lim = bounds.get(i, rule.power if rule is not None else None)
-        d = CP.degrees[i]
-        grown = []
-        for mono in out:
-            w = CP.weight(mono)
-            e = 1
-            while (lim is None or e < lim) and w + e * d <= D:
-                m2 = list(mono)
-                m2[i] = e
-                grown.append(tuple(m2))
-                e += 1
-        out.extend(grown)
-    return identity_morphism(CP), sorted(out)
+        limit = bounds.get(i, rule.power if rule is not None else None)
+        factors.append((i, CP.degrees[i], limit))
+    basis = exponent_vectors(len(CP.gens), factors, CP.truncation)
+    return identity_morphism(CP), basis
 
 
 @dataclass

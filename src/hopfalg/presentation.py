@@ -189,7 +189,7 @@ class GradedPresentation:
     # -- monomial helpers -------------------------------------------------
 
     def monomial_degree(self, m):
-        return sum(e * d for e, d in zip(m, self.degrees))
+        return sum(map(operator.mul, m, self.degrees))
 
     def weight(self, m):
         return sum(map(operator.mul, m, self._weight_degrees))
@@ -319,25 +319,20 @@ class GradedPresentation:
         cached = self._basis_cache.get(key)
         if cached is not None:
             return cached
-        n = len(self.gens)
+        factors = []
         inv_free = []
-        bounded = []  # (index, range-limit or None for weight-bounded free)
-        for i in range(n):
+        for i, d in enumerate(self.degrees):
             rule = self.rules.get(i)
             if rule is not None:
-                if rule.power == 1:
-                    bounded.append((i, 1))
-                else:
-                    bounded.append((i, rule.power))
+                factors.append((i, d, rule.power))
             elif i in self.inverted:
                 inv_free.append(i)
+            elif d <= 0:
+                raise InfiniteBasis(
+                    f"free non-inverted generator {self.names[i]} of degree {d}"
+                )
             else:
-                d = self.degrees[i]
-                if d <= 0:
-                    raise InfiniteBasis(
-                        f"free non-inverted generator {self.names[i]} of degree {d}"
-                    )
-                bounded.append((i, None))
+                factors.append((i, d, None))
         if len(inv_free) > 1:
             raise InfiniteBasis("two or more inverted generators")
         if inv_free and self.degrees[inv_free[0]] == 0:
@@ -346,40 +341,17 @@ class GradedPresentation:
             )
         D = self.truncation if cap is None else min(cap, self.truncation)
         result = []
-
-        def rec(pos, expo, wt, deg):
-            if pos == len(bounded):
-                if inv_free:
-                    i0 = inv_free[0]
-                    d0 = self.degrees[i0]
-                    rem = t - deg
-                    if rem % d0 == 0:
-                        expo[i0] = rem // d0
-                        result.append(tuple(expo))
-                        expo[i0] = 0
-                elif deg == t:
-                    result.append(tuple(expo))
-                return
-            i, lim = bounded[pos]
-            d = self.degrees[i]
-            e = 0
-            while True:
-                if lim is not None and e >= max(lim, 1):
-                    break
-                w = wt + e * d if d > 0 else wt
-                if d > 0 and w > D:
-                    break
-                if lim is None and d <= 0:
-                    break  # unreachable by construction
-                expo[i] = e
-                rec(pos + 1, expo, wt + e * d, deg + e * d)
-                expo[i] = 0
-                e += 1
-                if lim is None and e * d > D:
-                    break
-
-        rec(0, [0] * n, 0, 0)
-        result = sorted(set(result))
+        # the inverted generator has weight 0: solve for its exponent
+        for m in exponent_vectors(len(self.gens), factors, D):
+            rem = t - self.monomial_degree(m)
+            if inv_free:
+                i0 = inv_free[0]
+                q, r = divmod(rem, self.degrees[i0])
+                if r == 0:
+                    result.append(m[:i0] + (q,) + m[i0 + 1:])
+            elif rem == 0:
+                result.append(m)
+        result.sort()
         self._basis_cache[key] = result
         return result
 
@@ -413,6 +385,30 @@ class GradedPresentation:
     def __repr__(self):
         label = self.name or "presentation"
         return f"<{label}: {len(self.gens)} gens, {self.mode.kind}>"
+
+
+def exponent_vectors(n, factors, cap):
+    """Every exponent vector of length n that is zero outside `factors`, a
+    list of (index, weight, limit), with e_i < limit (None: no limit) and
+    sum of e_i * weight_i <= cap, sorted.
+
+    Negative-weight factors are enumerated first, so once they are fixed
+    no partial sum exceeds the final weight and the cap can prune.  A
+    factor without a limit needs a positive weight; InfiniteBasis
+    otherwise."""
+    vectors = [((0,) * n, 0)]
+    for i, weight, limit in sorted(factors, key=lambda f: f[1] >= 0):
+        if limit is None and weight <= 0:
+            raise InfiniteBasis(f"unbounded exponent {i} of weight {weight}")
+        grown = []
+        for vec, w in vectors:
+            e = 0
+            while (limit is None or e < limit) and (weight < 0 or w <= cap):
+                grown.append((vec[:i] + (e,) + vec[i + 1:], w))
+                e += 1
+                w += weight
+        vectors = grown
+    return sorted(vec for vec, w in vectors if w <= cap)
 
 
 def _accumulate(terms, other, add):

@@ -71,15 +71,23 @@ def test_comodule_check(mu2_dir, tmp_path):
     assert run_cli("comodule", "check", mu2_dir / "broken.ini").returncode == 1
 
 
-def test_ext_deterministic_across_parallelism(jw_files):
-    """Identical bytes at parallelism 1 and 8, for every output format."""
+def test_ext_deterministic_across_processes(jw_files):
+    """Two separate processes print identical bytes, in every output
+    format; one passes `--parallel 1`, the only value it accepts."""
     base = ["ext", jw_files / "target.ini", "--smax", 2,
             "--tmin", -12, "--tmax", 12, "--inner", 24]
     for fmt in ("csv", "json", "chart"):
         r1 = run_cli(*base, "--format", fmt, "--parallel", 1)
-        r8 = run_cli(*base, "--format", fmt, "--parallel", 8)
-        assert r1.returncode == 0 and r8.returncode == 0
-        assert r1.stdout == r8.stdout, fmt
+        r2 = run_cli(*base, "--format", fmt)
+        assert r1.returncode == 0 and r2.returncode == 0
+        assert r1.stdout == r2.stdout, fmt
+
+
+def test_ext_parallel_other_than_one_is_an_input_error(jw_files):
+    r = run_cli("ext", jw_files / "target.ini", "--smax", 1,
+                "--tmin", 0, "--tmax", 4, "--parallel", 2)
+    assert r.returncode == 2
+    assert "--parallel" in r.stderr
 
 
 def test_ext_csv_content(jw_files):

@@ -6,7 +6,7 @@ import pytest
 
 from hopfalg import linalg
 from hopfalg.cobar import CobarComplex, compare_ext, ext_dims, primitive_dims
-from hopfalg.errors import DegreeError
+from hopfalg.errors import DegreeError, InputError
 from hopfalg.presentation import BaseMode, GradedPresentation
 
 from conftest import mu2_algebroid, primitive_line
@@ -169,14 +169,23 @@ def test_ext0_equals_primitives(flagship):
         assert T.dims[(0, t)] == prim[t], t
 
 
-def test_parallel_assembly_identical(flagship):
+def test_fresh_complexes_identical(flagship):
+    """Two complexes built from scratch give the same table, byte for byte."""
     _, _, H2, _ = flagship
-    C = CobarComplex(H2, s_max=2, t_min=-12, t_max=12)
-    T1 = ext_dims(C, parallel=1)
-    T8 = ext_dims(C, parallel=8)
-    assert T1.dims == T8.dims
-    assert T1.to_csv() == T8.to_csv()
-    assert T1.to_dict() == T8.to_dict()
+    T1, T2 = (
+        ext_dims(CobarComplex(H2, s_max=2, t_min=-12, t_max=12))
+        for _ in range(2)
+    )
+    assert T1.dims == T2.dims
+    assert T1.to_csv() == T2.to_csv()
+    assert T1.to_dict() == T2.to_dict()
+
+
+def test_ext_dims_is_serial(flagship):
+    _, _, H2, _ = flagship
+    C = CobarComplex(H2, s_max=1, t_min=0, t_max=4)
+    with pytest.raises(InputError, match="parallel must be 1"):
+        ext_dims(C, parallel=2)
 
 
 def test_stable_range_flagship_slice(flagship):

@@ -57,6 +57,23 @@ def test_flat_witness_rejects_wrong_basis(flagship):
     assert not v.ok
 
 
+def test_flat_witness_rejects_a_zero_element(flagship):
+    """A basis element past the truncation bound is zero, so the witness
+    is no basis, though it adds no A-monomial products to any degree."""
+    _, _, _, f = flagship
+    g, basis = identity_witness(f)
+    CP = g.source
+    i = len(CP.gens) - 1
+    beyond = tuple(
+        CP.truncation // CP.degrees[i] + 1 if j == i else 0
+        for j in range(len(CP.gens))
+    )
+    assert CP.weight(beyond) > CP.truncation
+    v = check_flat_witness(f, g, basis + [beyond], bound=32)
+    assert not v.ok
+    assert any("is zero" in msg for msg in v.failures)
+
+
 def test_theoremD_conditional_and_yes(flagship):
     _, _, _, f = flagship
     cert = theoremD_verdict(f, assume_flat=True, bound=24)

@@ -1,5 +1,6 @@
 """Property tests for the exact graded-commutative arithmetic layer."""
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from hopfalg.presentation import (
     GradedPresentation,
     RingMorphism,
     assert_p_integral,
+    exponent_vectors,
     identity_morphism,
     invert_element,
 )
@@ -52,7 +54,24 @@ def laurent_ring():
     )
 
 
-RINGS = [poly_ring(), quotient_ring(), laurent_ring()]
+def negative_rule_ring(names):
+    """F_3[x, y]/(x^2) with |x| = -2, |y| = 1 and D = 8, generators in the
+    order `names`.  x lowers the weight, so x*y^9 (weight 7 <= 8) lies in
+    degree 7 and x*y^10 in degree 8."""
+    degrees = {"x": -2, "y": 1}
+    return GradedPresentation(
+        FP3,
+        [(n, degrees[n]) for n in names],
+        relations={"x": (2, [])},
+        truncation=8,
+        name=f"F_3[{','.join(names)}]/(x^2)",
+    )
+
+
+RINGS = [
+    poly_ring(), quotient_ring(), laurent_ring(),
+    negative_rule_ring("xy"), negative_rule_ring("yx"),
+]
 
 
 def elements(P, max_terms=4):
@@ -78,7 +97,9 @@ def test_normal_form_idempotent(P):
     inner()
 
 
-@pytest.mark.parametrize("P", RINGS, ids=["poly", "quot", "laurent"])
+# y is odd in characteristic 3 in the negative-degree rings: their normal
+# form keeps y^k (k >= 2), which every product kills, so x * 1 == x fails
+@pytest.mark.parametrize("P", RINGS[:3], ids=["poly", "quot", "laurent"])
 def test_ring_axioms(P):
     @given(elements(P), elements(P), elements(P))
     def inner(x, y, z):
@@ -95,8 +116,15 @@ def test_ring_axioms(P):
 
 
 def brute_degree_basis(P, t):
-    """Independent oracle: enumerate exponent boxes directly."""
+    """Independent oracle: enumerate exponent boxes directly.  A free
+    generator's box reaches past the truncation bound by the weight that
+    rule-bounded negative-degree generators can subtract."""
     n = len(P.gens)
+    slack = sum(
+        (rule.power - 1) * -P.degrees[i]
+        for i, rule in P.rules.items()
+        if P.degrees[i] < 0
+    )
     lims = []
     for i in range(n):
         rule = P.rules.get(i)
@@ -106,7 +134,7 @@ def brute_degree_basis(P, t):
             lims.append(range(rule.power))
         else:
             d = abs(P.degrees[i]) or 1
-            lims.append(range(P.truncation // d + 1))
+            lims.append(range((P.truncation + slack) // d + 1))
     out = []
     for mono in itertools.product(*lims):
         if P.monomial_degree(mono) != t:
@@ -117,10 +145,45 @@ def brute_degree_basis(P, t):
     return sorted(out)
 
 
-@pytest.mark.parametrize("P", RINGS, ids=["poly", "quot", "laurent"])
-@pytest.mark.parametrize("t", [0, 4, 8, 12, 16, 20])
+@pytest.mark.parametrize(
+    "P", RINGS, ids=["poly", "quot", "laurent", "neg-xy", "neg-yx"]
+)
+@pytest.mark.parametrize("t", [-2, 0, 4, 7, 8, 12, 16, 20])
 def test_degree_basis_matches_brute_force(P, t):
     assert sorted(P.degree_basis(t)) == brute_degree_basis(P, t)
+
+
+def brute_exponent_vectors(n, factors, cap):
+    """exponent_vectors by itertools.product over boxes wide enough for
+    every vector the cap admits."""
+    slack = sum((lim - 1) * -w for _, w, lim in factors if w < 0)
+    ranges = [range(1)] * n
+    for i, w, lim in factors:
+        ranges[i] = range(lim) if lim is not None else range((cap + slack) // w + 1)
+    return sorted(
+        m for m in itertools.product(*ranges)
+        if sum(m[i] * w for i, w, _ in factors) <= cap
+    )
+
+
+def test_exponent_vectors_matches_brute_force():
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        factors = []
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            lim = rng.choice([None, 1, 2, 3])
+            w = rng.randint(1, 4) if lim is None else rng.randint(-3, 4)
+            factors.append((i, w, lim))
+        cap = rng.randint(-4, 10)
+        got = exponent_vectors(n, factors, cap)
+        assert got == brute_exponent_vectors(n, factors, cap), (n, factors, cap)
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+def test_exponent_vectors_rejects_an_unbounded_factor(weight):
+    with pytest.raises(InfiniteBasis):
+        exponent_vectors(2, [(0, 1, None), (1, weight, None)], 8)
 
 
 def test_infinite_basis_detected():

@@ -107,7 +107,7 @@ def _load_witness(f, path):
     from . import files
     from .morita import identity_witness
 
-    cp = files._config(open(path, encoding="utf-8").read())
+    cp = files.read_config(path)
     if not cp.has_section("witness"):
         raise ParseError("witness file needs a [witness] section")
     kind = cp.get("witness", "kind", fallback="")
@@ -211,7 +211,7 @@ def cmd_oracle_groupoid(args):
             raise ParseError(f"no catalog ring matches {args.rings!r}")
     is_map = False
     try:
-        cp = files._config(open(args.path, encoding="utf-8").read())
+        cp = files.read_config(args.path)
         is_map = cp.has_section("map")
     except (OSError, ParseError):
         pass

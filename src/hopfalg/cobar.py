@@ -32,7 +32,7 @@ every key.
 Each differential d_{s,t} is stored sparse, as the columns `d_columns`
 returns: column j is d of the j-th source key, {target position: residue}.
 The differentials are more than 99% zero, so every count is a rank, taken
-by `linalg.echelon_fp` on these columns (or on a restriction of them)
+by `linalg.echelon` on these columns (or on a restriction of them)
 without record vectors: the plain dimension needs rank d_{s,t} and
 rank d_{s-1,t}, and the stable-range dimension two further ranks (see
 `ext_dim_stable`).  The stable-range dimension reads only the inner
@@ -369,7 +369,7 @@ class CobarComplex:
         `d_columns`, built on every call.  Nothing in the package calls
         it: it stays as a test reference and as an entry point that
         `perfbench/tracing.py` times, until the tracer times `d_columns`
-        and `linalg.echelon_fp` instead."""
+        and `linalg.echelon` instead."""
         cols = self.d_columns(s, t)
         mat = [[0] * len(cols) for _ in self.basis(s + 1, t)]
         for j, col in enumerate(cols):
@@ -451,13 +451,13 @@ class CobarComplex:
             )
         else:
             cols = self.d_columns(s, t)
-            pivots, _ = linalg.echelon_fp(
+            pivots, _ = linalg.echelon(
                 ((dict(c), None) for c in compress(cols, is_inner)), p
             )
             dim = n_in - len(pivots)
             if (s, t) not in self._rank_cache:
                 is_outer = [not x for x in is_inner]
-                linalg.echelon_fp(
+                linalg.echelon(
                     ((dict(c), None) for c in compress(cols, is_outer)),
                     p,
                     pivots,
@@ -511,7 +511,7 @@ class ExtTable:
 
 def _sparse_rank(vectors, p):
     """Rank over F_p of the dict vectors, which the elimination consumes."""
-    return len(linalg.echelon_fp(((v, None) for v in vectors), p)[0])
+    return len(linalg.echelon(((v, None) for v in vectors), p)[0])
 
 
 def ext_dims(C, parallel=1, check_d2=False, inner=None):

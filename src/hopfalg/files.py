@@ -28,15 +28,10 @@ import configparser
 import os
 import re
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, SolveFailure
 from .hopf import HopfAlgebroid, TensorSquare
 from .morita import HopfMap
-from .presentation import (
-    BaseMode,
-    GradedPresentation,
-    RingMorphism,
-    invert_element,
-)
+from .presentation import BaseMode, GradedPresentation, RingMorphism
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9']*|\^|[()+\-*])")
 
@@ -122,19 +117,13 @@ class _ExprParser:
             t = self._next()
             if not t.isdigit():
                 raise ParseError(f"exponent expected, got {t!r}")
-            base = self._pow(base, sign * int(t))
+            try:
+                base = base ** (sign * int(t))
+            except SolveFailure:
+                raise ParseError(
+                    "negative power of a non-invertible element"
+                ) from None
         return base
-
-    def _pow(self, elem, e):
-        if e >= 0:
-            acc = elem.pres.one()
-            for _ in range(e):
-                acc = acc * elem
-            return acc
-        inv = invert_element(elem)
-        if inv is None:
-            raise ParseError("negative power of a non-invertible element")
-        return self._pow(inv, -e)
 
     def _atom(self, P):
         t = self._next()
@@ -185,28 +174,31 @@ def _coeff_int(c):
     return int(c)
 
 
+def _signed_sum(elem, spell):
+    """`elem` as `t1 - t2 + ...` over its sorted terms, `spell(mono, |c|)`
+    writing each term; "0" for zero."""
+    out = ""
+    for mono, c in sorted(elem.terms.items()):
+        c = _coeff_int(c)
+        if out:
+            out += " - " if c < 0 else " + "
+        elif c < 0:
+            out = "-"
+        out += spell(mono, abs(c))
+    return out or "0"
+
+
 def element_str(elem, names=None):
     """Deterministic expression string for an element (sorted monomials)."""
     names = names or elem.pres.names
-    if elem.is_zero():
-        return "0"
-    parts = []
-    for mono, c in sorted(elem.terms.items()):
-        c = _coeff_int(c)
+
+    def spell(mono, mag):
         ms = _mono_str(names, mono)
-        mag = abs(c)
         if not ms:
-            body = str(mag)
-        elif mag == 1:
-            body = ms
-        else:
-            body = f"{mag}*{ms}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            return str(mag)
+        return ms if mag == 1 else f"{mag}*{ms}"
+
+    return _signed_sum(elem, spell)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +213,17 @@ def _int(text, what):
         raise ParseError(f"{what}: {text!r} is not an integer") from exc
 
 
-def _config(text=None):
+def read_config(path):
+    """The INI document at `path`, read as UTF-8; ParseError if it is
+    malformed."""
     cp = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     cp.optionxform = str
-    if text is not None:
-        try:
-            cp.read_string(text)
-        except configparser.Error as exc:
-            raise ParseError(str(exc)) from exc
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ParseError(str(exc)) from exc
     return cp
 
 
@@ -274,8 +269,7 @@ def _presentation_from_config(cp, name_hint=""):
 
 
 def parse_presentation(path):
-    with open(path, encoding="utf-8") as fh:
-        cp = _config(fh.read())
+    cp = read_config(path)
     return _presentation_from_config(cp, os.path.basename(path))
 
 
@@ -319,8 +313,7 @@ def _image_list(text, expect, what):
 
 
 def parse_algebroid(path):
-    with open(path, encoding="utf-8") as fh:
-        cp = _config(fh.read())
+    cp = read_config(path)
     if not cp.has_section("algebroid") or not cp.has_section("maps"):
         raise ParseError("algebroid file needs [algebroid] and [maps]")
     Gamma = _presentation_from_config(cp, os.path.basename(path))
@@ -371,30 +364,16 @@ def parse_algebroid(path):
 
 
 def _delta_str(H, elem):
-    ts = H.ts
     names = H.Gamma.names
-    parts = []
-    for mono, c in sorted(elem.terms.items()):
-        c = _coeff_int(c)
-        lmono, rmono = ts.split_monomial(mono)
-        factors = []
-        ls = _mono_str(names, lmono)
-        rs = _mono_str(names, rmono)
-        if ls:
-            factors.append(f"l({ls})")
-        if rs:
-            factors.append(f"r({rs})")
-        mag = abs(c)
+
+    def spell(mono, mag):
+        halves = (_mono_str(names, half) for half in H.ts.split_monomial(mono))
+        factors = [f"{side}({ms})" for side, ms in zip("lr", halves) if ms]
         if mag != 1 or not factors:
             factors.insert(0, str(mag))
-        parts.append(("-" if c < 0 else "+", "*".join(factors)))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        return "*".join(factors)
+
+    return _signed_sum(elem, spell)
 
 
 def emit_algebroid(H, base_filename):
@@ -456,8 +435,7 @@ def write_algebroid(H, out_dir, stem="algebroid", base_stem="base"):
 
 
 def parse_map(path):
-    with open(path, encoding="utf-8") as fh:
-        cp = _config(fh.read())
+    cp = read_config(path)
     for sec in ("map", "f0", "f1"):
         if not cp.has_section(sec):
             raise ParseError(f"map file needs [{sec}]")
@@ -549,8 +527,7 @@ def _parse_psi_words(H, text):
 def parse_comodule(path, H=None):
     from .comodule import Comodule
 
-    with open(path, encoding="utf-8") as fh:
-        cp = _config(fh.read())
+    cp = read_config(path)
     for sec in ("generators", "psi"):
         if not cp.has_section(sec):
             raise ParseError(f"comodule file needs [{sec}]")

@@ -814,7 +814,7 @@ class _Quotient:
 
     def __init__(self, p, big_dim, rels):
         self.p = p
-        self.pivots, _ = linalg.echelon_fp(((r, None) for r in rels), p)
+        self.pivots, _ = linalg.echelon(((r, None) for r in rels), p)
         self.free = [i for i in range(big_dim) if i not in self.pivots]
         self.dim = len(self.free)
 
@@ -975,7 +975,7 @@ def check_descent(cover, M, purity_probe=None, _depth=0):
     if not v.ok:
         return v
 
-    pivots, _ = linalg.echelon_fp(((col, None) for col in diff), p)
+    pivots, _ = linalg.echelon(((col, None) for col in diff), p)
     ker_dim = len(diff) - len(pivots)
     if ker_dim != M.dim:
         v.fail(f"equalizer dimension {ker_dim} differs from dim M = {M.dim}")

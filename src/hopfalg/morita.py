@@ -26,6 +26,7 @@ from .presentation import (
     GradedPresentation,
     RingMorphism,
     Rule,
+    coordinates,
     exponent_vectors,
 )
 
@@ -262,64 +263,45 @@ def induced_algebroid(H, f0, check=True):
     return InducedAlgebroid(Hf, hm, [(a, i, e) for a, i, e, _ in derived])
 
 
-def collapsed_triple(f):
-    """The Gamma_f presentation built from a HopfMap's f_0 (the right
-    B-factor is eliminated through eta_R, so the presentation coincides
-    with the induced algebroid's)."""
-    ind = induced_algebroid(f.source, f.f0, check=False)
-    return ind.algebroid.Gamma
-
-
 def combined_map(f):
-    """eta_L (x) f_1 (x) eta_R : B (x)_A Gamma (x)_A B -> Sigma."""
-    ct = collapsed_triple(f)
+    """eta_L (x) f_1 (x) eta_R : B (x)_A Gamma (x)_A B -> Sigma.  The right
+    B-factor is eliminated through eta_R, so the source presentation is
+    the induced algebroid's Gamma_f."""
+    source = induced_algebroid(f.source, f.f0, check=False).algebroid.Gamma
     Sigma = f.target.Gamma
     nb = len(f.target.A.gens)
     images = [f.target.etaL(f.target.A.gen(i)) for i in range(nb)]
     for i in f.source.morphism_order:
         images.append(f.f1(f.source.Gamma.gen(i)))
-    m = RingMorphism(ct, Sigma, images, name="combined", check_degrees=False)
-    return m
+    return RingMorphism(source, Sigma, images, name="combined", check_degrees=False)
 
 
 def check_iso(m, bound):
-    """Degreewise matrix invertibility of a morphism on degree bases."""
+    """Degreewise invertibility of a morphism on degree bases, decided over
+    the coefficient ring: in every degree |t| <= bound the matrix of m
+    must be square with a determinant that is a unit of the target's base
+    (x -> 3x is an isomorphism over Q but not over Z_(3))."""
     v = Verdict()
     src, tgt = m.source, m.target
-    mode = tgt.mode
     for t in range(-bound, bound + 1):
         bs = src.degree_basis(t)
         bt = tgt.degree_basis(t)
         if len(bs) != len(bt):
             v.fail(f"degree {t}: basis sizes {len(bs)} vs {len(bt)}")
             continue
-        if not bs:
+        images = [m(src.monomial_element(mono)) for mono in bs]
+        cut = next((mono for mono, img in zip(bs, images) if img.truncated), None)
+        if cut is not None:
+            v.fail(f"degree {t}: image of {src.format_monomial(cut)} truncated")
             continue
-        pos = {mono: r for r, mono in enumerate(bt)}
-        mat = [[0] * len(bs) for _ in range(len(bt))]
-        ok = True
-        for col, mono in enumerate(bs):
-            img = m(src.monomial_element(mono))
-            if img.truncated:
-                v.fail(f"degree {t}: image of {src.format_monomial(mono)} truncated")
-                ok = False
-                break
-            for mm, cc in img.terms.items():
-                r = pos.get(mm)
-                if r is None:
-                    v.fail(
-                        f"degree {t}: image monomial {tgt.format_monomial(mm)} "
-                        "outside enumerated basis"
-                    )
-                    ok = False
-                    break
-                mat[r][col] = cc
-            if not ok:
-                break
-        if not ok:
-            continue
-        if not linalg.is_invertible(mat, mode):
-            v.fail(f"degree {t}: matrix of rank {linalg.rank(mat, mode)} not invertible")
+        cols, outside = coordinates(images, bt)
+        if outside is not None:
+            v.fail(
+                f"degree {t}: image monomial {tgt.format_monomial(outside)} "
+                "outside enumerated basis"
+            )
+        elif not linalg.is_invertible(cols, len(bt), tgt.mode):
+            v.fail(f"degree {t}: matrix of rank {linalg.rank(cols, tgt.mode)} not invertible")
     return v
 
 
@@ -329,7 +311,10 @@ def check_flat_witness(f, g, basis, bound=None):
 
     The composite h = g(f_0 (x) eta_R) is checked degreewise: the products
     h(a) * g(b) over A-basis monomials a and witness basis elements b must
-    form a basis of C in every degree |t| <= bound.  A-monomials are
+    form a basis of C over its coefficient ring in every degree |t| <=
+    bound: their matrix in C's degree basis must be square with a
+    determinant that is a unit of that ring, not merely of full rank.
+    A-monomials are
     enumerated against the weight the composite actually produces (the
     maximal C-weight of each h(image)), which keeps the truncated
     filtrations on both sides aligned."""
@@ -385,7 +370,6 @@ def check_flat_witness(f, g, basis, bound=None):
             except InfiniteBasis:
                 v.fail(f"C basis infinite in degree {t}")
                 continue
-            pos = {mono: r for r, mono in enumerate(cb)}
             cols = []
             for wb, db, gb in basis_elems:
                 for mono, d in a_monomials[D - wb]:
@@ -401,21 +385,10 @@ def check_flat_witness(f, g, basis, bound=None):
             if len(cols) != len(cb):
                 v.fail(f"degree {t}: {len(cols)} products vs basis size {len(cb)}")
                 continue
-            if not cb:
-                continue
-            mat = [[0] * len(cols) for _ in range(len(cb))]
-            ok = True
-            for jcol, img in enumerate(cols):
-                for mm, cc in img.terms.items():
-                    r = pos.get(mm)
-                    if r is None:
-                        v.fail(f"degree {t}: product leaves the enumerated basis")
-                        ok = False
-                        break
-                    mat[r][jcol] = cc
-                if not ok:
-                    break
-            if ok and not linalg.is_invertible(mat, C.mode):
+            coords, outside = coordinates(cols, cb)
+            if outside is not None:
+                v.fail(f"degree {t}: product leaves the enumerated basis")
+            elif not linalg.is_invertible(coords, len(cb), C.mode):
                 v.fail(f"degree {t}: freeness matrix not invertible")
     return v
 

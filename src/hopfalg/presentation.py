@@ -4,7 +4,9 @@ A presentation fixes an ordered list of generators with integer degrees, a
 base coefficient mode (integers, p-local rationals, or a prime field),
 rewrite rules, a set of inverted generators, and a truncation bound D.
 Elements are kept in a canonical normal form: fully rewritten, monomials
-sorted, no zero coefficients, no term of weight > D.
+sorted, no zero coefficients, no term of weight > D, and away from
+characteristic 2 no odd-degree generator to a power >= 2 (it squares to
+zero by graded commutativity).
 
 Rewrite rules come in three normalized shapes, keyed by a generator g:
   * eliminable  g   -> polynomial in strictly earlier generators
@@ -24,6 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import (
     DegreeError,
     IllegalExponent,
@@ -155,6 +158,8 @@ class GradedPresentation:
         # `_first_violation` scan for a monomial without negative exponents
         self._plain = not rules and not self.inverted
         self._odd = tuple(i for i, d in enumerate(self.degrees) if d % 2 != 0)
+        # an odd generator squares to zero away from characteristic 2
+        self._odd_square_zero = self._odd if mode.characteristic != 2 else ()
         self._validate()
         self._basis_cache = {}
         self._nf_rhs_cache = {}
@@ -201,8 +206,6 @@ class GradedPresentation:
         zero (characteristic != 2)."""
         sign = 0
         if self._odd:
-            char2 = self.mode.characteristic == 2
-            below = 0
             # moving each odd factor of m2 past the odd factors of m1 that
             # sit at strictly larger generator indices
             total1 = sum(m1[i] for i in self._odd)
@@ -212,7 +215,7 @@ class GradedPresentation:
                 seen1 += e1
                 if e2:
                     sign += e2 * (total1 - seen1)
-                if not char2 and e1 + e2 >= 2:
+                if self._odd_square_zero and e1 + e2 >= 2:
                     return None
         mono = tuple(map(operator.add, m1, m2))
         return (-1) ** (sign % 2), mono
@@ -240,6 +243,7 @@ class GradedPresentation:
         Returns (terms dict, truncated flag)."""
         mode = self.mode
         plain = self._plain
+        square_zero = self._odd_square_zero
         out = {}
         truncated = False
         stack = [(mode.coerce(c), tuple(m)) for c, m in raw]
@@ -252,6 +256,8 @@ class GradedPresentation:
             else:
                 i = self._first_violation(m)
             if i is None:
+                if square_zero and any(m[j] >= 2 for j in square_zero):
+                    continue
                 if self.weight(m) > self.truncation:
                     truncated = True
                     continue
@@ -323,10 +329,13 @@ class GradedPresentation:
         inv_free = []
         for i, d in enumerate(self.degrees):
             rule = self.rules.get(i)
-            if rule is not None:
-                factors.append((i, d, rule.power))
-            elif i in self.inverted:
+            limit = rule.power if rule is not None else None
+            if i in self._odd_square_zero:
+                limit = 2 if limit is None else min(limit, 2)
+            if i in self.inverted:
                 inv_free.append(i)
+            elif limit is not None:
+                factors.append((i, d, limit))
             elif d <= 0:
                 raise InfiniteBasis(
                     f"free non-inverted generator {self.names[i]} of degree {d}"
@@ -574,35 +583,37 @@ def invert_element(x):
         target_basis = P.degree_basis(0)
     except InfiniteBasis:
         return None
-    if not cand:
-        return None
-    # columns: products x * b_j expanded over the degree-0 basis
-    from . import linalg
-
-    pos = {m: r for r, m in enumerate(target_basis)}
-    rows = len(target_basis)
-    mat = [[0] * len(cand) for _ in range(rows)]
-    for j, b in enumerate(cand):
-        prod = x * P.monomial_element(b)
-        for m, c in prod.terms.items():
-            if m not in pos:
-                return None
-            mat[pos[m]][j] = c
     unit = (0,) * len(P.gens)
-    if unit not in pos:
+    if not cand or unit not in target_basis:
         return None
-    rhs = [1 if r == pos[unit] else 0 for r in range(rows)]
-    sol = linalg.solve(mat, rhs, P.mode)
+    # columns: products x * b_j in the degree-0 basis; the solution must
+    # lie in the base ring (integral, or p-integral), else x is no unit
+    cols, outside = coordinates(
+        (x * P.monomial_element(b) for b in cand), target_basis
+    )
+    if outside is not None:
+        return None
+    sol = linalg.solve(cols, {target_basis.index(unit): 1}, P.mode)
     if sol is None:
         return None
-    # x is a unit only if this Q-solution, the unique one, is p-integral
-    if P.mode.kind == "plocal" and any(v.denominator % P.mode.p == 0 for v in sol):
-        return None
-    out = P.zero()
-    for j, b in enumerate(cand):
-        if sol[j] != 0:
-            out = out + P.monomial_element(b, sol[j])
-    return out
+    return P.element([(c, b) for b, c in zip(cand, sol) if c != 0])
+
+
+def coordinates(elements, basis):
+    """The coordinates of `elements` in `basis`, a list of monomials: one
+    dict {position in basis: coefficient} per element, and None; or None
+    and the first monomial of an element that `basis` lacks."""
+    pos = {m: r for r, m in enumerate(basis)}
+    cols = []
+    for x in elements:
+        col = {}
+        for m, c in x.terms.items():
+            r = pos.get(m)
+            if r is None:
+                return None, m
+            col[r] = c
+        cols.append(col)
+    return cols, None
 
 
 class RingMorphism:

@@ -10,27 +10,19 @@ from fractions import Fraction
 
 import pytest
 
+from hopfalg import comodule, fgl, groupoid, hopf, morita
 from hopfalg.cobar import CobarComplex, compare_ext, ext_dims
-from hopfalg.comodule import check_comodule, comodule_from_sheaf, sheaf_data
 from hopfalg.errors import NotACover
-from hopfalg.fgl import assemble_bp, gen_degree, johnson_wilson
+from hopfalg.fgl import gen_degree
 from hopfalg.groupoid import (
-    analyze_map,
     catalog_rings,
-    check_descent,
     field_extension_cover,
     free_module,
     projection_noncover,
     random_module,
 )
-from hopfalg.hopf import HopfAlgebroid, check_hopf_axioms
-from hopfalg.morita import (
-    check_hopf_map,
-    check_iso,
-    combined_map,
-    identity_witness,
-    theoremD_verdict,
-)
+from hopfalg.hopf import HopfAlgebroid
+from hopfalg.morita import combined_map, identity_witness
 from hopfalg.presentation import RingMorphism
 
 from conftest import run_cli
@@ -42,8 +34,8 @@ def test_criterion_1_structure_assembly():
     """Both shipped towers assemble and pass the full axiom suite quickly."""
     t0 = time.monotonic()
     for p, D in ((2, 16), (3, 40)):
-        bp = assemble_bp(p, D)
-        assert check_hopf_axioms(bp.H, D).ok, (p, D)
+        bp = fgl.assemble_bp(p, D)
+        assert hopf.check_hopf_axioms(bp.H, D).ok, (p, D)
     assert time.monotonic() - t0 < 60
 
 
@@ -51,7 +43,7 @@ def test_criterion_1_structure_assembly():
 @pytest.mark.parametrize("n", [1, 2])
 def test_criterion_2_primitivity_mod_invariant_ideal(p, n):
     D = max(gen_degree(p, n) + 2 * gen_degree(p, 1), gen_degree(p, n))
-    bp = assemble_bp(p, D)
+    bp = fgl.assemble_bp(p, D)
     diff = bp.H.etaR(bp.A.gen(n - 1)) - bp.H.etaL(bp.A.gen(n - 1))
     for mono, c in diff.terms.items():
         assert Fraction(c) % p == 0 or any(mono[i] > 0 for i in range(n - 1))
@@ -59,11 +51,11 @@ def test_criterion_2_primitivity_mod_invariant_ideal(p, n):
 
 def test_criterion_3_induced_pair_coherence(flagship):
     _, H1, H2, f = flagship
-    assert check_hopf_axioms(H2, 32).ok
-    assert check_hopf_map(f, 32).ok
-    assert check_iso(combined_map(f), 32).ok
-    assert theoremD_verdict(f, assume_flat=True, bound=24).status == "conditional"
-    cert = theoremD_verdict(f, witness=identity_witness(f), bound=24)
+    assert hopf.check_hopf_axioms(H2, 32).ok
+    assert morita.check_hopf_map(f, 32).ok
+    assert morita.check_iso(combined_map(f), 32).ok
+    assert morita.theoremD_verdict(f, assume_flat=True, bound=24).status == "conditional"
+    cert = morita.theoremD_verdict(f, witness=identity_witness(f), bound=24)
     assert cert.status == "yes" and cert.witness_status == "verified"
 
 
@@ -92,7 +84,7 @@ def test_criterion_4_change_of_rings(flagship):
 
     # the other height: all generators kept, so the induced pair is a
     # copy of the source and agreement is again exact
-    H2b, f2 = johnson_wilson(bp, 2, 1)
+    H2b, f2 = fgl.johnson_wilson(bp, 2, 1)
     assert H2b.Gamma.gens == H1.Gamma.gens
     T2b = table(H2b)
     assert compare_ext(T1, T2b) == []
@@ -147,11 +139,11 @@ def test_criterion_6_sheaf_roundtrip(mu2, flagship):
     assert len(cat) >= 5
     rings = catalog_rings()
     for M in cat:
-        assert check_comodule(M).ok, M.name
-        S = sheaf_data(M, rings=rings)
+        assert comodule.check_comodule(M).ok, M.name
+        S = comodule.sheaf_data(M, rings=rings)
         for pt in S.points:
             assert pt.verdict.ok, (M.name, pt.ring_name)
-        back = comodule_from_sheaf(S, name=M.name)
+        back = comodule.comodule_from_sheaf(S, name=M.name)
         assert back.gens == M.gens
         for g, _ in M.gens:
             assert back.psi_raw(g) == M.psi_raw(g), M.name
@@ -162,9 +154,9 @@ def test_criterion_7_cross_oracle_consistency(flagship):
     functor analysis must agree: an isomorphism of pairs is fully
     faithful over every ring in the catalog."""
     _, _, _, f = flagship
-    assert check_iso(combined_map(f), 24).ok
+    assert morita.check_iso(combined_map(f), 24).ok
     for R in catalog_rings():
-        rep = analyze_map(f, R)
+        rep = groupoid.analyze_map(f, R)
         assert rep.fully_faithful, (R.name, rep.witnesses)
 
 
@@ -175,12 +167,12 @@ def test_criterion_8_descent():
         R, cover = field_extension_cover(p, q)
         for _ in range(10):
             M = random_module(R, rng, max_dim=3)
-            assert check_descent(cover, M).ok
+            assert groupoid.check_descent(cover, M).ok
             checked += 1
     assert checked >= 20
     R, cover = projection_noncover()
     with pytest.raises(NotACover, match="kills"):
-        check_descent(cover, free_module(R, 1, name="F_2xF_2^1"))
+        groupoid.check_descent(cover, free_module(R, 1, name="F_2xF_2^1"))
 
 
 def test_criterion_9_determinism(flagship, jw_files):

@@ -2,8 +2,13 @@
 
 `perfbench/tracing.py` wraps the entry points in `ENTRY_POINTS` and
 counts the calls in `COUNTED`; a name missing from the package breaks
-every traced benchmark run.  The suite does not collect `perfbench/`, so
-this test loads the tracer by path and resolves each name here.
+every traced benchmark run.  `perfbench/` is not a package, so this test
+loads the tracer by path and resolves each name here.
+
+The suite also collects `perfbench/`, whose install test reports every
+reference to an entry point that no wrapper replaces.  So test modules
+call the traced entry points through their modules (`morita.check_iso`),
+never through names bound at module level by `from ... import`.
 """
 import importlib
 import importlib.util

@@ -451,11 +451,11 @@ def reference_ext_dim_stable(C, s, t, inner, inner_columns=None):
     cycles = linalg.kernel_fp(inner_columns, C.p)
     if s == 0:
         return len(cycles)
-    pivots, _ = linalg.echelon_fp(
+    pivots, _ = linalg.echelon(
         ((dict(col), None) for col in C.d_columns(s - 1, t)), C.p
     )
     rank_b = len(pivots)
-    pivots, _ = linalg.echelon_fp(((z, None) for z in cycles), C.p, pivots)
+    pivots, _ = linalg.echelon(((z, None) for z in cycles), C.p, pivots)
     return len(pivots) - rank_b
 
 
@@ -555,7 +555,7 @@ def test_stable_table_differentiates_no_outer_top_key(flagship, monkeypatch):
         keys = C.basis(s, t)
         if s < C.s_max:
             assert visited.issuperset(keys), (s, t)
-            pivots, _ = linalg.echelon_fp(
+            pivots, _ = linalg.echelon(
                 ((dict(col), None) for col in C.d_columns(s, t)), C.p
             )
             assert C.d_rank(s, t) == len(pivots), (s, t)

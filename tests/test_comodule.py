@@ -1,17 +1,15 @@
 """Comodules, their sheaf forms, and the roundtrip between them."""
 import pytest
 
+from hopfalg import comodule, groupoid
 from hopfalg.comodule import (
     Comodule,
     base_change,
-    check_comodule,
-    comodule_from_sheaf,
-    sheaf_data,
     sheaf_over_groupoid,
     unit_comodule,
 )
 from hopfalg.errors import DegreeError, NotQuasiCoherent
-from hopfalg.groupoid import catalog_rings, evaluate_groupoid
+from hopfalg.groupoid import catalog_rings
 
 from conftest import primitive_line
 
@@ -65,14 +63,14 @@ def test_catalog_passes_comodule_laws(mu2, flagship):
     cat = comodule_catalog(mu2, flagship)
     assert len(cat) >= 5
     for M in cat:
-        assert check_comodule(M).ok, M.name
+        assert comodule.check_comodule(M).ok, M.name
 
 
 def test_roundtrip_is_identity(mu2, flagship):
     rings = catalog_rings()
     for M in comodule_catalog(mu2, flagship):
-        S = sheaf_data(M, rings=rings)
-        back = comodule_from_sheaf(S, name=M.name)
+        S = comodule.sheaf_data(M, rings=rings)
+        back = comodule.comodule_from_sheaf(S, name=M.name)
         assert back.gens == M.gens
         for g, _ in M.gens:
             assert back.psi_raw(g) == M.psi_raw(g), M.name
@@ -86,7 +84,7 @@ def test_fibre_laws_exhaustive(mu2):
         {"m0": [(mu2.Gamma.one(), "m0")], "m1": [(g, "m1")]},
     )
     for R in catalog_rings():
-        G = evaluate_groupoid(mu2, R)
+        G = groupoid.evaluate_groupoid(mu2, R)
         maps, v = sheaf_over_groupoid(M, G)
         assert v.ok, (R.name, v.failures)
         assert len(maps) == len(G.morphisms)
@@ -102,7 +100,7 @@ def test_sheaf_rejects_a_singular_fibre(mu2):
         {"m0": [(mu2.Gamma.one(), "m0")], "m1": [(g, "m0")]},
         name="singular",
     )
-    G = evaluate_groupoid(mu2, catalog_rings()[1])  # F_3
+    G = groupoid.evaluate_groupoid(mu2, catalog_rings()[1])  # F_3
     maps, v = sheaf_over_groupoid(bad, G)
     assert maps and all(mat[1] == [G.ring.zero] * 2 for mat in maps)
     assert not v.ok
@@ -119,7 +117,7 @@ def test_corrupted_psi_fails_counit(mu2):
         {"m0": [(mu2.Gamma.one(), "m0")], "m1": [(g, "m0")]},
         name="broken",
     )
-    v = check_comodule(bad)
+    v = comodule.check_comodule(bad)
     assert not v.ok
     assert any("counit" in msg for msg in v.failures)
 
@@ -137,7 +135,7 @@ def test_corrupted_psi_fails_coassociativity():
         },
         name="noncoassoc",
     )
-    v = check_comodule(bad)
+    v = comodule.check_comodule(bad)
     assert not v.ok
     assert any("coassociativity" in msg for msg in v.failures)
 
@@ -154,10 +152,10 @@ def test_inhomogeneous_psi_rejected(mu2):
 
 def test_rank_mismatch_not_quasicoherent(mu2):
     M = unit_comodule(mu2)
-    S = sheaf_data(M, rings=catalog_rings()[:2])
+    S = comodule.sheaf_data(M, rings=catalog_rings()[:2])
     S.points[0].rank = 2
     with pytest.raises(NotQuasiCoherent):
-        comodule_from_sheaf(S)
+        comodule.comodule_from_sheaf(S)
 
 
 def test_base_change_along_flagship_map(flagship):
@@ -165,4 +163,4 @@ def test_base_change_along_flagship_map(flagship):
     M = unit_comodule(f.source)
     N = base_change(f, M)
     assert N.H is f.target
-    assert check_comodule(N).ok
+    assert comodule.check_comodule(N).ok

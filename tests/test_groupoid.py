@@ -6,20 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from hopfalg import fgl, groupoid
 from hopfalg.errors import AxiomFailure, NotACover, SearchBudgetExceeded
-from hopfalg.fgl import assemble_bp
 from hopfalg.groupoid import (
     GF,
     AlgebraOver,
     FiniteRing,
     Zmod,
-    analyze_map,
     catalog_rings,
-    check_descent,
     dual_numbers,
     enumerate_points,
     eval_at,
-    evaluate_groupoid,
     field_extension_cover,
     free_module,
     point_name,
@@ -62,7 +59,7 @@ def test_catalog_shapes():
 
 
 def test_mu2_groupoid_is_the_order_two_group(mu2):
-    G = evaluate_groupoid(mu2, GF(3))
+    G = groupoid.evaluate_groupoid(mu2, GF(3))
     assert len(G.objects) == 1
     assert len(G.morphisms) == 2
     e = G.identity[0]
@@ -73,7 +70,7 @@ def test_mu2_groupoid_is_the_order_two_group(mu2):
 
 def test_wrong_characteristic_is_vacuous(mu2):
     for R in (GF(2), Zmod(4), Zmod(6)):
-        G = evaluate_groupoid(mu2, R)
+        G = groupoid.evaluate_groupoid(mu2, R)
         assert G.objects == [] and G.morphisms == []
 
 
@@ -87,7 +84,7 @@ def test_equivalence_is_fully_faithful_at_every_ring(flagship):
     so the groupoid functor must be full and faithful over every test ring."""
     _, _, _, f = flagship
     for R in catalog_rings():
-        rep = analyze_map(f, R)
+        rep = groupoid.analyze_map(f, R)
         assert rep.faithful, (R.name, rep.witnesses)
         assert rep.full, (R.name, rep.witnesses)
         assert rep.fully_faithful
@@ -97,7 +94,7 @@ def test_essential_image_over_F3(flagship):
     """Over F_3 the functor is not essentially surjective: the target kills
     v2, so objects with v2 != 0 are missed.  The report names one."""
     _, _, _, f = flagship
-    rep = analyze_map(f, GF(3))
+    rep = groupoid.analyze_map(f, GF(3))
     assert rep.object_counts == (2, 6)
     assert rep.morphism_counts == (18, 54)
     assert not rep.essentially_surjective
@@ -111,8 +108,8 @@ def reference_faithful_witness(f, R):
     """The all-pairs faithfulness loop analyze_map ran before it keyed
     morphisms by (dom, cod, image): the lexicographically first pair of
     parallel morphisms with one image, named, or None."""
-    Gdom = evaluate_groupoid(f.target, R)
-    Gcod = evaluate_groupoid(f.source, R)
+    Gdom = groupoid.evaluate_groupoid(f.target, R)
+    Gcod = groupoid.evaluate_groupoid(f.source, R)
     f1 = _compiled_images(R, f.f1, f.source.Gamma)
     cmor = {a: i for i, a in enumerate(Gcod.morphisms)}
     mor_im = [cmor[_eval_all(R, a, f1)] for a in Gdom.morphisms]
@@ -166,19 +163,19 @@ def test_forgetting_a_generator_is_not_faithful():
         RingMorphism(line.Gamma, plane.Gamma, [plane.Gamma.gen(0)]),
     )
     R = dual_numbers(2)
-    rep = analyze_map(f, R)
+    rep = groupoid.analyze_map(f, R)
     assert rep.morphism_counts == (4, 2)
     assert not rep.faithful and rep.full
     assert rep.witnesses["faithful"] == reference_faithful_witness(f, R)
     assert rep.witnesses["faithful"] == ("{x->0, y->0}", "{x->0, y->e}")
-    assert analyze_map(f, GF(2)).faithful
+    assert groupoid.analyze_map(f, GF(2)).faithful
 
 
 def test_faithfulness_witness_matches_reference(flagship):
     _, _, _, f = flagship
     for R in (GF(3), Zmod(6)):
         assert reference_faithful_witness(f, R) is None
-        assert analyze_map(f, R).faithful
+        assert groupoid.analyze_map(f, R).faithful
 
 
 def reference_fp_rref(rows, p):
@@ -260,7 +257,7 @@ def test_descent_on_random_modules(p, q):
     enumerated = 0
     for k in range(20):
         M = random_module(R, rng, max_dim=3, name=f"M{k}")
-        assert check_descent(cover, M).ok
+        assert groupoid.check_descent(cover, M).ok
         _, d0, d1 = _descent_maps(cover, M)
         if p ** len(d0) > 10 ** 4:
             continue
@@ -280,20 +277,20 @@ def test_descent_past_the_old_enumeration_budget(purity):
     R, cover = field_extension_cover(3, 9)
     M = free_module(R, 11)
     probe = cover[0] if purity else None
-    assert check_descent(cover, M, purity_probe=probe).ok
+    assert groupoid.check_descent(cover, M, purity_probe=probe).ok
 
 
 def test_descent_with_purity_probe():
     R, cover = field_extension_cover(2, 4)
     M = free_module(R, 2)
-    assert check_descent(cover, M, purity_probe=cover[0]).ok
+    assert groupoid.check_descent(cover, M, purity_probe=cover[0]).ok
 
 
 def test_planted_noncover_is_refuted():
     R, cover = projection_noncover()
     M = free_module(R, 1, name="F_2xF_2^1")
     with pytest.raises(NotACover) as exc:
-        check_descent(cover, M)
+        groupoid.check_descent(cover, M)
     msg = str(exc.value)
     assert "kills" in msg and "(1, 0)" in msg
 
@@ -309,7 +306,7 @@ def test_two_element_cover_of_a_product():
         AlgebraOver(R, S, pr2, name="pr_2"),
     ]
     M = free_module(R, 1)
-    assert check_descent(cover, M).ok
+    assert groupoid.check_descent(cover, M).ok
 
 
 def test_descent_rejects_a_module_over_another_ring():
@@ -318,7 +315,7 @@ def test_descent_rejects_a_module_over_another_ring():
     equalizer reads, so without the ring check it passed descent."""
     _, cover = field_extension_cover(2, 4)
     with pytest.raises(ValueError, match="not over the cover's base"):
-        check_descent(cover, free_module(GF(3), 1))
+        groupoid.check_descent(cover, free_module(GF(3), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +458,10 @@ def test_groupoids_match_the_all_pairs_reference(flagship):
     objects, 192 of them over Z/4."""
     _, source, target, _ = flagship
     cases = [(H, R) for H in (source, target) for R in catalog_rings()]
-    cases.append((assemble_bp(2, 16, max_gens=2).H, Zmod(4)))
+    cases.append((fgl.assemble_bp(2, 16, max_gens=2).H, Zmod(4)))
     between = 0
     for H, R in cases:
-        G = evaluate_groupoid(H, R)
+        G = groupoid.evaluate_groupoid(H, R)
         got = (G.objects, G.morphisms, G.dom, G.cod, G.identity,
                G.inverse, G.comp)
         want = reference_groupoid(H, R)
@@ -491,7 +488,7 @@ def _corruptible(G):
 
 def test_verify_groupoid_catches_a_non_associative_table(flagship):
     _, _, target, _ = flagship
-    G = evaluate_groupoid(target, GF(3))
+    G = groupoid.evaluate_groupoid(target, GF(3))
     _verify_groupoid(G)
     key, other = _corruptible(G)
     bad = dataclasses.replace(G, comp={**G.comp, key: other})
@@ -505,7 +502,7 @@ def test_verify_groupoid_catches_a_non_associative_table(flagship):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_verify_groupoid_catches_a_broken_identity(flagship, side):
     _, _, target, _ = flagship
-    G = evaluate_groupoid(target, GF(3))
+    G = groupoid.evaluate_groupoid(target, GF(3))
     ai = next(m for m in range(len(G.morphisms)) if m not in G.identity.values())
     key = (
         (G.identity[G.cod[ai]], ai) if side == "left"
@@ -536,7 +533,7 @@ def test_coefficients_missing_from_R_matter_only_at_points():
     )
     sizes = []
     for R in catalog_rings():
-        G = evaluate_groupoid(H, R)
+        G = groupoid.evaluate_groupoid(H, R)
         assert (G.objects, G.morphisms, G.dom, G.cod, G.identity, G.inverse,
                 G.comp) == reference_groupoid(H, R), R.name
         sizes.append(len(G.morphisms))

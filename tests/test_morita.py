@@ -1,18 +1,9 @@
 """Induced algebroids, combined maps, and equivalence certificates."""
 import pytest
 
+from hopfalg import hopf, morita
 from hopfalg.errors import UnsupportedBaseMap
-from hopfalg.hopf import check_hopf_axioms
-from hopfalg.morita import (
-    HopfMap,
-    check_flat_witness,
-    check_hopf_map,
-    check_iso,
-    combined_map,
-    identity_witness,
-    induced_algebroid,
-    theoremD_verdict,
-)
+from hopfalg.morita import HopfMap, combined_map, identity_witness
 from hopfalg.presentation import (
     BaseMode,
     GradedPresentation,
@@ -22,8 +13,8 @@ from hopfalg.presentation import (
 
 def test_induced_algebroid_axioms(flagship):
     _, H1, H2, f = flagship
-    assert check_hopf_axioms(H2, 32).ok
-    assert check_hopf_map(f, 32).ok
+    assert hopf.check_hopf_axioms(H2, 32).ok
+    assert morita.check_hopf_map(f, 32).ok
 
 
 def test_derived_power_rule(flagship):
@@ -37,7 +28,7 @@ def test_derived_power_rule(flagship):
 def test_combined_map_is_identity(flagship):
     _, _, _, f = flagship
     m = combined_map(f)
-    v = check_iso(m, 32)
+    v = morita.check_iso(m, 32)
     assert v.ok
     for i in range(len(m.source.gens)):
         assert m(m.source.gen(i)) == m.target.gen(i)
@@ -46,14 +37,14 @@ def test_combined_map_is_identity(flagship):
 def test_flat_witness_verifies(flagship):
     _, _, _, f = flagship
     g, basis = identity_witness(f)
-    v = check_flat_witness(f, g, basis, bound=32)
+    v = morita.check_flat_witness(f, g, basis, bound=32)
     assert v.ok
 
 
 def test_flat_witness_rejects_wrong_basis(flagship):
     _, _, _, f = flagship
     g, basis = identity_witness(f)
-    v = check_flat_witness(f, g, basis[:-2], bound=32)
+    v = morita.check_flat_witness(f, g, basis[:-2], bound=32)
     assert not v.ok
 
 
@@ -69,17 +60,17 @@ def test_flat_witness_rejects_a_zero_element(flagship):
         for j in range(len(CP.gens))
     )
     assert CP.weight(beyond) > CP.truncation
-    v = check_flat_witness(f, g, basis + [beyond], bound=32)
+    v = morita.check_flat_witness(f, g, basis + [beyond], bound=32)
     assert not v.ok
     assert any("is zero" in msg for msg in v.failures)
 
 
 def test_theoremD_conditional_and_yes(flagship):
     _, _, _, f = flagship
-    cert = theoremD_verdict(f, assume_flat=True, bound=24)
+    cert = morita.theoremD_verdict(f, assume_flat=True, bound=24)
     assert cert.status == "conditional"
     assert cert.witness_status == "assumed"
-    cert2 = theoremD_verdict(f, witness=identity_witness(f), bound=24)
+    cert2 = morita.theoremD_verdict(f, witness=identity_witness(f), bound=24)
     assert cert2.status == "yes"
     assert cert2.witness_status == "verified"
     assert not cert2.inconsistent
@@ -95,7 +86,7 @@ def test_theoremD_refutes_broken_map(flagship):
     imgs[t2_index] = H2.Gamma.zero()
     bad_f1 = RingMorphism(f.f1.source, f.f1.target, imgs, name="bad_f1")
     bad = HopfMap(f.source, f.target, f.f0, bad_f1, name="broken")
-    cert = theoremD_verdict(bad, assume_flat=True, bound=24)
+    cert = morita.theoremD_verdict(bad, assume_flat=True, bound=24)
     assert cert.status == "no"
     assert cert.refutation
 
@@ -112,7 +103,7 @@ def test_unsupported_base_map_escape_hatch():
     )  # renamed generator: not a mirror
     f0 = RingMorphism(A, B, [B.gen(0), B.zero()], name="rename")
     with pytest.raises(UnsupportedBaseMap):
-        induced_algebroid(H, f0)
+        morita.induced_algebroid(H, f0)
 
 
 def test_power_rule_needs_a_unit_lead_coefficient():
@@ -139,7 +130,7 @@ def test_m2_case_is_the_identity_construction(flagship):
     bp, H1, _, _ = flagship
     H22, f22 = johnson_wilson(bp, 2, 1)
     assert H22.Gamma.gens == H1.Gamma.gens
-    assert check_iso(combined_map(f22), 24).ok
+    assert morita.check_iso(combined_map(f22), 24).ok
 
 
 def test_corrupted_f1_breaks_delta_compatibility(flagship):
@@ -153,8 +144,34 @@ def test_corrupted_f1_breaks_delta_compatibility(flagship):
     bad = HopfMap(
         f.source, f.target, f.f0, RingMorphism(S, f.f1.target, images, name="bad")
     )
-    failures = check_hopf_map(bad, 48).failures
+    failures = morita.check_hopf_map(bad, 48).failures
     assert any(
         s.startswith("Delta.f1 != (f1@f1).Delta at t2: ") for s in failures
     )
     assert not any("at t1" in s for s in failures)
+
+
+def _scaling(mode, c):
+    """x -> c*x on mode's ring [x], |x| = 2, D = 8."""
+    P = GradedPresentation(mode, [("x", 2)], truncation=8)
+    return RingMorphism(P, P, [P.gen(0).scale(c)], name=f"x->{c}x")
+
+
+@pytest.mark.parametrize(
+    "kind, p, c, ok",
+    [
+        ("plocal", 3, 3, False),  # determinant 3^k: not a unit of Z_(3)
+        ("int", None, 2, False),  # 2^k: invertible over Q only
+        ("plocal", 3, 2, True),  # 2^k: a unit of Z_(3)
+        ("int", None, -1, True),  # (-1)^k
+        ("fp", 3, 2, True),
+    ],
+)
+def test_check_iso_decides_over_the_coefficient_ring(kind, p, c, ok):
+    v = morita.check_iso(_scaling(BaseMode(kind, p), c), 8)
+    assert v.ok == ok
+    if not ok:
+        # degree 0 is the identity; degrees 2, 4, 6, 8 are of full rank
+        assert v.failures == [
+            f"degree {t}: matrix of rank 1 not invertible" for t in (2, 4, 6, 8)
+        ]

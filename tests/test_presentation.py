@@ -54,24 +54,27 @@ def laurent_ring():
     )
 
 
-def negative_rule_ring(names):
-    """F_3[x, y]/(x^2) with |x| = -2, |y| = 1 and D = 8, generators in the
-    order `names`.  x lowers the weight, so x*y^9 (weight 7 <= 8) lies in
-    degree 7 and x*y^10 in degree 8."""
+def negative_rule_ring(names, mode=FP3):
+    """F_p[x, y]/(x^2) with |x| = -2, |y| = 1 and D = 8, generators in the
+    order `names`.  x lowers the weight, so over F_2 x*y^9 (weight 7 <= 8)
+    lies in degree 7 and x*y^10 in degree 8.  Over F_3 the odd y squares
+    to zero, which leaves the degrees 0, 1, -2 and -1."""
     degrees = {"x": -2, "y": 1}
     return GradedPresentation(
-        FP3,
+        mode,
         [(n, degrees[n]) for n in names],
         relations={"x": (2, [])},
         truncation=8,
-        name=f"F_3[{','.join(names)}]/(x^2)",
+        name=f"F_{mode.p}[{','.join(names)}]/(x^2)",
     )
 
 
 RINGS = [
     poly_ring(), quotient_ring(), laurent_ring(),
     negative_rule_ring("xy"), negative_rule_ring("yx"),
+    negative_rule_ring("xy", FP2),
 ]
+RING_IDS = ["poly", "quot", "laurent", "neg-xy", "neg-yx", "neg-xy-f2"]
 
 
 def elements(P, max_terms=4):
@@ -97,9 +100,7 @@ def test_normal_form_idempotent(P):
     inner()
 
 
-# y is odd in characteristic 3 in the negative-degree rings: their normal
-# form keeps y^k (k >= 2), which every product kills, so x * 1 == x fails
-@pytest.mark.parametrize("P", RINGS[:3], ids=["poly", "quot", "laurent"])
+@pytest.mark.parametrize("P", RINGS, ids=RING_IDS)
 def test_ring_axioms(P):
     @given(elements(P), elements(P), elements(P))
     def inner(x, y, z):
@@ -118,7 +119,8 @@ def test_ring_axioms(P):
 def brute_degree_basis(P, t):
     """Independent oracle: enumerate exponent boxes directly.  A free
     generator's box reaches past the truncation bound by the weight that
-    rule-bounded negative-degree generators can subtract."""
+    rule-bounded negative-degree generators can subtract.  Away from
+    characteristic 2 a monomial with an odd generator squared is zero."""
     n = len(P.gens)
     slack = sum(
         (rule.power - 1) * -P.degrees[i]
@@ -141,13 +143,15 @@ def brute_degree_basis(P, t):
             continue
         if P.weight(mono) > P.truncation:
             continue
+        if P.mode.characteristic != 2 and any(
+            e >= 2 for e, d in zip(mono, P.degrees) if d % 2
+        ):
+            continue
         out.append(mono)
     return sorted(out)
 
 
-@pytest.mark.parametrize(
-    "P", RINGS, ids=["poly", "quot", "laurent", "neg-xy", "neg-yx"]
-)
+@pytest.mark.parametrize("P", RINGS, ids=RING_IDS)
 @pytest.mark.parametrize("t", [-2, 0, 4, 7, 8, 12, 16, 20])
 def test_degree_basis_matches_brute_force(P, t):
     assert sorted(P.degree_basis(t)) == brute_degree_basis(P, t)
@@ -228,6 +232,31 @@ def test_invert_element_units_only():
     assert uinv is not None and uinv * (u * u) == P.one()
     assert invert_element(w) is None
     assert invert_element(u + w) is None
+
+
+def test_odd_squares_are_not_normal_forms():
+    """y odd in characteristic 3: y^2 is zero as a monomial, not only in
+    products, and no degree basis lists it."""
+    P = negative_rule_ring("xy")
+    y2 = P.monomial_element((0, 2))
+    assert y2.is_zero()
+    assert P.gen(1) * P.gen(1) == y2
+    assert P.degree_basis(2) == []
+    assert P.degree_basis(1) == [(0, 1)]
+    F2 = negative_rule_ring("xy", FP2)
+    assert F2.degree_basis(2) == [(0, 2), (1, 4)]
+
+
+def test_invert_element_int_mode():
+    """Z[u^+-1, w], w nilpotent by truncation: the linear-algebra path over
+    Z.  u + w is a unit; 2u + w is one over Q only."""
+    P = GradedPresentation(INT, [("u", 2), ("w", 2)], inverted=["u"], truncation=6)
+    u, w = P.gen(0), P.gen(1)
+    x = u + w
+    y = invert_element(x)
+    assert y is not None and x * y == P.one()
+    assert sorted(y.terms.values()) == [-1, -1, 1, 1]
+    assert invert_element(u.scale(2) + w) is None
 
 
 def test_morphism_application_and_identity():

@@ -2,13 +2,14 @@
 
 A comodule here is an A-free module on listed generators with a coaction
 psi landing in Gamma (x)_A M; counitality and coassociativity are checked
-degreewise.  `sheafify` turns a comodule into the family of linear maps
-psi~_alpha : M_{dom alpha} -> M_{cod alpha} indexed by points alpha of
-Gamma, and `comodule_from_sheaf` recovers the coaction from the family
-evaluated at the universal point (the identity of Gamma).  Over finite
-rings the identity and cocycle laws are verified exhaustively; together
-they make every psi~_alpha invertible, with inverse psi~ at the inverse
-of alpha.
+degreewise.  `sheaf_data` turns a comodule into the family of linear
+maps psi~_alpha : M_{dom alpha} -> M_{cod alpha} indexed by points alpha
+of Gamma: at the universal point (the identity of Gamma) that is the
+matrix of psi itself, and `sheaf_over_groupoid` evaluates it at every
+morphism of a finite-ring groupoid.  `comodule_from_sheaf` recovers the
+coaction from the universal fibre.  Over finite rings the identity and
+cocycle laws are verified exhaustively; together they make every
+psi~_alpha invertible, with inverse psi~ at the inverse of alpha.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .errors import (
     Verdict,
 )
 from .groupoid import compile_poly, eval_compiled
-from .presentation import identity_morphism
 
 
 def _norm_tensor(H, word_list):
@@ -138,22 +138,7 @@ def base_change(f, M):
 # sheaf forms
 
 
-def sheafify(M, alpha):
-    """psi~_alpha for a point alpha: Gamma -> R given as a RingMorphism:
-    the matrix with column g listing the alpha-images of the Gamma-factors
-    of psi(g)."""
-    H = M.H
-    n = len(M.gens)
-    names = [g for g, _ in M.gens]
-    R_zero = alpha(H.Gamma.zero())
-    mat = [[R_zero for _ in range(n)] for _ in range(n)]
-    for j, g in enumerate(names):
-        for other, gamma in M.psi[g].items():
-            mat[M.index[other]][j] = alpha(gamma)
-    return mat
-
-
-def _ring_mat_mul(R, A, B):
+def _ring_matrix_product(R, A, B):
     n = len(A)
     out = [[R.zero] * n for _ in range(n)]
     for i in range(n):
@@ -191,7 +176,7 @@ def sheaf_over_groupoid(M, G):
         if maps[mi] != ident:
             v.fail(f"psi~ at the identity of object {xi} is not the identity")
     for (bi, ai), gi in G.comp.items():
-        if maps[gi] != _ring_mat_mul(R, maps[bi], maps[ai]):
+        if maps[gi] != _ring_matrix_product(R, maps[bi], maps[ai]):
             v.fail(f"cocycle fails on composite ({bi} after {ai})")
     return maps, v
 
@@ -223,7 +208,11 @@ def sheaf_data(M, rings=None, budget=None):
     from .groupoid import DEFAULT_BUDGET, evaluate_groupoid
 
     H = M.H
-    universal = sheafify(M, identity_morphism(H.Gamma))
+    # at the identity point of Gamma, psi~ is the matrix of psi itself
+    names = [g for g, _ in M.gens]
+    universal = [
+        [M.psi[g].get(other, H.Gamma.zero()) for g in names] for other in names
+    ]
     data = SheafData(H, M.gens, universal)
     for R in rings or []:
         G = evaluate_groupoid(H, R, budget or DEFAULT_BUDGET)

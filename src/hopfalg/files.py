@@ -159,10 +159,10 @@ def parse_expression(P, text, special=None, inner=None, bare_names=True):
 # writing expressions back out
 
 
-def _mono_str(names, mono, skip=()):
+def _mono_str(names, mono):
     parts = []
     for i, e in enumerate(mono):
-        if e == 0 or i in skip:
+        if e == 0:
             continue
         parts.append(names[i] if e == 1 else f"{names[i]}^{e}")
     return "*".join(parts)
@@ -211,6 +211,14 @@ def _int(text, what):
         return int(text)
     except ValueError as exc:
         raise ParseError(f"{what}: {text!r} is not an integer") from exc
+
+
+def _option(cp, section, key):
+    """The value of `key` in [section]; ParseError naming both if the
+    document lacks it."""
+    if not cp.has_option(section, key):
+        raise ParseError(f"[{section}] needs {key}")
+    return cp.get(section, key)
 
 
 def read_config(path):
@@ -305,6 +313,16 @@ def emit_presentation(P):
 # algebroid files
 
 
+# the [maps] image lists other than delta, read and written alike: (key,
+# HopfAlgebroid attribute of the map, of its source, of its target)
+_STRUCTURE_MAPS = (
+    ("etaL", "etaL", "A", "Gamma"),
+    ("etaR", "etaR", "A", "Gamma"),
+    ("epsilon", "eps", "Gamma", "A"),
+    ("c", "c", "Gamma", "Gamma"),
+)
+
+
 def _image_list(text, expect, what):
     imgs = [s.strip() for s in text.split(";")] if text.strip() else []
     if len(imgs) != expect:
@@ -318,39 +336,26 @@ def parse_algebroid(path):
         raise ParseError("algebroid file needs [algebroid] and [maps]")
     Gamma = _presentation_from_config(cp, os.path.basename(path))
     base_path = os.path.join(
-        os.path.dirname(path), cp.get("algebroid", "base")
+        os.path.dirname(path), _option(cp, "algebroid", "base")
     )
     A = parse_presentation(base_path)
-    morph_names = cp.get("algebroid", "morphisms").split()
+    morph_names = _option(cp, "algebroid", "morphisms").split()
     try:
         morphism_order = tuple(sorted(Gamma.index[n] for n in morph_names))
     except KeyError as exc:
         raise ParseError(f"unknown morphism generator {exc}") from exc
 
-    na, ng = len(A.gens), len(Gamma.gens)
-    etaL_imgs = [
-        parse_expression(Gamma, t)
-        for t in _image_list(cp.get("maps", "etaL"), na, "etaL")
-    ]
-    etaR_imgs = [
-        parse_expression(Gamma, t)
-        for t in _image_list(cp.get("maps", "etaR"), na, "etaR")
-    ]
-    eps_imgs = [
-        parse_expression(A, t)
-        for t in _image_list(cp.get("maps", "epsilon"), ng, "epsilon")
-    ]
-    c_imgs = [
-        parse_expression(Gamma, t)
-        for t in _image_list(cp.get("maps", "c"), ng, "c")
-    ]
-    etaL = RingMorphism(A, Gamma, etaL_imgs, name="etaL")
-    etaR = RingMorphism(A, Gamma, etaR_imgs, name="etaR")
-    eps = RingMorphism(Gamma, A, eps_imgs, name="eps")
-    c = RingMorphism(Gamma, Gamma, c_imgs, name="c")
-    ts = TensorSquare(A, Gamma, morphism_order, etaR)
+    rings = {"A": A, "Gamma": Gamma}
+    maps = {}
+    for key, name, src, tgt in _STRUCTURE_MAPS:
+        S, T = rings[src], rings[tgt]
+        texts = _image_list(_option(cp, "maps", key), len(S.gens), key)
+        imgs = [parse_expression(T, t) for t in texts]
+        maps[name] = RingMorphism(S, T, imgs, name=name)
+    ts = TensorSquare(A, Gamma, morphism_order, maps["etaR"])
     special = {"l": ts.incl_l, "r": ts.incl_r}
-    delta_texts = _image_list(cp.get("maps", "delta"), len(morphism_order), "delta"
+    delta_texts = _image_list(
+        _option(cp, "maps", "delta"), len(morphism_order), "delta"
     )
     delta_images = {}
     for i, text in zip(morphism_order, delta_texts):
@@ -359,7 +364,7 @@ def parse_algebroid(path):
         )
     name = cp.get("algebroid", "name", fallback="")
     return HopfAlgebroid(
-        A, Gamma, morphism_order, etaL, etaR, eps, c, delta_images, name=name
+        A, Gamma, morphism_order, *maps.values(), delta_images, name=name
     )
 
 
@@ -379,7 +384,7 @@ def _delta_str(H, elem):
 def emit_algebroid(H, base_filename):
     """The algebroid document (Gamma's presentation + [algebroid]/[maps]);
     A's presentation goes in a separate file named `base_filename`."""
-    A, Gamma = H.A, H.Gamma
+    Gamma = H.Gamma
     lines = ["[algebroid]", f"base = {base_filename}"]
     lines.append(
         "morphisms = " + " ".join(Gamma.names[i] for i in H.morphism_order)
@@ -389,26 +394,11 @@ def emit_algebroid(H, base_filename):
     lines.append("")
     lines.append(emit_presentation(Gamma).rstrip("\n"))
     lines += ["", "[maps]"]
-    lines.append(
-        "etaL = " + "; ".join(
-            element_str(H.etaL(A.gen(i))) for i in range(len(A.gens))
-        )
-    )
-    lines.append(
-        "etaR = " + "; ".join(
-            element_str(H.etaR(A.gen(i))) for i in range(len(A.gens))
-        )
-    )
-    lines.append(
-        "epsilon = " + "; ".join(
-            element_str(H.eps(Gamma.gen(i))) for i in range(len(Gamma.gens))
-        )
-    )
-    lines.append(
-        "c = " + "; ".join(
-            element_str(H.c(Gamma.gen(i))) for i in range(len(Gamma.gens))
-        )
-    )
+    for key, name, src, _ in _STRUCTURE_MAPS:
+        m, S = getattr(H, name), getattr(H, src)
+        lines.append(f"{key} = " + "; ".join(
+            element_str(m(S.gen(i))) for i in range(len(S.gens))
+        ))
     lines.append(
         "delta = " + "; ".join(
             _delta_str(H, H.delta(Gamma.gen(i))) for i in H.morphism_order
@@ -440,18 +430,18 @@ def parse_map(path):
         if not cp.has_section(sec):
             raise ParseError(f"map file needs [{sec}]")
     here = os.path.dirname(path)
-    source = parse_algebroid(os.path.join(here, cp.get("map", "source")))
-    target = parse_algebroid(os.path.join(here, cp.get("map", "target")))
+    source = parse_algebroid(os.path.join(here, _option(cp, "map", "source")))
+    target = parse_algebroid(os.path.join(here, _option(cp, "map", "target")))
     f0_imgs = [
         parse_expression(target.A, t)
-        for t in _image_list(cp.get("f0", "images"), len(source.A.gens), "f0"
+        for t in _image_list(
+            _option(cp, "f0", "images"), len(source.A.gens), "f0"
         )
     ]
     f1_imgs = [
         parse_expression(target.Gamma, t)
-        for t in _image_list(cp.get("f1", "images"),
-            len(source.Gamma.gens),
-            "f1",
+        for t in _image_list(
+            _option(cp, "f1", "images"), len(source.Gamma.gens), "f1"
         )
     ]
     f0 = RingMorphism(source.A, target.A, f0_imgs, name="f0")

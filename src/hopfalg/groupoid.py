@@ -19,7 +19,10 @@ of R-algebras S_i (char p throughout) and a finite R-module M it verifies
 that M -> prod_i S_i (x) M  is the equalizer of the two coface maps into
 prod_{i,j} S_i (x) S_j (x) M.  Everything there is an F_p-vector space,
 and the check is exact linear algebra through `linalg`: a rank and a
-kernel, never an enumeration of vectors.
+kernel, never an enumeration of vectors.  Its one vector format is the
+dict column {index: residue} that `linalg` eliminates: coordinates, the
+action of a ring element (the images of the basis vectors), projections
+to a quotient and the descent maps.
 """
 from __future__ import annotations
 
@@ -670,25 +673,37 @@ class FpSpaceBasis:
             raise InputError("carrier is not an F_p-vector space")
         self.basis = basis
         self.dim = len(basis)
-        self._coords = {}
-        for elem, sparse in span.items():
-            v = [0] * self.dim
-            for i, k in sparse:
-                v[i] = k
-            self._coords[elem] = tuple(v)
+        self._coords = {elem: dict(sparse) for elem, sparse in span.items()}
 
     def coords(self, elem):
+        """The coordinates of `elem` as a dict vector {index: residue},
+        shared with every caller: do not modify it."""
         return self._coords[elem]
+
+
+def _image(cols, x, p):
+    """sum_k x_k cols[k] for dict vectors x and cols[k]."""
+    out = {}
+    for k, xk in x.items():
+        for i, y in cols[k].items():
+            out[i] = (out.get(i, 0) + xk * y) % p
+    return {i: y for i, y in out.items() if y}
+
+
+def _shift(col, off):
+    """The dict vector `col` with every index moved up by `off`."""
+    return {off + i: x for i, x in col.items()}
 
 
 @dataclass
 class FpModule:
     """A finite module over a char-p FiniteRing, presented as F_p^dim with
-    one action matrix per ring element (rows act on coordinate columns)."""
+    one list of dict columns per ring element r: column j is r times the
+    j-th basis vector, as a dict vector {index: nonzero residue}."""
 
     ring: FiniteRing
     dim: int
-    action: dict  # ring element -> dim x dim matrix over F_p
+    action: dict  # ring element -> list of dim dict columns
     name: str = ""
 
     @property
@@ -696,53 +711,31 @@ class FpModule:
         return self.ring.char
 
     def check(self):
-        R, p, k = self.ring, self.p, self.dim
-        ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        if self.action[R.one] != ident:
+        R, p, act = self.ring, self.p, self.action
+        if act[R.one] != [{j: 1} for j in range(self.dim)]:
             raise InputError("1 must act as the identity")
         for a in range(R.n):
             for b in range(R.n):
-                ab = _mat_mul(self.action[a], self.action[b], p)
-                if ab != self.action[R.mul[a][b]]:
+                if [_image(act[a], col, p) for col in act[b]] != act[R.mul[a][b]]:
                     raise InputError("action not multiplicative")
-                s = _mat_add(self.action[a], self.action[b], p)
-                if s != self.action[R.add[a][b]]:
+                sums = [
+                    _image([ca, cb], {0: 1, 1: 1}, p)
+                    for ca, cb in zip(act[a], act[b])
+                ]
+                if sums != act[R.add[a][b]]:
                     raise InputError("action not additive")
         return True
 
 
-def _mat_mul(A, B, p):
-    if not B:
-        return [[] for _ in A]
-    cols = len(B[0])
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(len(B))) % p for j in range(cols)]
-        for i in range(len(A))
-    ]
-
-
-def _mat_add(A, B, p):
-    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def free_module(R, rank, name=""):
-    """R^rank as an FpModule (R itself viewed through its F_p-coordinates)."""
-    p = R.char
-    basis = FpSpaceBasis(p, R.n, R.add, R.zero)
-    k = basis.dim
-    action = {}
-    for r in range(R.n):
-        # matrix of multiplication by r on R's coordinates
-        cols = []
-        for b in basis.basis:
-            cols.append(basis.coords(R.mul[r][b]))
-        block = [[cols[j][i] for j in range(k)] for i in range(k)]
-        mat = [[0] * (k * rank) for _ in range(k * rank)]
-        for s in range(rank):
-            for i in range(k):
-                for j in range(k):
-                    mat[s * k + i][s * k + j] = block[i][j]
-        action[r] = mat
+    """R^rank as an FpModule (R itself viewed through its F_p-coordinates):
+    `rank` shifted copies of the columns of R acting on itself."""
+    _, regular = AlgebraOver(R, R, tuple(range(R.n))).as_module()
+    k = regular.dim
+    action = {
+        r: [_shift(col, s * k) for s in range(rank) for col in cols]
+        for r, cols in regular.action.items()
+    }
     return FpModule(R, k * rank, action, name=name or f"{R.name}^{rank}")
 
 
@@ -776,15 +769,15 @@ class AlgebraOver:
         return True
 
     def as_module(self):
-        p = self.base.char
-        basis = FpSpaceBasis(p, self.ring.n, self.ring.add, self.ring.zero)
-        k = basis.dim
-        action = {}
-        for r in range(self.base.n):
-            img = self.hom[r]
-            cols = [basis.coords(self.ring.mul[img][b]) for b in basis.basis]
-            action[r] = [[cols[j][i] for j in range(k)] for i in range(k)]
-        return basis, FpModule(self.base, k, action, name=self.name)
+        """The ring S as an FpModule over the base: r acts on the
+        F_p-coordinates of S as multiplication by hom(r)."""
+        S = self.ring
+        basis = FpSpaceBasis(self.base.char, S.n, S.add, S.zero)
+        action = {
+            r: [basis.coords(S.mul[self.hom[r]][b]) for b in basis.basis]
+            for r in range(self.base.n)
+        }
+        return basis, FpModule(self.base, basis.dim, action, name=self.name)
 
 
 def field_extension_cover(p, q):
@@ -803,10 +796,6 @@ def projection_noncover():
     return R, [AlgebraOver(R, S, hom, name="F_2xF_2->F_2 (pr_1)")]
 
 
-def _dict_vector(dense, p):
-    return {i: x % p for i, x in enumerate(dense) if x % p}
-
-
 class _Quotient:
     """An F_p-vector-space quotient V / span(rels), with projection to
     canonical coordinates on the non-pivot positions.  Vectors are dict
@@ -817,71 +806,49 @@ class _Quotient:
         self.pivots, _ = linalg.echelon(((r, None) for r in rels), p)
         self.free = [i for i in range(big_dim) if i not in self.pivots]
         self.dim = len(self.free)
+        self._position = {i: pos for pos, i in enumerate(self.free)}
 
     def project(self, vec):
         v = linalg.reduce_fp(dict(vec), self.pivots, self.p)
-        return tuple(v.get(i, 0) for i in self.free)
-
-
-def _columns_to_matrix(cols, nrows):
-    return [[col[i] for col in cols] for i in range(nrows)]
+        return {self._position[i]: x for i, x in v.items()}
 
 
 def tensor_algebra_module(alg, M):
     """S (x)_R M as an FpModule over R, together with the quotient of the
     (S-coordinates x M-coordinates) product space that presents it and
-    the matrix of the map m -> 1 (x) m."""
+    the columns of the map m -> 1 (x) m."""
     R = alg.base
     p = R.char
     sbasis, smod = alg.as_module()
-    ks, km = smod.dim, M.dim
-
-    def idx(i, j):
-        return i * km + j
+    km = M.dim
 
     rels = []
     for r in range(R.n):
-        smat = smod.action[r]  # r acting on S via the structure map
-        mmat = M.action[r]
-        for i in range(ks):
-            for j in range(km):
+        for i, scol in enumerate(smod.action[r]):
+            for j, mcol in enumerate(M.action[r]):
                 # (r.s_i) (x) m_j - s_i (x) (r.m_j)
-                row = [0] * (ks * km)
-                for i2 in range(ks):
-                    row[idx(i2, j)] += smat[i2][i]
-                for j2 in range(km):
-                    row[idx(i, j2)] -= mmat[j2][j]
-                rels.append(_dict_vector(row, p))
-    Q = _Quotient(p, ks * km, rels)
+                rels.append(_image(
+                    [{i2 * km + j: x for i2, x in scol.items()},
+                     _shift(mcol, i * km)],
+                    {0: 1, 1: p - 1}, p,
+                ))
+    Q = _Quotient(p, smod.dim * km, rels)
 
     action = {}
     for r in range(R.n):
-        mmat = M.action[r]
         # r.(s_i (x) m_j) = s_i (x) r.m_j
-        qcols = []
-        for c in Q.free:
-            i, j = divmod(c, km)
-            qcols.append(Q.project(
-                {idx(i, j2): mmat[j2][j] for j2 in range(km) if mmat[j2][j]}
-            ))
-        action[r] = _columns_to_matrix(qcols, Q.dim)
+        action[r] = [
+            Q.project(_shift(M.action[r][j], i * km))
+            for i, j in (divmod(c, km) for c in Q.free)
+        ]
     out = FpModule(R, Q.dim, action, name=f"{alg.name}(x){M.name}")
 
     one_coords = sbasis.coords(alg.ring.one)
-    unit_cols = [
-        Q.project({idx(i, j): x for i, x in enumerate(one_coords) if x})
+    unit = [
+        Q.project({i * km + j: x for i, x in one_coords.items()})
         for j in range(km)
     ]
-    return out, Q, _columns_to_matrix(unit_cols, Q.dim)
-
-
-def _image(cols, x, p):
-    """sum_k x_k cols[k] for dict vectors x and cols[k]."""
-    out = {}
-    for k, xk in x.items():
-        for i, y in cols[k].items():
-            out[i] = (out.get(i, 0) + xk * y) % p
-    return {i: y for i, y in out.items() if y}
+    return out, Q, unit
 
 
 def _descent_maps(cover, M):
@@ -892,39 +859,28 @@ def _descent_maps(cover, M):
     and d1 (xi_i)_i = (1 (x) xi_j)_{i,j}.  Returns (e, d0, d1) as lists
     of columns: e[c] is the image of the c-th basis vector of M, d0[c]
     and d1[c] those of the c-th basis vector of P0, as dict vectors."""
-    p = M.p
     level1 = [tensor_algebra_module(entry, M) for entry in cover]
     offsets = [0]
     for SM, _, _ in level1:
         offsets.append(offsets[-1] + SM.dim)
     e = [{} for _ in range(M.dim)]
-    for (SM, _, unit), off in zip(level1, offsets):
-        for c in range(M.dim):
-            e[c].update(
-                (off + r, unit[r][c]) for r in range(SM.dim) if unit[r][c]
-            )
+    for (_, _, unit), off in zip(level1, offsets):
+        for c, col in enumerate(unit):
+            e[c].update(_shift(col, off))
     d0 = [{} for _ in range(offsets[-1])]
     d1 = [{} for _ in range(offsets[-1])]
     row_off = 0
     for i, (ei, (_, Qi, _)) in enumerate(zip(cover, level1)):
         for j, (SMj, _, unitj) in enumerate(level1):
             SSM, Q2, unit2 = tensor_algebra_module(ei, SMj)
-            km2 = SMj.dim
-            for col in range(km2):
-                d1[offsets[j] + col].update(
-                    (row_off + r, unit2[r][col])
-                    for r in range(SSM.dim) if unit2[r][col]
-                )
+            for col, img in enumerate(unit2):
+                d1[offsets[j] + col].update(_shift(img, row_off))
             # s_a (x) m_b |-> s_a (x) (1_{S_j} (x) m_b); well defined
             # because the assignment is balanced over R
             for col, c in enumerate(Qi.free):
                 a, b = divmod(c, M.dim)
-                img = Q2.project(
-                    {a * km2 + t: unitj[t][b] for t in range(km2) if unitj[t][b]}
-                )
-                d0[offsets[i] + col].update(
-                    (row_off + r, x) for r, x in enumerate(img) if x
-                )
+                img = Q2.project(_shift(unitj[b], a * SMj.dim))
+                d0[offsets[i] + col].update(_shift(img, row_off))
             row_off += SSM.dim
     return e, d0, d1
 
@@ -982,6 +938,5 @@ def check_descent(cover, M, purity_probe=None, _depth=0):
 
     if v.ok and purity_probe is not None:
         TM, _, _ = tensor_algebra_module(purity_probe, M)
-        TM.name = f"{purity_probe.name}(x){M.name}"
         v.merge(check_descent(cover, TM, _depth=_depth + 1))
     return v

@@ -118,6 +118,21 @@ def flagship():
     return bp, H1, H2, f
 
 
+def write_mu2_identity_map(d):
+    """Write the mu_2 algebroid (algebroid.ini, base.ini) and its identity
+    map (map.ini) under the directory d; returns the map's path."""
+    from hopfalg import files
+    from hopfalg.morita import HopfMap
+    from hopfalg.presentation import identity_morphism
+
+    H = mu2_algebroid()
+    files.write_algebroid(H, str(d))
+    f = HopfMap(H, H, identity_morphism(H.A), identity_morphism(H.Gamma))
+    path = d / "map.ini"
+    path.write_text(files.emit_map(f, "algebroid.ini", "algebroid.ini"))
+    return path
+
+
 @pytest.fixture(scope="session")
 def mu2():
     return mu2_algebroid()

@@ -1,15 +1,18 @@
-"""The names the benchmark's tracer wraps must exist in hopfalg.
+"""The names the benchmark's tracer and workloads use must exist in hopfalg.
 
 `perfbench/tracing.py` wraps the entry points in `ENTRY_POINTS` and
-counts the calls in `COUNTED`; a name missing from the package breaks
-every traced benchmark run.  `perfbench/` is not a package, so this test
-loads the tracer by path and resolves each name here.
+counts the calls in `COUNTED`, and `perfbench/workloads.py` imports
+names from hopfalg's modules; a name missing from the package breaks
+every benchmark run.  `perfbench/` is not a package, so this test loads
+the tracer by path, reads the imports of the workloads with `ast`, and
+resolves each name here.
 
 The suite also collects `perfbench/`, whose install test reports every
 reference to an entry point that no wrapper replaces.  So test modules
 call the traced entry points through their modules (`morita.check_iso`),
 never through names bound at module level by `from ... import`.
 """
+import ast
 import importlib
 import importlib.util
 import os
@@ -37,3 +40,34 @@ def test_traced_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _workload_imports():
+    """(module, name) for each `from hopfalg... import name` in
+    perfbench/workloads.py, in source order without repeats."""
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "hopfalg"):
+            for alias in node.names:
+                found[(node.module, alias.name)] = None
+    return list(found)
+
+
+IMPORTS = _workload_imports()
+
+
+def test_workloads_import_from_hopfalg():
+    assert {module for module, _ in IMPORTS} >= {
+        "hopfalg", "hopfalg.groupoid", "hopfalg.comodule",
+        "hopfalg.morita"}
+
+
+@pytest.mark.parametrize("module, name", IMPORTS,
+                         ids=[f"{m}.{n}" for m, n in IMPORTS])
+def test_workload_import_resolves(module, name):
+    owner = importlib.import_module(module)
+    if not hasattr(owner, name):
+        importlib.import_module(f"{module}.{name}")  # a submodule

@@ -5,7 +5,7 @@ import pytest
 
 from hopfalg import files
 
-from conftest import mu2_algebroid, run_cli
+from conftest import mu2_algebroid, run_cli, write_mu2_identity_map
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +203,47 @@ def test_internal_value_error_is_not_an_input_error(mu2_dir, monkeypatch, capsys
                     "--tmin", "0", "--tmax", "0"])
     assert code == cli.EXIT_INTERNAL == 4
     assert capsys.readouterr().err == "internal error: stray value\n"
+
+
+# every key an algebroid or map document must carry: (document, section, key)
+REQUIRED_KEYS = [
+    ("algebroid", "algebroid", "base"),
+    ("algebroid", "algebroid", "morphisms"),
+    *(("algebroid", "maps", key)
+      for key in ("etaL", "etaR", "epsilon", "c", "delta")),
+    ("map", "map", "source"),
+    ("map", "map", "target"),
+    ("map", "f0", "images"),
+    ("map", "f1", "images"),
+]
+
+
+def _without_key(text, section, key):
+    """The INI text with the line of `key` in [section] removed."""
+    out, current = [], None
+    for line in text.splitlines(keepends=True):
+        if line.startswith("["):
+            current = line.strip()[1:-1]
+        elif current == section and line.split("=")[0].strip() == key:
+            continue
+        out.append(line)
+    assert len(out) == len(text.splitlines()) - 1
+    return "".join(out)
+
+
+@pytest.mark.parametrize(
+    "doc, section, key", REQUIRED_KEYS,
+    ids=[f"{sec}.{key}" for _, sec, key in REQUIRED_KEYS],
+)
+def test_missing_required_key_is_an_input_error(tmp_path, capsys, doc,
+                                                section, key):
+    from hopfalg import cli
+
+    map_path = write_mu2_identity_map(tmp_path)
+    files.parse_map(str(map_path))  # the complete documents parse
+    path = tmp_path / f"{doc}.ini"
+    path.write_text(_without_key(path.read_text(), section, key))
+    assert cli.run(["morita", "check", str(map_path)]) == cli.EXIT_INPUT == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert f"[{section}] needs {key}" in err

@@ -233,9 +233,59 @@ def test_quotient_projection_matches_rref(p):
         assert sorted(Q.pivots) == pivots
         for _ in range(5):
             vec = [rng.randrange(p) for _ in range(n)]
-            assert Q.project({i: x for i, x in enumerate(vec) if x}) == (
-                reference_project(rref, pivots, vec, p)
-            )
+            dense = reference_project(rref, pivots, vec, p)
+            assert Q.project({i: x for i, x in enumerate(vec) if x}) == {
+                i: x for i, x in enumerate(dense) if x
+            }
+
+
+def _broken_modules():
+    """Actions of 1-dimensional modules, each of which breaks one module
+    law: the zero action of 1 on F_2; an F_3-action that is not additive
+    (1 + 1 acts as 1); and a GF(4)-action r -> f(r), f the F_2-linear
+    functional with 1 -> 1 and x -> 0 for some x outside F_2, which is
+    additive but no ring map GF(4) -> F_2."""
+    zero_one = {0: [{}], 1: [{}]}
+    R3 = GF(3)
+    nonadditive = {r: [{0: 1}] if r != R3.zero else [{}] for r in range(3)}
+    R4 = GF(4)
+    x = next(r for r in range(R4.n) if r not in (R4.zero, R4.one))
+    kernel = (R4.zero, x)
+    functional = {
+        r: [{}] if r in kernel else [{0: 1}] for r in range(R4.n)
+    }
+    return [
+        (GF(2), zero_one, "1 must act as the identity"),
+        (R3, nonadditive, "action not additive"),
+        (R4, functional, "action not multiplicative"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring, action, message", _broken_modules(),
+    ids=["identity", "additive", "multiplicative"],
+)
+def test_module_check_rejects_a_broken_action(ring, action, message):
+    with pytest.raises(ValueError, match=message):
+        groupoid.FpModule(ring, 1, action).check()
+
+
+def test_module_actions_are_dict_columns():
+    """Column j of the action of r is r times the j-th basis vector; the
+    free module of rank 2 over F_4 repeats the regular action on each of
+    its two F_2-planes."""
+    R, cover = field_extension_cover(2, 4)
+    S = cover[0].ring
+    M = free_module(S, 2)
+    assert M.dim == 4 and M.check()
+    _, regular = AlgebraOver(S, S, tuple(range(S.n))).as_module()
+    for r in range(S.n):
+        cols = M.action[r]
+        assert all(isinstance(col, dict) for col in cols)
+        assert cols[:2] == regular.action[r]
+        assert cols[2:] == [{i + 2: x for i, x in col.items()}
+                            for col in regular.action[r]]
+    assert M.action[S.one] == [{j: 1} for j in range(4)]
 
 
 def _apply_columns(cols, x, p):

@@ -1,14 +1,21 @@
 """Induced algebroids, combined maps, and equivalence certificates."""
 import pytest
 
-from hopfalg import hopf, morita
-from hopfalg.errors import UnsupportedBaseMap
+from hopfalg import cli, groupoid, hopf, morita
+from hopfalg.errors import (
+    AxiomFailure,
+    SearchBudgetExceeded,
+    UnsupportedBaseMap,
+)
 from hopfalg.morita import HopfMap, combined_map, identity_witness
 from hopfalg.presentation import (
     BaseMode,
     GradedPresentation,
     RingMorphism,
+    identity_morphism,
 )
+
+from conftest import write_mu2_identity_map
 
 
 def test_induced_algebroid_axioms(flagship):
@@ -89,6 +96,37 @@ def test_theoremD_refutes_broken_map(flagship):
     cert = morita.theoremD_verdict(bad, assume_flat=True, bound=24)
     assert cert.status == "no"
     assert cert.refutation
+
+
+def _raising(exc):
+    def analyze_map(f, R, budget=None):
+        raise exc
+    return analyze_map
+
+
+def test_oracle_skips_only_an_exhausted_budget(mu2, monkeypatch):
+    """The certificate records a ring as skipped when its groupoid search
+    runs out of budget; a refuted groupoid law is no skip."""
+    f = HopfMap(mu2, mu2, identity_morphism(mu2.A),
+                identity_morphism(mu2.Gamma))
+    monkeypatch.setattr(groupoid, "analyze_map",
+                        _raising(SearchBudgetExceeded("budget")))
+    cert = morita.theoremD_verdict(f)
+    assert cert.oracle and set(cert.oracle.values()) == {
+        "skipped: SearchBudgetExceeded"
+    }
+    monkeypatch.setattr(groupoid, "analyze_map",
+                        _raising(AxiomFailure("composition not associative")))
+    with pytest.raises(AxiomFailure):
+        morita.theoremD_verdict(f)
+
+
+def test_refuted_oracle_fails_morita_check(tmp_path, monkeypatch, capsys):
+    map_path = write_mu2_identity_map(tmp_path)
+    monkeypatch.setattr(groupoid, "analyze_map",
+                        _raising(AxiomFailure("composition not associative")))
+    assert cli.run(["morita", "check", str(map_path)]) == cli.EXIT_FAIL == 1
+    assert "composition not associative" in capsys.readouterr().err
 
 
 def test_unsupported_base_map_escape_hatch():

@@ -247,6 +247,10 @@ def cmd_descent(args):
         random_module,
     )
 
+    if args.modules < 0:
+        raise InputError(f"--modules must be >= 0, not {args.modules}")
+    if args.max_dim < 1:
+        raise InputError(f"--max-dim must be >= 1, not {args.max_dim}")
     rng = random.Random(args.seed)
     results = []
     code = EXIT_OK

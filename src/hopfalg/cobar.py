@@ -29,30 +29,37 @@ product) before projecting degenerate keys away.  The normal form is
 linear, so this gives the same coordinates as expanding every face of
 every key.
 
-Each differential d_{s,t} is stored sparse, as the columns `d_columns`
-returns: column j is d of the j-th source key, {target position: residue}.
-The differentials are more than 99% zero, so every count is a rank, taken
-by `linalg.echelon` on these columns (or on a restriction of them)
-without record vectors: the plain dimension needs rank d_{s,t} and
-rank d_{s-1,t}, and the stable-range dimension two further ranks (see
-`ext_dim_stable`).  The stable-range dimension reads only the inner
-columns (keys of weight <= inner) of d_{s,t}, so at s = s_max it builds
-those alone, uncached; the outer columns of the top differential, most
-of its keys on the flagship, are never built.  Their rows are still the
-whole of C^{s+1,t}.  Below s_max, one elimination of the inner and then
-the outer columns gives both rank(d_{s,t}|inner) and rank d_{s,t}.  No
-dense matrix is formed on the Ext path.  `differential` builds the dense
-matrix from the columns on demand and never caches it; it is kept only as
-a test reference and as an entry point of the benchmark's tracer.
+Each basis lists its keys by weight, descending (key order within one
+weight), so the keys above any weight cap are a prefix.  Each
+differential d_{s,t} is stored sparse, as the columns `d_columns`
+returns: column j is d of the j-th source key, {target position:
+residue}.  The differentials are more than 99% zero, so every count is a
+rank, taken by `linalg.echelon` on these columns without record vectors.
+Each d_{s,t} is eliminated once, its inner columns (keys of weight <=
+inner) first and then the outer ones with the same pivots; the sorted
+leads of that echelon form are cached per (s, t).  The leads depend only
+on the image, so the boundaries of d_{s-1,t} that lie inside the inner
+rows, a suffix of C^{s,t}, are counted by the leads at or past the outer
+prefix (see `ext_dim_stable`).  The plain dimension `ext_dim` is the
+same routine with no weight cap.  The stable-range dimension reads only
+the inner columns of d_{s,t}, so at s = s_max it builds those alone,
+uncached; the outer columns of the top differential, most of its keys on
+the flagship, are never built.  Their rows are still the whole of
+C^{s+1,t}.  No dense matrix is formed on the Ext path.  `differential`
+builds the dense matrix from the columns on demand and never caches it;
+it is kept only as a test reference and as an entry point of the
+benchmark's tracer.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
 
 from . import linalg
-from .errors import DegreeError, InfiniteBasis, InputError, SolveFailure
+from .errors import InfiniteBasis, InputError, SolveFailure
 
 
 def _neg_pow(i):
@@ -65,23 +72,27 @@ class CobarComplex:
 
     def __init__(self, H, M=None, s_max=3, t_min=-32, t_max=32):
         if H.Gamma.mode.kind != "fp":
-            raise DegreeError(
+            raise InputError(
                 "cobar dimensions need a prime-field coefficient mode"
             )
         self.p = H.Gamma.mode.p
         if self.p != 2:
             for _, d in H.Gamma.gens:
                 if d % 2:
-                    raise DegreeError(
+                    raise InputError(
                         "odd generator degrees need characteristic 2"
                     )
+        if s_max < 0:
+            raise InputError(f"s_max must be >= 0, not {s_max}")
+        if t_min > t_max:
+            raise InputError(f"empty t window: t_min {t_min} > t_max {t_max}")
         self.H = H
         if M is None:
             from .comodule import unit_comodule
 
             M = unit_comodule(H)
         if M.H is not H:
-            raise DegreeError("comodule is not over this algebroid")
+            raise InputError("comodule is not over this algebroid")
         self.M = M
         self.s_max = s_max
         self.t_min = t_min
@@ -106,7 +117,7 @@ class CobarComplex:
         self._words_cache = {}
         self._basis_cache = {}
         self._columns_cache = {}
-        self._rank_cache = {}
+        self._leads_cache = {}
         self._dbar_cache = {}
         self._faces_cache = {}
         self._etaL_times_cache = {}
@@ -182,35 +193,40 @@ class CobarComplex:
 
     def _words(self, s):
         """Words of s nonempty morphism monomials within the weight cap,
-        with their degrees (equal to their weights), cached per s."""
+        grouped by degree (equal to weight): {degree: [words]}, cached
+        per s."""
         got = self._words_cache.get(s)
-        if got is None:
-            got = [((), 0)] if s == 0 else [
-                (word + (w,), wdeg + d)
-                for word, wdeg in self._words(s - 1)
-                for w, d in self._reduced
-                if wdeg + d <= self.D
-            ]
-            self._words_cache[s] = got
+        if got is None and s == 0:
+            got = self._words_cache[s] = {0: [()]}
+        elif got is None:
+            got = self._words_cache[s] = {}
+            for wdeg, words in self._words(s - 1).items():
+                for w, d in self._reduced:
+                    if wdeg + d <= self.D:
+                        got.setdefault(wdeg + d, []).extend(
+                            [word + (w,) for word in words]
+                        )
         return got
 
     def basis(self, s, t):
-        """Deterministic basis of C^s in internal degree t: sorted keys
-        (a_monomial, word tuple, module generator name)."""
+        """Deterministic basis of C^s in internal degree t, heaviest first:
+        keys (a_monomial, word tuple, module generator name) by weight,
+        descending, and in key order within one weight.  The keys above
+        any weight cap are then a prefix."""
         key = (s, t)
         got = self._basis_cache.get(key)
         if got is not None:
             return got
         A = self.H.A
         out = []
-        for word, wdeg in self._words(s):
+        for wdeg, words in self._words(s).items():
             for mgen, mdeg in self.M.gens:
-                trem = t - wdeg - mdeg
-                for a in A.degree_basis(trem, self.D - wdeg):
-                    out.append((a, word, mgen))
+                for a in A.degree_basis(t - wdeg - mdeg, self.D - wdeg):
+                    w = -A.weight(a) - wdeg
+                    out += [(w, (a, word, mgen)) for word in words]
         out.sort()
-        self._basis_cache[key] = out
-        return out
+        got = self._basis_cache[key] = [k for _, k in out]
+        return got
 
     # -- the differential -------------------------------------------------
 
@@ -377,15 +393,36 @@ class CobarComplex:
                 mat[r][j] = c
         return mat
 
+    def _eliminate(self, s, t, n_out):
+        """rank of the columns of d_{s,t} at positions >= n_out, the keys
+        of weight <= some cap.  Unless d_{s,t}'s leads are cached, the
+        echelon form goes on through the columns < n_out with the same
+        pivots, and its sorted leads are cached: each column of d_{s,t}
+        is eliminated once."""
+        leads = self._leads_cache.get((s, t))
+        if leads is not None and not n_out:
+            return len(leads)
+        cols = self.d_columns(s, t)
+        pivots, _ = linalg.echelon(
+            ((dict(c), None) for c in cols[n_out:]), self.p
+        )
+        rank_in = len(pivots)
+        if leads is None:
+            linalg.echelon(((dict(c), None) for c in cols[:n_out]), self.p, pivots)
+            self._leads_cache[(s, t)] = sorted(pivots)
+        return rank_in
+
+    def d_leads(self, s, t):
+        """Sorted leads of an echelon form of d_{s,t} that pivots on the
+        smallest index, cached.  They depend only on the image: they are
+        the smallest indices of its nonzero vectors."""
+        if (s, t) not in self._leads_cache:
+            self._eliminate(s, t, 0)
+        return self._leads_cache[(s, t)]
+
     def d_rank(self, s, t):
-        """rank d_{s,t}, cached."""
-        key = (s, t)
-        got = self._rank_cache.get(key)
-        if got is None:
-            got = self._rank_cache[key] = _sparse_rank(
-                map(dict, self.d_columns(s, t)), self.p
-            )
-        return got
+        """rank d_{s,t}, the number of its leads."""
+        return len(self.d_leads(s, t))
 
     def d_squared_is_zero(self, s, t):
         """d_{s+1,t} d_{s,t} = 0, as a sparse product of the columns."""
@@ -401,9 +438,9 @@ class CobarComplex:
         return True
 
     def ext_dim(self, s, t):
-        """dim Ext^{s,t} = dim ker d_{s,t} - rank d_{s-1,t}."""
-        dim = len(self.basis(s, t)) - self.d_rank(s, t)
-        return dim - self.d_rank(s - 1, t) if s else dim
+        """dim Ext^{s,t} = dim ker d_{s,t} - rank d_{s-1,t}: the
+        stable-range dimension with no weight cap."""
+        return self.ext_dim_stable(s, t, math.inf)
 
     def key_weight(self, key):
         a, word, _ = key
@@ -420,59 +457,43 @@ class CobarComplex:
 
         The image is Z_in / (Z_in n B), with Z_in the cocycles of C_in and
         B the image of d_{s-1,t}.  Since B lies in ker d, Z_in n B =
-        C_in n B, which is the kernel of P_out on B, where P_out drops the
-        rows of weight <= inner.  So, by ranks alone,
+        C_in n B.  The basis lists its n_out keys of weight > inner first,
+        so C_in is spanned by the positions >= n_out, and dim(C_in n B) is
+        the number of leads of d_{s-1,t} at positions >= n_out (the leads
+        of an echelon form that pivots on the smallest index are the
+        smallest indices of the vectors of B).  So
 
             dim = n_in - rank(d_{s,t}|inner cols)
-                  - rank d_{s-1,t} + rank(P_out d_{s-1,t}).
+                  - #{leads of d_{s-1,t} >= n_out}.
 
         At s = 0 there are no boundaries, and with no inner key the
-        image is 0.
+        image is 0.  With inner = inf this is the plain dimension, which
+        `ext_dim` returns.
 
         Only the inner columns of d_{s,t} enter; the full d_{s,t} is read
-        again, as d_{s'-1,t}, by the dimension at s' = s + 1.  So at s >=
-        s_max only the inner keys are differentiated, and their columns
-        are not cached.  The rows stay the whole of C^{s+1,t}, with the
-        same check that d stays inside the enumerated basis: a coaction
-        with off-diagonal terms can carry an inner key past the inner
-        weight.  Below s_max, the inner columns and then the outer ones
-        go through one elimination: rank(d_{s,t}|inner cols) is its pivot
-        count after the inner columns, and the full count is rank d_{s,t},
-        which fills the rank cache for the next s."""
+        again, for its leads, by the dimension at s' = s + 1.  So at s >=
+        s_max, when some key is outer, only the inner keys are
+        differentiated, and their columns are not cached.  The rows stay
+        the whole of C^{s+1,t}, with the same check that d stays inside
+        the enumerated basis: a coaction with off-diagonal terms can carry
+        an inner key past the inner weight.  Otherwise the inner columns
+        and then the outer ones go through one elimination (`_eliminate`),
+        which caches the leads of d_{s,t} for the next s."""
         basis = self.basis(s, t)
-        is_inner = [self.key_weight(k) <= inner for k in basis]
-        n_in = sum(is_inner)
+        # the keys of weight > inner, a prefix of the basis
+        n_out = bisect_left(basis, -inner, key=lambda k: -self.key_weight(k))
+        n_in = len(basis) - n_out
         if not n_in:
             return 0
-        p = self.p
-        if s >= self.s_max:
-            dim = n_in - _sparse_rank(
-                self._columns(compress(basis, is_inner), s, t), p
-            )
+        if s >= self.s_max and n_out:
+            rank_in = linalg.rank(self._columns(basis[n_out:], s, t), self.p)
         else:
-            cols = self.d_columns(s, t)
-            pivots, _ = linalg.echelon(
-                ((dict(c), None) for c in compress(cols, is_inner)), p
-            )
-            dim = n_in - len(pivots)
-            if (s, t) not in self._rank_cache:
-                is_outer = [not x for x in is_inner]
-                linalg.echelon(
-                    ((dict(c), None) for c in compress(cols, is_outer)),
-                    p,
-                    pivots,
-                )
-                self._rank_cache[(s, t)] = len(pivots)
-        if s == 0:
-            return dim
-        outer_rank = _sparse_rank(
-            (
-                {r: c for r, c in col.items() if not is_inner[r]}
-                for col in self.d_columns(s - 1, t)
-            ),
-            p,
-        )
-        return dim - self.d_rank(s - 1, t) + outer_rank
+            rank_in = self._eliminate(s, t, n_out)
+        dim = n_in - rank_in
+        if s:
+            leads = self.d_leads(s - 1, t)
+            dim -= len(leads) - bisect_left(leads, n_out)
+        return dim
 
 
 @dataclass
@@ -509,11 +530,6 @@ class ExtTable:
         }
 
 
-def _sparse_rank(vectors, p):
-    """Rank over F_p of the dict vectors, which the elimination consumes."""
-    return len(linalg.echelon(((v, None) for v in vectors), p)[0])
-
-
 def ext_dims(C, parallel=1, check_d2=False, inner=None):
     """The Ext dimension table on C's window.  With `inner` set, each
     entry is the stable-range dimension `ext_dim_stable(s, t, inner)`
@@ -522,13 +538,12 @@ def ext_dims(C, parallel=1, check_d2=False, inner=None):
     otherwise)."""
     if parallel != 1:
         raise InputError(f"ext_dims is serial: parallel must be 1, not {parallel}")
+    if inner is None:
+        inner = math.inf
     dims = {}
     for s in range(C.s_max + 1):
         for t in range(C.t_min, C.t_max + 1):
-            if inner is None:
-                dims[(s, t)] = C.ext_dim(s, t)
-            else:
-                dims[(s, t)] = C.ext_dim_stable(s, t, inner)
+            dims[(s, t)] = C.ext_dim_stable(s, t, inner)
     if check_d2:
         for s in range(C.s_max):
             for t in range(C.t_min, C.t_max + 1):
@@ -578,5 +593,5 @@ def primitive_dims(H, t_min, t_max):
                 H.A.monomial_element(a)
             )
             vecs.append({pos[m]: c for m, c in diff.terms.items()})
-        out[t] = len(ab) - _sparse_rank(vecs, p)
+        out[t] = len(ab) - linalg.rank(vecs, p)
     return out

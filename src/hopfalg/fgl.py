@@ -91,10 +91,12 @@ def assemble_bp(p, D, max_gens=None):
     the weight bound D; the result is then the N-generator sub-Hopf-
     algebroid (a "bud": the structure maps of v_1..v_N, t_1..t_N only
     involve generators of index <= N) carried at a larger weight cap."""
+    # InputError unless p is a prime, before bp_generator_count, which
+    # never stops for p < 2
+    mode = BaseMode("plocal", p)
     N = bp_generator_count(p, D)
     if max_gens is not None:
         N = min(N, int(max_gens))
-    mode = BaseMode("plocal", p)
     A = GradedPresentation(
         mode,
         [(f"v{i}", gen_degree(p, i)) for i in range(1, N + 1)],

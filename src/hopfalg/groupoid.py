@@ -931,8 +931,7 @@ def check_descent(cover, M, purity_probe=None, _depth=0):
     if not v.ok:
         return v
 
-    pivots, _ = linalg.echelon(((col, None) for col in diff), p)
-    ker_dim = len(diff) - len(pivots)
+    ker_dim = len(diff) - linalg.rank(diff, p)
     if ker_dim != M.dim:
         v.fail(f"equalizer dimension {ker_dim} differs from dim M = {M.dim}")
 

@@ -5,9 +5,11 @@ leading (smallest) index, over F_p when its characteristic is a prime p
 and over Q (ints and Fractions) when it is 0.  `reduce_fp` takes a vector
 to its normal form modulo its pivots; `kernel_fp`, `rank_fp` and
 `kernel_basis_fp` are F_p adapters over it, the last two taking dense
-lists of rows.  `rank`, `solve` and `is_invertible` take sparse columns
-with entries in a `BaseMode` and eliminate over the mode's field: F_p,
-or Q for the modes over Z and Z_(p).
+lists of rows.  `rank(cols, char)` is the one rank front end: the rank
+of copies of dict vectors over F_p or Q, which every rank in the package
+goes through (`rank_fp` included).  `solve` and `is_invertible` take
+sparse columns with entries in a `BaseMode` and eliminate over the
+mode's field: F_p, or Q for the modes over Z and Z_(p).
 
 A square matrix over the mode's ring is invertible when its determinant
 is a unit there: nonzero in F_p, prime to p in Z_(p), +-1 in Z.  Full
@@ -139,8 +141,7 @@ def _column_dicts(rows, ncols, p):
 
 def rank_fp(rows, p):
     """Rank of a matrix (list of rows) over F_p."""
-    pivots, _ = echelon(((v, None) for v in _row_dicts(rows, p)), p)
-    return len(pivots)
+    return rank(_row_dicts(rows, p), p)
 
 
 def kernel_basis_fp(rows, ncols, p):
@@ -168,9 +169,10 @@ def _column_pivots(cols, char):
     return pivots
 
 
-def rank(cols, mode):
-    """Rank of the matrix with dict columns `cols` over the mode's field."""
-    return len(echelon(((dict(col), None) for col in cols), mode.characteristic)[0])
+def rank(cols, char):
+    """Rank over F_p (char = p) or Q (char = 0) of the dict vectors
+    `cols`, which are copied, not consumed."""
+    return len(echelon(((dict(col), None) for col in cols), char)[0])
 
 
 def is_invertible(cols, n, mode):

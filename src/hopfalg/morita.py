@@ -295,7 +295,7 @@ def check_iso(m, bound):
                 "outside enumerated basis"
             )
         elif not linalg.is_invertible(cols, len(bt), tgt.mode):
-            v.fail(f"degree {t}: matrix of rank {linalg.rank(cols, tgt.mode)} not invertible")
+            v.fail(f"degree {t}: matrix of rank {linalg.rank(cols, tgt.mode.characteristic)} not invertible")
     return v
 
 

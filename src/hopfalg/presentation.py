@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import linalg
 from .errors import (
@@ -36,6 +37,11 @@ from .errors import (
     PresentationMismatch,
     SolveFailure,
 )
+
+
+def _is_prime(p):
+    """Whether the int p is a prime, by trial division."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _canonical(c):
@@ -65,8 +71,10 @@ class BaseMode:
     def __post_init__(self):
         if self.kind not in ("int", "plocal", "fp"):
             raise InputError(f"unknown base mode {self.kind!r}")
-        if self.kind in ("plocal", "fp") and (self.p is None or self.p < 2):
-            raise InputError("modes plocal/fp need a prime p")
+        if self.kind in ("plocal", "fp") and (
+            self.p is None or not _is_prime(self.p)
+        ):
+            raise InputError(f"modes plocal/fp need a prime p, not {self.p}")
 
     @property
     def characteristic(self):

@@ -247,3 +247,66 @@ def test_missing_required_key_is_an_input_error(tmp_path, capsys, doc,
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     assert f"[{section}] needs {key}" in err
+
+
+
+@pytest.fixture(scope="module")
+def refused_docs(jw_files, tmp_path_factory):
+    """Algebroid documents that parse but that `ext` refuses (p-local
+    coefficients; an odd degree in characteristic 3), and one whose base
+    names the non-prime p = 4."""
+    from hopfalg.fgl import assemble_bp
+
+    from conftest import primitive_line
+
+    d = tmp_path_factory.mktemp("refused")
+    files.write_algebroid(assemble_bp(3, 24, max_gens=2).H, str(d),
+                          stem="plocal", base_stem="plocal_base")
+    files.write_algebroid(primitive_line(3, 3, 3), str(d),
+                          stem="odd", base_stem="odd_base")
+    base = (jw_files / "target_base.ini").read_text()
+    assert "p = 3\n" in base
+    (d / "p4_base.ini").write_text(base.replace("p = 3\n", "p = 4\n"))
+    (d / "p4.ini").write_text((jw_files / "target.ini").read_text()
+                              .replace("target_base.ini", "p4_base.ini"))
+    return d
+
+
+_WINDOW = ["--smax", "1", "--tmin", "0", "--tmax", "4"]
+_PRIME = "input error: modes plocal/fp need a prime p, not "
+# (argv, exit code, stderr prefix): {bad} is the `refused_docs` directory,
+# {jw} the flagship's
+EXIT_CODES = [
+    (["hopf", "bp", "--prime", "4", "--degree", "8", "--out", "{bad}/bp4"],
+     2, _PRIME + "4"),
+    (["hopf", "bp", "--prime", "1", "--degree", "8", "--out", "{bad}/bp1"],
+     2, _PRIME + "1"),
+    (["ext", "{bad}/p4.ini", *_WINDOW], 2, _PRIME + "4"),
+    (["ext", "{bad}/plocal.ini", *_WINDOW],
+     2, "input error: cobar dimensions need a prime-field coefficient mode"),
+    (["ext", "{bad}/odd.ini", *_WINDOW],
+     2, "input error: odd generator degrees need characteristic 2"),
+    (["ext", "{jw}/target.ini", "--smax", "-1", "--tmin", "0", "--tmax", "4"],
+     2, "input error: s_max must be >= 0, not -1"),
+    (["ext", "{jw}/target.ini", "--smax", "1", "--tmin", "4", "--tmax", "-4"],
+     2, "input error: empty t window: t_min 4 > t_max -4"),
+    (["descent", "--max-dim", "0"],
+     2, "input error: --max-dim must be >= 1, not 0"),
+    (["descent", "--modules", "-1"],
+     2, "input error: --modules must be >= 0, not -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix", EXIT_CODES,
+    ids=["bp-p4", "bp-p1", "ext-fp-p4", "ext-plocal", "ext-odd-degree",
+         "ext-smax-negative", "ext-empty-t-window", "descent-max-dim-0",
+         "descent-modules-negative"],
+)
+def test_exit_codes(refused_docs, jw_files, capsys, argv, code, prefix):
+    """What each refused input exits with, and the line it prints."""
+    from hopfalg import cli
+
+    argv = [a.format(bad=refused_docs, jw=jw_files) for a in argv]
+    assert cli.run(argv) == code
+    assert capsys.readouterr().err.startswith(prefix)

@@ -6,7 +6,7 @@ import pytest
 
 from hopfalg import linalg
 from hopfalg.cobar import CobarComplex, compare_ext, ext_dims, primitive_dims
-from hopfalg.errors import DegreeError, InputError
+from hopfalg.errors import InputError
 from hopfalg.presentation import BaseMode, GradedPresentation
 
 from conftest import mu2_algebroid, primitive_line
@@ -317,10 +317,19 @@ def test_mode_guards():
         A, Gamma, [0], etaL, etaL, eps, c,
         {"x": [(1, (1, 0)), (1, (0, 1))]},
     )
-    with pytest.raises(DegreeError):
+    with pytest.raises(InputError):
         CobarComplex(H_int)
-    with pytest.raises(DegreeError):
+    with pytest.raises(InputError):
         CobarComplex(primitive_line(3, 3, 3))  # odd degree off char 2
+    from hopfalg.comodule import unit_comodule
+
+    H = primitive_line(3, 2, 3)
+    with pytest.raises(InputError, match="not over this algebroid"):
+        CobarComplex(H, M=unit_comodule(primitive_line(3, 2, 3)))
+    with pytest.raises(InputError, match="s_max"):
+        CobarComplex(H, s_max=-1)
+    with pytest.raises(InputError, match="empty t window"):
+        CobarComplex(H, t_min=1, t_max=0)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +568,8 @@ def test_stable_table_differentiates_no_outer_top_key(flagship, monkeypatch):
                 ((dict(col), None) for col in C.d_columns(s, t)), C.p
             )
             assert C.d_rank(s, t) == len(pivots), (s, t)
+            if keys:
+                assert C._leads_cache[(s, t)] == sorted(pivots), (s, t)
         else:
             inner = {k for k in keys if C.key_weight(k) <= 36}
             assert visited.intersection(keys) == inner, t
@@ -595,3 +606,91 @@ def test_top_level_answers_where_an_outer_column_leaves_the_basis(flagship):
         )
         assert T.dims[(1, t)] == want, t
     assert T.dims[(1, 0)] == 1
+
+
+# ---------------------------------------------------------------------------
+# heaviest-first bases: one elimination per differential
+
+
+def test_bases_are_heaviest_first(flagship):
+    """Weights never increase along a basis, keys of one weight are in
+    key order, and no key repeats: the keys above any cap are a prefix."""
+    _, H1, H2, _ = flagship
+    M = next(
+        M for M in comodule_catalog(mu2_algebroid(), flagship)
+        if M.name == "t1-extension/induced-pair"
+    )
+    for C in (
+        CobarComplex(H1, s_max=3, t_min=-32, t_max=32),
+        CobarComplex(H2, s_max=3, t_min=-32, t_max=32),
+        CobarComplex(M.H, M=M, s_max=3, t_min=-16, t_max=16),
+    ):
+        for s in range(C.s_max + 2):
+            for t in range(C.t_min, C.t_max + 1):
+                basis = C.basis(s, t)
+                ranked = [(-C.key_weight(k), k) for k in basis]
+                assert ranked == sorted(ranked), (C.H.name, s, t)
+                assert len(set(basis)) == len(basis), (C.H.name, s, t)
+
+
+def assert_inner_leads_count_boundaries_inside(C, inners):
+    """The leads of d_{s-1,t} at positions >= n_out number dim(B n C_in),
+    taken here by the rank formula the lead count replaced: rank d_{s-1,t}
+    - rank(P_out d_{s-1,t}), with P_out keeping the rows of weight >
+    inner."""
+    for s in (1, 2):
+        for t in range(C.t_min, C.t_max + 1):
+            cols = C.d_columns(s - 1, t)
+            full = linalg.rank(cols, C.p)
+            leads = C.d_leads(s - 1, t)
+            assert len(leads) == full, (C.H.name, s, t)
+            weights = [C.key_weight(k) for k in C.basis(s, t)]
+            for inner in inners:
+                n_out = sum(w > inner for w in weights)
+                projected = [
+                    {r: c for r, c in col.items() if weights[r] > inner}
+                    for col in cols
+                ]
+                assert sum(lead >= n_out for lead in leads) == (
+                    full - linalg.rank(projected, C.p)
+                ), (C.H.name, s, t, inner)
+
+
+def test_inner_leads_count_boundaries_inside_flagship(flagship):
+    _, H1, H2, _ = flagship
+    for H in (H1, H2):
+        C = CobarComplex(H, s_max=2, t_min=-32, t_max=32)
+        assert_inner_leads_count_boundaries_inside(C, range(0, C.D + 1, 8))
+
+
+def test_inner_leads_count_boundaries_inside_p2():
+    C = CobarComplex(_p2_pair(), s_max=2, t_min=-16, t_max=16)
+    assert_inner_leads_count_boundaries_inside(C, range(0, C.D + 1, 8))
+
+
+def test_stable_table_feeds_each_column_to_one_elimination(
+    flagship, monkeypatch
+):
+    """Over one flagship stable table, `linalg.echelon` receives every
+    column of d_{s,t} for s < s_max and the inner columns at s_max, each
+    once: no second pass over d_{s-1,t} for the outer rows."""
+    _, H1, _, _ = flagship
+    fed = []
+    echelon = linalg.echelon
+
+    def counting(vectors, char, pivots=None):
+        vectors = list(vectors)
+        fed.append(len(vectors))
+        return echelon(vectors, char, pivots)
+
+    monkeypatch.setattr(linalg, "echelon", counting)
+    C = CobarComplex(H1, s_max=3, t_min=-32, t_max=32)
+    ext_dims(C, inner=36)
+    monkeypatch.undo()
+    below = sum(
+        len(C.basis(s, t)) for s in range(C.s_max) for t in range(-32, 33)
+    )
+    top = sum(
+        C.key_weight(k) <= 36 for t in range(-32, 33) for k in C.basis(3, t)
+    )
+    assert sum(fed) == below + top

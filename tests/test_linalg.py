@@ -181,7 +181,7 @@ def test_echelon_matches_reference_loops(case):
     mode = BaseMode("fp", p)
     b = {i: x % p for i, x in enumerate(rhs) if x % p}
     assert solve(columns, b, mode) == reference_solve_fp(rows, rhs, ncols, p)
-    assert rank(columns, mode) == len(pivots)
+    assert rank(columns, mode.characteristic) == len(pivots)
 
 
 def _gauss_jordan_frac(a, ncols):
@@ -274,7 +274,7 @@ def test_echelon_over_q_matches_gauss_jordan(case):
     b = {i: x for i, x in enumerate(rhs) if x}
     x = reference_solve_q(rows, rhs, ncols)
     for mode in (BaseMode("plocal", 5), BaseMode("plocal", 3)):
-        assert rank(columns, mode) == expected_rank
+        assert rank(columns, mode.characteristic) == expected_rank
         in_ring = x is not None and all(y.denominator % mode.p for y in x)
         assert solve(columns, b, mode) == (x if in_ring else None)
     if all(Fraction(y).denominator == 1 for r in rows for y in r):

@@ -12,6 +12,7 @@ from hopfalg.errors import (
     DegreeError,
     IllegalExponent,
     InfiniteBasis,
+    InputError,
     IntegralityFailure,
     PresentationMismatch,
     SolveFailure,
@@ -406,6 +407,29 @@ def test_plocal_coefficients_are_canonical():
     assert type(BaseMode("int").coerce(Fraction(4, 2))) is int
     with pytest.raises(IntegralityFailure):
         BaseMode("int").coerce(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind, p", [
+    ("fp", 4), ("plocal", 9), ("fp", 1), ("plocal", 0), ("fp", -3),
+    ("fp", None),
+])
+def test_modes_need_a_prime(kind, p):
+    with pytest.raises(InputError, match="need a prime p"):
+        BaseMode(kind, p)
+
+
+def _accepts(p):
+    try:
+        BaseMode("fp", p)
+    except InputError:
+        return False
+    return True
+
+
+def test_modes_accept_exactly_the_primes():
+    assert [p for p in range(-5, 40) if _accepts(p)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37
+    ]
 
 
 def test_plocal_arithmetic_matches_fraction_reference():

@@ -39,6 +39,12 @@ def _emit(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _at_least(low, value, flag):
+    """InputError if an option's value is below low (None: not given)."""
+    if value is not None and value < low:
+        raise InputError(f"{flag} must be >= {low}, not {value}")
+
+
 def _load_algebroid(path):
     from . import files
 
@@ -54,6 +60,7 @@ def _load_algebroid(path):
 def cmd_ring_check(args):
     from . import files
 
+    _at_least(0, args.degree, "--degree")
     P = files.parse_presentation(args.file)
     bound = args.degree if args.degree is not None else min(P.truncation, 24)
     sizes = {}
@@ -77,6 +84,7 @@ def cmd_ring_check(args):
 def cmd_hopf_axioms(args):
     from .hopf import check_hopf_axioms
 
+    _at_least(0, args.bound, "--bound")
     H = _load_algebroid(args.path)
     bound = args.bound if args.bound is not None else H.Gamma.truncation
     v = check_hopf_axioms(H, bound)
@@ -96,6 +104,7 @@ def cmd_hopf_bp(args):
     from . import files
     from .fgl import assemble_bp
 
+    _at_least(1, args.max_gens, "--max-gens")
     bp = assemble_bp(args.prime, args.degree, max_gens=args.max_gens)
     alg_path, base_path = files.write_algebroid(bp.H, args.out)
     print(alg_path)
@@ -120,6 +129,7 @@ def cmd_morita_check(args):
     from . import files
     from .morita import theoremD_verdict
 
+    _at_least(0, args.degree, "--degree")
     f = files.parse_map(args.mapfile)
     witness = None
     if args.flat_witness:
@@ -137,6 +147,7 @@ def cmd_comodule_check(args):
     from . import files
     from .comodule import check_comodule
 
+    _at_least(0, args.bound, "--bound")
     H = _load_algebroid(args.algebroid) if args.algebroid else None
     M = files.parse_comodule(args.file, H=H)
     v = check_comodule(M, bound=args.bound)
@@ -176,6 +187,7 @@ def cmd_ext(args):
     from . import files
     from .cobar import CobarComplex, ext_dims
 
+    _at_least(0, args.inner, "--inner")
     H = _load_algebroid(args.algebroid)
     M = None
     if args.comodule:
@@ -202,6 +214,7 @@ def cmd_oracle_groupoid(args):
         evaluate_groupoid,
     )
 
+    _at_least(1, args.budget, "--budget")
     budget = args.budget or DEFAULT_BUDGET
     rings = catalog_rings()
     if args.rings:
@@ -247,10 +260,8 @@ def cmd_descent(args):
         random_module,
     )
 
-    if args.modules < 0:
-        raise InputError(f"--modules must be >= 0, not {args.modules}")
-    if args.max_dim < 1:
-        raise InputError(f"--max-dim must be >= 1, not {args.max_dim}")
+    _at_least(0, args.modules, "--modules")
+    _at_least(1, args.max_dim, "--max-dim")
     rng = random.Random(args.seed)
     results = []
     code = EXIT_OK

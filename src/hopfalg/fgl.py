@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, SolveFailure
-from .hopf import HopfAlgebroid, TensorSquare
+from .hopf import HopfAlgebroid, TensorPower
 from .presentation import (
     BaseMode,
     GradedPresentation,
@@ -83,6 +83,28 @@ def hazewinkel_logs(p, N, pres=None, vname="v"):
     return LogData(p, N, pres, logs)
 
 
+def _tower(mode, N, D, label, relations=None, inverted=()):
+    """A on v_1..v_N and Gamma = A[t_1..t_N] under the same rules and
+    inversions, with Gamma's morphism generators (the t's), eta_L and eps.
+    `label` names both rings, "{}" standing for BP* in A and BP*BP in
+    Gamma."""
+    vs = [(f"v{i}", gen_degree(mode.p, i)) for i in range(1, N + 1)]
+    ts = [(f"t{i}", gen_degree(mode.p, i)) for i in range(1, N + 1)]
+
+    def ring(gens, what):
+        return GradedPresentation(
+            mode, gens, relations=relations, inverted=inverted, truncation=D,
+            name=label.format(what),
+        )
+
+    A, Gamma = ring(vs, "BP*"), ring(vs + ts, "BP*BP")
+    etaL = RingMorphism(A, Gamma, [Gamma.gen(i) for i in range(N)], name="etaL")
+    eps = RingMorphism(
+        Gamma, A, [A.gen(i) for i in range(N)] + [A.zero()] * N, name="eps"
+    )
+    return A, Gamma, tuple(range(N, 2 * N)), etaL, eps
+
+
 @lru_cache(maxsize=None)
 def assemble_bp(p, D, max_gens=None):
     """Build (BP_*, BP_*BP) with all generators of degree <= D.
@@ -97,24 +119,7 @@ def assemble_bp(p, D, max_gens=None):
     N = bp_generator_count(p, D)
     if max_gens is not None:
         N = min(N, int(max_gens))
-    A = GradedPresentation(
-        mode,
-        [(f"v{i}", gen_degree(p, i)) for i in range(1, N + 1)],
-        truncation=D,
-        name=f"BP*@p={p}",
-    )
-    Gamma = GradedPresentation(
-        mode,
-        [(f"v{i}", gen_degree(p, i)) for i in range(1, N + 1)]
-        + [(f"t{i}", gen_degree(p, i)) for i in range(1, N + 1)],
-        truncation=D,
-        name=f"BP*BP@p={p}",
-    )
-    morphism_order = tuple(range(N, 2 * N))
-    etaL = RingMorphism(A, Gamma, [Gamma.gen(i) for i in range(N)], name="etaL")
-    eps = RingMorphism(
-        Gamma, A, [A.gen(i) for i in range(N)] + [A.zero()] * N, name="eps"
-    )
+    A, Gamma, morphism_order, etaL, eps = _tower(mode, N, D, f"{{}}@p={p}")
 
     logdata = hazewinkel_logs(p, N, pres=Gamma)
     logs = logdata.logs
@@ -136,7 +141,7 @@ def assemble_bp(p, D, max_gens=None):
         etaR_images.append(assert_p_integral(acc, p))
     etaR = RingMorphism(A, Gamma, etaR_images[1:], name="etaR")
 
-    ts = TensorSquare(A, Gamma, morphism_order, etaR, name="BP.TS")
+    ts = TensorPower(A, Gamma, morphism_order, etaR, 2, name="BP.TS")
     incl_l, incl_r = ts.incl_l, ts.incl_r
 
     # diagonal
@@ -161,7 +166,7 @@ def assemble_bp(p, D, max_gens=None):
     for n in range(1, N + 1):
         # layout of ts.pres: v's, t's, then t-right copies
         mono = [0] * len(ts.pres.gens)
-        mono[ts.slots[("'", N + n - 1)]] = 1
+        mono[ts.slots[(1, N + n - 1)]] = 1
         pure_right[n] = tuple(mono)
     for n in range(1, N + 1):
         dn = delta[n]
@@ -206,43 +211,17 @@ def quotient_localize(bp, n):
     p, N, D = bp.p, bp.N, bp.D
     mode = BaseMode("fp", p)
     kills = {f"v{i}": (1, []) for i in range(1, n)}
-    A = GradedPresentation(
-        mode,
-        [(f"v{i}", gen_degree(p, i)) for i in range(1, N + 1)],
-        relations=dict(kills),
-        inverted=[f"v{n}"],
-        truncation=D,
-        name=f"v{n}^-1BP*/I{n}@p={p}",
+    A, Gamma, morphism_order, etaL, eps = _tower(
+        mode, N, D, f"v{n}^-1{{}}/I{n}@p={p}", kills, [f"v{n}"]
     )
-    Gamma = GradedPresentation(
-        mode,
-        [(f"v{i}", gen_degree(p, i)) for i in range(1, N + 1)]
-        + [(f"t{i}", gen_degree(p, i)) for i in range(1, N + 1)],
-        relations=dict(kills),
-        inverted=[f"v{n}"],
-        truncation=D,
-        name=f"v{n}^-1BP*BP/I{n}@p={p}",
-    )
-    morphism_order = tuple(range(N, 2 * N))
-    etaL = RingMorphism(A, Gamma, [Gamma.gen(i) for i in range(N)], name="etaL")
-    etaR = RingMorphism(
-        A, Gamma, [reduce_mod(bp.etaR_images[i], Gamma) for i in range(1, N + 1)],
-        name="etaR",
-    )
-    eps = RingMorphism(
-        Gamma, A, [A.gen(i) for i in range(N)] + [A.zero()] * N, name="eps"
-    )
+    etaR_images = [reduce_mod(x, Gamma) for x in bp.etaR_images[1:]]
+    etaR = RingMorphism(A, Gamma, etaR_images, name="etaR")
     c = RingMorphism(
         Gamma,
         Gamma,
-        [reduce_mod(bp.etaR_images[i], Gamma) for i in range(1, N + 1)]
-        + [reduce_mod(ci, Gamma) for ci in bp.c_images],
+        etaR_images + [reduce_mod(ci, Gamma) for ci in bp.c_images],
         name="c",
     )
-    delta_images = {
-        name: [(cc, mono) for mono, cc in elem.terms.items()]
-        for name, elem in bp.delta_images.items()
-    }
     return HopfAlgebroid(
         A,
         Gamma,
@@ -251,7 +230,7 @@ def quotient_localize(bp, n):
         etaR,
         eps,
         c,
-        delta_images,
+        bp.delta_images,
         name=f"v{n}^-1BP/I{n}@p={p}",
     )
 

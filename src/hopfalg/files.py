@@ -29,7 +29,7 @@ import os
 import re
 
 from .errors import InputError, ParseError, SolveFailure
-from .hopf import HopfAlgebroid, TensorSquare
+from .hopf import HopfAlgebroid, TensorPower
 from .morita import HopfMap
 from .presentation import BaseMode, GradedPresentation, RingMorphism
 
@@ -352,7 +352,7 @@ def parse_algebroid(path):
         texts = _image_list(_option(cp, "maps", key), len(S.gens), key)
         imgs = [parse_expression(T, t) for t in texts]
         maps[name] = RingMorphism(S, T, imgs, name=name)
-    ts = TensorSquare(A, Gamma, morphism_order, maps["etaR"])
+    ts = TensorPower(A, Gamma, morphism_order, maps["etaR"], 2)
     special = {"l": ts.incl_l, "r": ts.incl_r}
     delta_texts = _image_list(
         _option(cp, "maps", "delta"), len(morphism_order), "delta"

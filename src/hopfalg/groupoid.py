@@ -407,13 +407,12 @@ def point_name(R, P, assign):
 # groupoid evaluation
 
 
-def _raw_elem(elem):
-    return tuple(sorted(elem.terms.items()))
-
-
 def _compiled_images(R, f, P):
     """f of each generator of P, compiled for R."""
-    return [compile_poly(R, _raw_elem(f(P.gen(i)))) for i in range(len(P.gens))]
+    return [
+        compile_poly(R, sorted(f(P.gen(i)).terms.items()))
+        for i in range(len(P.gens))
+    ]
 
 
 def _eval_all(R, assign, polys):

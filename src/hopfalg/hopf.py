@@ -1,21 +1,26 @@
-"""Hopf algebroids: the data type, bimodule tensor squares/cubes, and
+"""Hopf algebroids: the data type, the bimodule tensor powers, and
 degreewise axiom verification.  Points and their composition over finite
 rings live in `groupoid`.
 
 Conventions.  Gamma is required to be free as an A-algebra via eta_L on a
 declared list of morphism generators; the remaining "base" generators of
 Gamma must mirror A's generators by name, degree, and relations, and eta_L
-must send each A-generator to its mirror.  The tensor square realizes
-Gamma_{eta_R} (x)_A Gamma_{eta_L}: its generators are Gamma's plus a tagged
-right copy of each morphism generator, and the right copy of a base
-generator b rewrites to eta_R(b) in the left factor (the balanced
-relation).  The tensor cube adds a middle copy the same way.
+must send each A-generator to its mirror.  The tensor power Gamma^{(x)k}
+(k composable morphisms; the square k = 2 holds Delta, the cube k = 3
+checks coassociativity) has Gamma's generators as its factor 0 and one
+copy of each morphism generator for every further factor.  Factor j's
+inclusion sends a base generator b to factor j-1's image of eta_R(b): the
+balanced relation of Gamma_{eta_R} (x)_A Gamma_{eta_L}.
 
-Every map into or out of the square and the cube (the inclusions, the
-counit and antipode composites, slots 1-2 and 2-3 of the cube, Delta (x) 1
-and 1 (x) Delta) is a RingMorphism whose generator images are computed
-once; `RingMorphism.monomial` does all the multiplying out."""
+Every map into or out of the square and the cube (the factor inclusions,
+the counit and antipode composites, the square in factors 0-1 and 1-2 of
+the cube, Delta (x) 1 and 1 (x) Delta) is a RingMorphism whose generator
+images are computed once; `RingMorphism.monomial` does all the
+multiplying out."""
 from __future__ import annotations
+
+from functools import cached_property, partial
+from itertools import islice
 
 from .errors import (
     InfiniteBasis,
@@ -28,125 +33,101 @@ from .presentation import (
     RingMorphism,
     Rule,
     exponent_vectors,
+    reduce_mod,
 )
 
-R_TAG = "'"
-M_TAG = "''"
 
-
-def _embed_terms(elem, target, offset=0):
+def _embed_terms(elem, target):
     """Reinterpret an element in a target presentation whose generator list
-    starts with the source's generators (plus `offset` leading slots)."""
-    pad = len(target.gens) - len(elem.pres.gens) - offset
-    raw = []
-    for m, c in elem.terms.items():
-        raw.append((c, (0,) * offset + tuple(m) + (0,) * pad))
-    out = target.element(raw)
+    starts with the source's generators."""
+    pad = len(target.gens) - len(elem.pres.gens)
+    out = target.element([(c, m + (0,) * pad) for m, c in elem.terms.items()])
     if elem.truncated:
         out = Element(target, out.terms, True)
     return out
 
 
-def _extend_presentation(Gamma, morphism_gens, copy_tags, copies, name):
-    """Build Gamma extended by tagged copies of its morphism generators.
+class TensorPower:
+    """Gamma (x)_A ... (x)_A Gamma with k factors: the composable k-tuples
+    of morphisms.
 
-    copies(provisional, slots) returns, for each tag, the RingMorphism from
-    Gamma onto that copy in the provisional presentation; it transports
-    power-rule right-hand sides onto the copies."""
-    gens = list(Gamma.gens)
-    slots = {}
-    for tag in copy_tags:
-        for i in morphism_gens:
-            slots[(tag, i)] = len(gens)
-            gens.append((Gamma.names[i] + tag, Gamma.degrees[i]))
-    pad = len(gens) - len(Gamma.gens)
-    relations = {
-        i: Rule(r.power, tuple((c, m + (0,) * pad) for c, m in r.rhs))
-        for i, r in Gamma.rules.items()
-    }
-    inverted = set(Gamma.inverted)
-    provisional = GradedPresentation(
-        Gamma.mode, gens, relations, inverted, Gamma.truncation, name=name + "~"
-    )
-    copy_rules = {}
-    for tag, embed in copies(provisional, slots).items():
-        for i in morphism_gens:
-            rule = Gamma.rules.get(i)
-            if rule is None:
-                continue
-            rhs_elem = embed(Gamma.element([(c, m) for c, m in rule.rhs]))
-            copy_rules[slots[(tag, i)]] = (
-                rule.power,
-                [(c, m) for m, c in rhs_elem.terms.items()],
+    The generators are Gamma's (factor 0), then for each factor j = 1..k-1
+    a copy of every morphism generator, named with the suffix "'" * (k-j);
+    `slots[(j, i)]` is the index of factor j's copy of generator i.
+    Factor j's inclusion sends a morphism generator to its copy and a base
+    generator b to factor j-1's image of eta_R(b) (the balanced relation).
+    The copies carry their originals' power rules, transported through
+    these inclusions."""
+
+    def __init__(self, A, Gamma, morphism_gens, etaR, k, name=""):
+        self.A, self.Gamma, self.etaR, self.k = A, Gamma, etaR, k
+        gens = list(Gamma.gens)
+        self.slots = {}
+        for j in range(1, k):
+            for i in morphism_gens:
+                self.slots[(j, i)] = len(gens)
+                gens.append((Gamma.names[i] + "'" * (k - j), Gamma.degrees[i]))
+        pad = len(gens) - len(Gamma.gens)
+        relations = {
+            i: Rule(r.power, tuple((c, m + (0,) * pad) for c, m in r.rhs))
+            for i, r in Gamma.rules.items()
+        }
+        ruled = [i for i in morphism_gens if i in Gamma.rules]
+        if ruled:
+            provisional = GradedPresentation(
+                Gamma.mode, gens, relations, Gamma.inverted, Gamma.truncation,
+                name=name + "~",
             )
-    final_relations = dict(relations)
-    final_relations.update(copy_rules)
-    return (
-        GradedPresentation(
-            Gamma.mode, gens, final_relations, inverted, Gamma.truncation, name=name
-        ),
-        slots,
-    )
-
-
-def _copy_map(A, Gamma, etaR, P, slots, tag, through=None):
-    """The ring map Gamma -> P onto the copy `tag`: a morphism generator
-    goes to its tagged copy, a base generator b to eta_R(b) in the factor
-    to the copy's left, reached through the map `through` (default: P's
-    leading Gamma generators)."""
-    images = []
-    for i, gname in enumerate(Gamma.names):
-        slot = slots.get((tag, i))
-        if slot is not None:
-            images.append(P.gen(slot))
-            continue
-        b = etaR(A.gen(A.index[gname]))
-        images.append(_embed_terms(b, P) if through is None else through(b))
-    return RingMorphism(Gamma, P, images, name="incl" + tag)
-
-
-class TensorSquare:
-    """Gamma tensor_A Gamma with both inclusion morphisms."""
-
-    def __init__(self, A, Gamma, morphism_gens, etaR, name="TS"):
-        def copies(P, slots):
-            return {R_TAG: _copy_map(A, Gamma, etaR, P, slots, R_TAG)}
-
-        self.pres, self.slots = _extend_presentation(
-            Gamma, morphism_gens, [R_TAG], copies, name
+            factors = self.inclusions(provisional)
+            next(factors)  # factor 0 carries Gamma's own rules
+            for j, incl in enumerate(factors, 1):
+                for i in ruled:
+                    rule = Gamma.rules[i]
+                    rhs = incl(Gamma.element(list(rule.rhs)))
+                    relations[self.slots[(j, i)]] = (
+                        rule.power,
+                        [(c, m) for m, c in rhs.terms.items()],
+                    )
+        self.pres = GradedPresentation(
+            Gamma.mode, gens, relations, Gamma.inverted, Gamma.truncation,
+            name=name,
         )
-        self.Gamma = Gamma
-        n = len(Gamma.gens)
-        self.incl_l = RingMorphism(
-            Gamma, self.pres, [self.pres.gen(i) for i in range(n)], name="incl_l"
+        # the cube's last factor is never built: `check_hopf_axioms`
+        # reaches it through its copies alone
+        self.incl_l, self.incl_r = islice(self.inclusions(), 2)
+
+    def inclusions(self, P=None):
+        """Factor j's inclusion Gamma -> P (default: this tensor power's
+        presentation) for j = 0, ..., k-1, each built when asked for."""
+        A, Gamma = self.A, self.Gamma
+        if P is None:
+            P = self.pres
+        yield RingMorphism(
+            Gamma, P, [P.gen(i) for i in range(len(Gamma.gens))], name="incl0"
         )
-        self.incl_r = _copy_map(A, Gamma, etaR, self.pres, self.slots, R_TAG)
-        self._slot_origin = {s: i for (_, i), s in self.slots.items()}
+        # factor 1 re-normalizes eta_R(b) into P: multiplying it out
+        # through factor 0's morphism costs more term products
+        through = partial(_embed_terms, target=P)
+        for j in range(1, self.k):
+            images = []
+            for i, gname in enumerate(Gamma.names):
+                slot = self.slots.get((j, i))
+                if slot is not None:
+                    images.append(P.gen(slot))
+                else:
+                    images.append(through(self.etaR(A.gen(A.index[gname]))))
+            through = RingMorphism(Gamma, P, images, name=f"incl{j}")
+            yield through
 
     def split_monomial(self, m):
-        """Split a tensor-square monomial into (left Gamma-monomial, base
-        exponents included; right Gamma-monomial), both full-width
-        exponent tuples over Gamma's generators."""
+        """Split a monomial into the k factors' Gamma-monomials, full-width
+        exponent tuples over Gamma's generators; factor 0 holds the base
+        exponents."""
         n = len(self.Gamma.gens)
-        right = [0] * n
-        for j in range(n, len(m)):
-            right[self._slot_origin[j]] = m[j]
-        return tuple(m[:n]), tuple(right)
-
-
-class TensorCube:
-    """Gamma tensor_A Gamma tensor_A Gamma, for coassociativity."""
-
-    def __init__(self, A, Gamma, morphism_gens, etaR, name="TC"):
-        def copies(P, slots):
-            middle = _copy_map(A, Gamma, etaR, P, slots, M_TAG)
-            right = _copy_map(A, Gamma, etaR, P, slots, R_TAG, through=middle)
-            return {M_TAG: middle, R_TAG: right}
-
-        self.pres, self.slots = _extend_presentation(
-            Gamma, morphism_gens, [M_TAG, R_TAG], copies, name
-        )
-        self.Gamma = Gamma
+        parts = [list(m[:n])] + [[0] * n for _ in range(1, self.k)]
+        for (j, i), s in self.slots.items():
+            parts[j][i] = m[s]
+        return tuple(map(tuple, parts))
 
 
 class HopfAlgebroid:
@@ -169,24 +150,21 @@ class HopfAlgebroid:
         self.etaR = etaR
         self.eps = eps
         self.c = c
-        self.ts = TensorSquare(
-            A, Gamma, self.morphism_order, etaR, name=(name or "H") + ".TS"
+        self.ts = TensorPower(
+            A, Gamma, self.morphism_order, etaR, 2, name=(name or "H") + ".TS"
         )
         images = []
         for i in range(len(Gamma.gens)):
             if i in self.morphism_gens:
                 img = delta_images[Gamma.names[i]]
                 if isinstance(img, Element):
-                    img = self.ts.pres.element(
-                        [(cc, m) for m, cc in img.terms.items()]
-                    )
+                    img = reduce_mod(img, self.ts.pres)
                 else:
                     img = self.ts.pres.element(img)
                 images.append(img)
             else:
                 images.append(self.ts.incl_l(Gamma.gen(i)))
         self.delta = RingMorphism(Gamma, self.ts.pres, images, name="delta")
-        self._tc = None
 
     def _check_alignment(self, etaL):
         base = [i for i in range(len(self.Gamma.gens)) if i not in self.morphism_gens]
@@ -204,17 +182,16 @@ class HopfAlgebroid:
                     f"eta_L must send {self.A.names[a]} to its mirror in Gamma"
                 )
 
-    @property
+    @cached_property
     def tc(self):
-        if self._tc is None:
-            self._tc = TensorCube(
-                self.A,
-                self.Gamma,
-                self.morphism_order,
-                self.etaR,
-                name=(self.name or "H") + ".TC",
-            )
-        return self._tc
+        return TensorPower(
+            self.A,
+            self.Gamma,
+            self.morphism_order,
+            self.etaR,
+            3,
+            name=(self.name or "H") + ".TC",
+        )
 
     # -- module-basis enumeration (freeness over A via eta_L) -----------
 
@@ -259,27 +236,26 @@ def check_hopf_axioms(H, bound):
     def ts_map(target, l_image, r_image, name):
         images = [l_image(i) for i in range(n)]
         images += [r_image(i) for i in H.morphism_order]
-        return RingMorphism(ts.pres, target, images, name=name, check_degrees=False)
+        return RingMorphism(ts.pres, target, images, name=name)
 
     eps1 = ts_map(Gamma, lambda i: H.etaL(H.eps(Gamma.gen(i))), Gamma.gen, "eps@1")
     one_eps = ts_map(Gamma, Gamma.gen, lambda i: H.etaR(H.eps(Gamma.gen(i))), "1@eps")
     mu_1c = ts_map(Gamma, Gamma.gen, lambda i: H.c(Gamma.gen(i)), "mu(1@c)")
     mu_c1 = ts_map(Gamma, lambda i: H.c(Gamma.gen(i)), Gamma.gen, "mu(c@1)")
 
-    # TS -> TC for coassociativity: slots12 and slots23 put the square into
-    # slots 1-2 and 2-3 of the cube (a base generator in the middle slot
-    # acts through eta_R); (Delta (x) 1) and (1 (x) Delta) follow from them
-    def copy(tag):
-        return lambda j: tc.pres.gen(tc.slots[(tag, j)])
+    # TS -> TC for coassociativity: the square put into factors j, j+1 of
+    # the cube (a base generator in factor 1 acts through eta_R);
+    # (Delta (x) 1) and (1 (x) Delta) follow from it
+    def copy(j):
+        return lambda i: tc.pres.gen(tc.slots[(j, i)])
 
-    middle = _copy_map(A, Gamma, H.etaR, tc.pres, tc.slots, M_TAG)
-    slots12 = ts_map(tc.pres, tc.pres.gen, copy(M_TAG), "slots12")
-    slots23 = ts_map(tc.pres, middle.image, copy(R_TAG), "slots23")
+    into01 = ts_map(tc.pres, tc.incl_l.image, copy(1), "into01")
+    into12 = ts_map(tc.pres, tc.incl_r.image, copy(2), "into12")
     delta_left = ts_map(
-        tc.pres, lambda i: slots12(H.delta.image(i)), copy(R_TAG), "Delta@1"
+        tc.pres, lambda i: into01(H.delta.image(i)), copy(2), "Delta@1"
     )
     delta_right = ts_map(
-        tc.pres, tc.pres.gen, lambda j: slots23(H.delta.image(j)), "1@Delta"
+        tc.pres, tc.incl_l.image, lambda i: into12(H.delta.image(i)), "1@Delta"
     )
 
     for i in range(n):

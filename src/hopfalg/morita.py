@@ -29,6 +29,7 @@ from .presentation import (
     Rule,
     coordinates,
     exponent_vectors,
+    reduce_mod,
 )
 
 
@@ -60,7 +61,6 @@ def check_hopf_map(f, bound):
         [tgt.ts.incl_l(img) for img in f.f1.images]
         + [tgt.ts.incl_r(f.f1.images[j]) for j in src.morphism_order],
         name="f1@f1",
-        check_degrees=False,
     )
     for i in range(len(src.Gamma.gens)):
         if abs(src.Gamma.degrees[i]) > bound:
@@ -90,10 +90,6 @@ def _require_supported(H, f0):
             )
     if B.mode != H.Gamma.mode:
         raise UnsupportedBaseMap("base modes of B and Gamma must agree")
-
-
-def _raw(elem):
-    return [(c, m) for m, c in elem.terms.items()]
 
 
 def collapsed_pair(H, f0):
@@ -176,7 +172,7 @@ def induced_algebroid(H, f0, check=True):
     derived = []
     taken = set()
     for a in newly_killed:
-        u = prov.element(_raw(H.etaR(A.gen(a))))
+        u = reduce_mod(H.etaR(A.gen(a)), prov)
         if u.is_zero():
             continue
         i, e, rhs = _extract_power_rule(prov, u, taken)
@@ -185,7 +181,7 @@ def induced_algebroid(H, f0, check=True):
 
     relations = {i: r for i, r in prov.rules.items()}
     for _, i, e, rhs in derived:
-        relations[i] = Rule(e, tuple(_raw(rhs)))
+        relations[i] = Rule(e, tuple((c, m) for m, c in rhs.terms.items()))
     try:
         P2 = GradedPresentation(
             B.mode,
@@ -198,7 +194,7 @@ def induced_algebroid(H, f0, check=True):
     except Exception as exc:
         raise UnsupportedBaseMap(f"derived relations unusable: {exc}") from exc
     for a in newly_killed:
-        if not P2.element(_raw(H.etaR(A.gen(a)))).is_zero():
+        if not reduce_mod(H.etaR(A.gen(a)), P2).is_zero():
             raise UnsupportedBaseMap(
                 f"relation from eta_R({A.names[a]}) does not rewrite to zero"
             )
@@ -208,28 +204,25 @@ def induced_algebroid(H, f0, check=True):
     etaR = RingMorphism(
         B,
         P2,
-        [P2.element(_raw(H.etaR(A.gen(i)))) for i in range(nb)],
+        [reduce_mod(H.etaR(A.gen(i)), P2) for i in range(nb)],
         name="etaR",
-        check_degrees=False,
     )
     eps = RingMorphism(
         P2,
         B,
         [B.gen(i) for i in range(nb)]
-        + [B.element(_raw(H.eps(Gamma.gen(i)))) for i in H.morphism_order],
+        + [reduce_mod(H.eps(Gamma.gen(i)), B) for i in H.morphism_order],
         name="eps",
-        check_degrees=False,
     )
     c = RingMorphism(
         P2,
         P2,
-        [P2.element(_raw(H.etaR(A.gen(i)))) for i in range(nb)]
-        + [P2.element(_raw(H.c(Gamma.gen(i)))) for i in H.morphism_order],
+        [reduce_mod(H.etaR(A.gen(i)), P2) for i in range(nb)]
+        + [reduce_mod(H.c(Gamma.gen(i)), P2) for i in H.morphism_order],
         name="c",
-        check_degrees=False,
     )
     delta_images = {
-        Gamma.names[i]: _raw(H.delta(Gamma.gen(i))) for i in H.morphism_order
+        Gamma.names[i]: H.delta(Gamma.gen(i)) for i in H.morphism_order
     }
     Hf = HopfAlgebroid(
         B,
@@ -251,7 +244,6 @@ def induced_algebroid(H, f0, check=True):
         P2,
         [P2.gen(i) for i in range(len(Gamma.gens))],
         name="f1",
-        check_degrees=False,
     )
     hm = HopfMap(H, Hf, f0, f1, name="canonical")
     return InducedAlgebroid(Hf, hm, [(a, i, e) for a, i, e, _ in derived])
@@ -267,7 +259,7 @@ def combined_map(f):
     images = [f.target.etaL(f.target.A.gen(i)) for i in range(nb)]
     for i in f.source.morphism_order:
         images.append(f.f1(f.source.Gamma.gen(i)))
-    return RingMorphism(source, Sigma, images, name="combined", check_degrees=False)
+    return RingMorphism(source, Sigma, images, name="combined")
 
 
 def check_iso(m, bound):
@@ -319,7 +311,7 @@ def check_flat_witness(f, g, basis, bound=None):
     D = C.truncation
     if bound is None:
         bound = D
-    h_images = [g(CP.element(_raw(f.source.etaR(A.gen(i))))) for i in range(len(A.gens))]
+    h_images = [g(reduce_mod(f.source.etaR(A.gen(i)), CP)) for i in range(len(A.gens))]
     hw = []
     for i, img in enumerate(h_images):
         if img.is_zero():
@@ -333,7 +325,7 @@ def check_flat_witness(f, g, basis, bound=None):
         # enumeration below is driven by the C-side weight hw, so a monomial
         # may lie past A's own truncation boundary and must not be routed
         # through A's normal form.
-        h_of = RingMorphism(A, C, h_images, check_degrees=False).monomial
+        h_of = RingMorphism(A, C, h_images).monomial
         basis_elems = [
             (CP.weight(b), CP.monomial_degree(b), g(CP.monomial_element(b)))
             for b in basis

@@ -634,21 +634,20 @@ class RingMorphism:
     table is dropped when the call returns.  The inverse of an inverted generator's image is
     computed once and cached for the morphism's lifetime."""
 
-    def __init__(self, source, target, images, name="", check_degrees=True):
+    def __init__(self, source, target, images, name=""):
         self.source = source
         self.target = target
         self.images = tuple(images)
         self.name = name
         if len(self.images) != len(source.gens):
             raise InputError("one image per source generator required")
-        if check_degrees:
-            for (gname, gdeg), img in zip(source.gens, self.images):
-                if img.is_zero():
-                    continue
-                if img.degree() != gdeg:
-                    raise DegreeError(
-                        f"image of {gname} has degree {img.degree()}, expected {gdeg}"
-                    )
+        for (gname, gdeg), img in zip(source.gens, self.images):
+            if img.is_zero():
+                continue
+            if img.degree() != gdeg:
+                raise DegreeError(
+                    f"image of {gname} has degree {img.degree()}, expected {gdeg}"
+                )
         self._inv_cache = {}
 
     def image(self, g):

@@ -253,8 +253,9 @@ def test_missing_required_key_is_an_input_error(tmp_path, capsys, doc,
 @pytest.fixture(scope="module")
 def refused_docs(jw_files, tmp_path_factory):
     """Algebroid documents that parse but that `ext` refuses (p-local
-    coefficients; an odd degree in characteristic 3), and one whose base
-    names the non-prime p = 4."""
+    coefficients; an odd degree in characteristic 3), one whose base
+    names the non-prime p = 4, and a comodule over mu_2 that passes its
+    check."""
     from hopfalg.fgl import assemble_bp
 
     from conftest import primitive_line
@@ -269,6 +270,12 @@ def refused_docs(jw_files, tmp_path_factory):
     (d / "p4_base.ini").write_text(base.replace("p = 3\n", "p = 4\n"))
     (d / "p4.ini").write_text((jw_files / "target.ini").read_text()
                               .replace("target_base.ini", "p4_base.ini"))
+    files.write_algebroid(mu2_algebroid(), str(d), stem="mu2",
+                          base_stem="mu2_base")
+    (d / "twist.ini").write_text(
+        "[comodule]\nalgebroid = mu2.ini\n\n"
+        "[generators]\nm = 0\n\n[psi]\nm = g(g)(x)m\n"
+    )
     return d
 
 
@@ -294,6 +301,23 @@ EXIT_CODES = [
      2, "input error: --max-dim must be >= 1, not 0"),
     (["descent", "--modules", "-1"],
      2, "input error: --modules must be >= 0, not -1"),
+    (["hopf", "axioms", "{jw}/target.ini", "--bound", "-1"],
+     2, "input error: --bound must be >= 0, not -1"),
+    (["morita", "check", "{jw}/map.ini", "--degree", "-1",
+      "--flat-witness", "{jw}/witness.ini"],
+     2, "input error: --degree must be >= 0, not -1"),
+    (["comodule", "check", "{bad}/twist.ini", "--bound", "-1"],
+     2, "input error: --bound must be >= 0, not -1"),
+    (["ring", "check", "{jw}/target_base.ini", "--degree", "-3"],
+     2, "input error: --degree must be >= 0, not -3"),
+    (["ext", "{jw}/target.ini", *_WINDOW, "--inner", "-1"],
+     2, "input error: --inner must be >= 0, not -1"),
+    (["hopf", "bp", "--prime", "3", "--degree", "8", "--max-gens", "0",
+      "--out", "{bad}/bp0"],
+     2, "input error: --max-gens must be >= 1, not 0"),
+    (["oracle", "groupoid", "{jw}/map.ini", "--rings", "F_3",
+      "--budget", "0"],
+     2, "input error: --budget must be >= 1, not 0"),
 ]
 
 
@@ -301,7 +325,10 @@ EXIT_CODES = [
     "argv, code, prefix", EXIT_CODES,
     ids=["bp-p4", "bp-p1", "ext-fp-p4", "ext-plocal", "ext-odd-degree",
          "ext-smax-negative", "ext-empty-t-window", "descent-max-dim-0",
-         "descent-modules-negative"],
+         "descent-modules-negative", "axioms-bound-negative",
+         "morita-degree-negative", "comodule-bound-negative",
+         "ring-degree-negative", "ext-inner-negative", "bp-max-gens-0",
+         "oracle-budget-0"],
 )
 def test_exit_codes(refused_docs, jw_files, capsys, argv, code, prefix):
     """What each refused input exits with, and the line it prints."""

@@ -269,7 +269,10 @@ def _frozen_table(name):
 
 def test_stable_tables_match_frozen_reference(flagship):
     """The flagship table (inner weight 36) on a small window of both
-    pairs, against the answer frozen with the benchmark."""
+    pairs, against the answer frozen with the benchmark and against the
+    Miller-Ravenel closed form: at p=3, Ext of v1^-1BP_*/I1 is
+    K(1)_* (x) E(zeta_1) (Ravenel, Complex Cobordism, ch. 6), one class
+    exactly when s is 0 or 1 and t is a multiple of |v1| = 4."""
     _, H1, H2, _ = flagship
     want = _frozen_table("change_of_rings.csv")
     for H in (H1, H2):
@@ -278,6 +281,7 @@ def test_stable_tables_match_frozen_reference(flagship):
             for t in range(-16, 17):
                 got = C.ext_dim_stable(s, t, 36)
                 assert got == want.get((s, t), 0), (H.name, s, t)
+                assert got == (s <= 1 and t % 4 == 0), (H.name, s, t)
 
 
 def test_plain_table_matches_frozen_reference():

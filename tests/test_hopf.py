@@ -1,4 +1,6 @@
-"""Hopf algebroid structure: axiom suite, tensor squares, fault injection."""
+"""Hopf algebroid structure: axiom suite, tensor powers, fault injection."""
+import itertools
+
 import pytest
 
 from hopfalg import hopf
@@ -21,17 +23,71 @@ def test_mu2_axioms(mu2):
     assert hopf.check_hopf_axioms(mu2, 8).ok
 
 
-def test_balanced_tensor_relation(mu2):
-    # in Gamma (x)_A Gamma the right base copy moves left through eta_R;
-    # for the lines over F_p the base is trivial, so check on a BP quotient
+@pytest.fixture(scope="module")
+def bp3_quotient():
     from hopfalg.fgl import assemble_bp, quotient_localize
 
-    H = quotient_localize(assemble_bp(3, 40), 1)
-    ts = H.ts
-    a = H.A.gen(1)  # v2
-    lhs = ts.incl_r(H.etaL(a))
-    rhs = ts.incl_l(H.etaR(a))
-    assert lhs == rhs
+    return quotient_localize(assemble_bp(3, 40), 1)
+
+
+def test_balanced_tensor_relation(bp3_quotient):
+    # in Gamma (x)_A Gamma a base generator moves one factor left through
+    # eta_R; for the lines over F_p the base is trivial, so check on a BP
+    # quotient, in every factor of the square and the cube
+    H = bp3_quotient
+    for T in (H.ts, H.tc):
+        incl = list(T.inclusions())
+        assert len(incl) == T.k
+        assert (incl[0].images, incl[1].images) == (
+            T.incl_l.images, T.incl_r.images
+        )
+        for a in range(len(H.A.gens)):
+            ga = H.A.gen(a)
+            for j in range(1, T.k):
+                assert incl[j](H.etaL(ga)) == incl[j - 1](H.etaR(ga))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_split_monomial_inverts_factor_products(bp3_quotient, k):
+    """A product of one Gamma-monomial per factor (base exponents, v1^-1
+    included, in factor 0) splits back into those monomials."""
+    H = bp3_quotient
+    Gamma = H.Gamma
+    T = H.ts if k == 2 else H.tc
+    incl = list(T.inclusions())
+    words = H.morphism_monomials()
+    v1 = Gamma.index["v1"]
+    split = 0
+    for ws in itertools.product(words, repeat=k):
+        if sum(map(Gamma.weight, ws)) > Gamma.truncation:
+            continue
+        ws = (ws[0][:v1] + (-1,) + ws[0][v1 + 1:],) + ws[1:]
+        prod = T.pres.one()
+        for j, w in enumerate(ws):
+            prod = prod * incl[j](Gamma.monomial_element(w))
+        (m, c), = prod.terms.items()
+        assert c == 1 and T.split_monomial(m) == ws
+        split += 1
+    assert split > len(words)
+
+
+def test_cube_copies_carry_derived_power_rules(flagship):
+    """Gamma_f's derived rules (t1^3 = v1^2 t1 at p=3) hold for the copies
+    of t1 in the cube's factors 1 and 2, each under its own inclusion."""
+    _, _, H2, _ = flagship
+    Gamma, tc = H2.Gamma, H2.tc
+    incl = list(tc.inclusions())
+    ruled = [i for i in H2.morphism_order if i in Gamma.rules]
+    assert ruled
+    for i in ruled:
+        rule = Gamma.rules[i]
+        rhs = Gamma.element(list(rule.rhs))
+        for j in (1, 2):
+            slot = tc.slots[(j, i)]
+            copy_rule = tc.pres.rules[slot]
+            assert copy_rule.power == rule.power
+            assert tc.pres.element(list(copy_rule.rhs)) == incl[j](rhs)
+            assert tc.pres.gen(slot) ** rule.power == incl[j](rhs)
 
 
 def test_corrupted_delta_fails_axioms():

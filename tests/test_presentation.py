@@ -537,7 +537,6 @@ def test_power_table_on_bp_structure_maps():
     mu_1c = RingMorphism(
         H.ts.pres, Gamma,
         [Gamma.gen(i) for i in range(n)] + [H.c.image(j) for j in H.morphism_order],
-        check_degrees=False,
     )
     for j in H.morphism_order:
         assert_power_table_matches(mu_1c, H.delta.image(j))

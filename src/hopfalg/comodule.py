@@ -202,10 +202,10 @@ class SheafData:
     points: list = field(default_factory=list)
 
 
-def sheaf_data(M, rings=None, budget=None):
+def sheaf_data(M, rings=None):
     """Sheafify over the universal point and (optionally) a list of finite
     rings through their groupoids."""
-    from .groupoid import DEFAULT_BUDGET, evaluate_groupoid
+    from .groupoid import evaluate_groupoid
 
     H = M.H
     # at the identity point of Gamma, psi~ is the matrix of psi itself
@@ -215,7 +215,7 @@ def sheaf_data(M, rings=None, budget=None):
     ]
     data = SheafData(H, M.gens, universal)
     for R in rings or []:
-        G = evaluate_groupoid(H, R, budget or DEFAULT_BUDGET)
+        G = evaluate_groupoid(H, R)
         maps, v = sheaf_over_groupoid(M, G)
         data.points.append(
             SheafPointData(R.name, len(M.gens), maps, v)

@@ -117,6 +117,10 @@ def assemble_bp(p, D, max_gens=None):
     # never stops for p < 2
     mode = BaseMode("plocal", p)
     N = bp_generator_count(p, D)
+    if N == 0:
+        raise InputError(
+            f"degree {D} is below the first generator's degree {gen_degree(p, 1)}"
+        )
     if max_gens is not None:
         N = min(N, int(max_gens))
     A, Gamma, morphism_order, etaL, eps = _tower(mode, N, D, f"{{}}@p={p}")

@@ -22,11 +22,7 @@ from __future__ import annotations
 from functools import cached_property, partial
 from itertools import islice
 
-from .errors import (
-    InfiniteBasis,
-    NotFreeOverA,
-    Verdict,
-)
+from .errors import NotFreeOverA, Verdict
 from .presentation import (
     Element,
     GradedPresentation,
@@ -196,20 +192,14 @@ class HopfAlgebroid:
     # -- module-basis enumeration (freeness over A via eta_L) -----------
 
     def morphism_monomials(self):
-        """Exponent vectors over the morphism generators (power-rule
-        bounded) with total degree <= Gamma's truncation bound, sorted.
-        Returns full-width exponent tuples over Gamma."""
+        """Exponent vectors over the morphism generators, bounded by
+        Gamma's normal-form rule, with weight <= Gamma's truncation bound,
+        sorted.  Returns full-width exponent tuples over Gamma."""
         Gamma = self.Gamma
-        factors = []
-        for i in self.morphism_order:
-            rule = Gamma.rules.get(i)
-            if rule is None and Gamma.degrees[i] <= 0:
-                raise InfiniteBasis(
-                    f"morphism generator {Gamma.names[i]} of nonpositive degree"
-                )
-            limit = rule.power if rule is not None else None
-            factors.append((i, Gamma.degrees[i], limit))
-        return exponent_vectors(len(Gamma.gens), factors, Gamma.truncation)
+        return exponent_vectors(
+            len(Gamma.gens), Gamma.exponent_factors(self.morphism_order),
+            Gamma.truncation,
+        )
 
 
 def check_hopf_axioms(H, bound):

@@ -29,6 +29,7 @@ from .presentation import (
     Rule,
     coordinates,
     exponent_vectors,
+    identity_morphism,
     reduce_mod,
 )
 
@@ -159,28 +160,24 @@ class InducedAlgebroid:
     relations: list = field(default_factory=list)  # (A-gen name, rule gen, power)
 
 
-def induced_algebroid(H, f0, check=True):
-    """(B, Gamma_f) with the five structure maps, plus the canonical map."""
-    _require_supported(H, f0)
-    A, B, Gamma = H.A, f0.target, H.Gamma
-    nb = len(B.gens)
+def _induced_presentation(H, f0):
+    """Gamma_f's presentation: the collapsed pair B (x)_A Gamma with the
+    power rules derived from eta_R of the A-generators f_0 newly kills.
+    Returns (collapsed pair, Gamma_f's presentation, [(A-gen name, rule
+    gen, power)])."""
+    A, B = H.A, f0.target
     prov = collapsed_pair(H, f0)
-
     newly_killed = [
-        i for i in range(nb) if B.gen(i).is_zero() and not A.gen(i).is_zero()
+        i for i in range(len(A.gens)) if B.gen(i).is_zero() and not A.gen(i).is_zero()
     ]
+    relations = dict(prov.rules)
     derived = []
-    taken = set()
     for a in newly_killed:
         u = reduce_mod(H.etaR(A.gen(a)), prov)
         if u.is_zero():
             continue
-        i, e, rhs = _extract_power_rule(prov, u, taken)
-        taken.add(i)
-        derived.append((A.names[a], i, e, rhs))
-
-    relations = {i: r for i, r in prov.rules.items()}
-    for _, i, e, rhs in derived:
+        i, e, rhs = _extract_power_rule(prov, u, {i for _, i, _ in derived})
+        derived.append((A.names[a], i, e))
         relations[i] = Rule(e, tuple((c, m) for m, c in rhs.terms.items()))
     try:
         P2 = GradedPresentation(
@@ -198,6 +195,15 @@ def induced_algebroid(H, f0, check=True):
             raise UnsupportedBaseMap(
                 f"relation from eta_R({A.names[a]}) does not rewrite to zero"
             )
+    return prov, P2, derived
+
+
+def induced_algebroid(H, f0):
+    """(B, Gamma_f) with the five structure maps, plus the canonical map;
+    AxiomFailure unless Gamma_f passes `check_hopf_axioms`."""
+    A, B, Gamma = H.A, f0.target, H.Gamma
+    nb = len(B.gens)
+    _, P2, derived = _induced_presentation(H, f0)
 
     morphism_order = tuple(range(nb, len(P2.gens)))
     etaL = RingMorphism(B, P2, [P2.gen(i) for i in range(nb)], name="etaL")
@@ -235,10 +241,9 @@ def induced_algebroid(H, f0, check=True):
         delta_images,
         name=f"({B.name},Gamma_f)",
     )
-    if check:
-        v = check_hopf_axioms(Hf, P2.truncation)
-        if not v:
-            raise AxiomFailure(f"induced algebroid fails axioms: {v.summary()}")
+    v = check_hopf_axioms(Hf, P2.truncation)
+    if not v:
+        raise AxiomFailure(f"induced algebroid fails axioms: {v.summary()}")
     f1 = RingMorphism(
         Gamma,
         P2,
@@ -246,14 +251,14 @@ def induced_algebroid(H, f0, check=True):
         name="f1",
     )
     hm = HopfMap(H, Hf, f0, f1, name="canonical")
-    return InducedAlgebroid(Hf, hm, [(a, i, e) for a, i, e, _ in derived])
+    return InducedAlgebroid(Hf, hm, derived)
 
 
 def combined_map(f):
     """eta_L (x) f_1 (x) eta_R : B (x)_A Gamma (x)_A B -> Sigma.  The right
     B-factor is eliminated through eta_R, so the source presentation is
     the induced algebroid's Gamma_f."""
-    source = induced_algebroid(f.source, f.f0, check=False).algebroid.Gamma
+    source = _induced_presentation(f.source, f.f0)[1]
     Sigma = f.target.Gamma
     nb = len(f.target.A.gens)
     images = [f.target.etaL(f.target.A.gen(i)) for i in range(nb)]
@@ -300,10 +305,10 @@ def check_flat_witness(f, g, basis, bound=None):
     form a basis of C over its coefficient ring in every degree |t| <=
     bound: their matrix in C's degree basis must be square with a
     determinant that is a unit of that ring, not merely of full rank.
-    A-monomials are
-    enumerated against the weight the composite actually produces (the
-    maximal C-weight of each h(image)), which keeps the truncated
-    filtrations on both sides aligned."""
+    A-monomials obey A's exponent rule but are weighed by the h-weights,
+    the maximal C-weight of each h(image), not by A's degrees: the weight
+    the composite actually produces, which keeps the truncated filtrations
+    on both sides aligned."""
     v = Verdict()
     CP = g.source
     C = g.target
@@ -333,41 +338,23 @@ def check_flat_witness(f, g, basis, bound=None):
         for b, (_, _, gb) in zip(basis, basis_elems):
             if gb.is_zero():
                 v.fail(f"witness element {CP.format_monomial(b)} is zero")
-        # A-monomials by the weight h gives them, once per cap D - wb; the
-        # inverted generator's exponent is solved by degree below
-        factors = [
-            (i, hw[i], A.rules[i].power if i in A.rules else None)
-            for i in range(len(A.gens))
-            if i not in A.inverted
-        ]
-        a_monomials = {}
-        for wb, _, _ in basis_elems:
-            if D - wb not in a_monomials:
-                a_monomials[D - wb] = [
-                    (m, A.monomial_degree(m))
-                    for m in exponent_vectors(len(A.gens), factors, D - wb)
-                ]
-        inv = sorted(A.inverted)
-        if len(inv) > 1:
-            raise InfiniteBasis("two inverted generators in A")
+        # A-monomials by the weight h gives them, one walk per cap D - wb
+        factors = A.exponent_factors(
+            [i for i in range(len(A.gens)) if i not in A.inverted], hw
+        )
+        caps = {D - wb for wb, _, _ in basis_elems}
+        walks = {cap: A.graded_walk(factors, cap) for cap in caps}
         for t in range(-bound, bound + 1):
             try:
                 cb = C.degree_basis(t)
             except InfiniteBasis:
                 v.fail(f"C basis infinite in degree {t}")
                 continue
-            cols = []
-            for wb, db, gb in basis_elems:
-                for mono, d in a_monomials[D - wb]:
-                    if inv:
-                        i0 = inv[0]
-                        q, r = divmod(t - db - d, A.degrees[i0])
-                        if r != 0:
-                            continue
-                        mono = mono[:i0] + (q,) + mono[i0 + 1:]
-                    elif d + db != t:
-                        continue
-                    cols.append(h_of(mono) * gb)
+            cols = [
+                h_of(mono) * gb
+                for wb, db, gb in basis_elems
+                for mono in walks[D - wb](t - db)
+            ]
             if len(cols) != len(cb):
                 v.fail(f"degree {t}: {len(cols)} products vs basis size {len(cb)}")
                 continue
@@ -383,11 +370,9 @@ def identity_witness(f):
     """The canonical freeness witness: C = B (x)_A Gamma, g = identity,
     basis = the morphism monomials of the induced algebroid, which the
     derived leading powers bound."""
-    from .presentation import identity_morphism
-
-    ind = induced_algebroid(f.source, f.f0, check=False)
-    CP = collapsed_pair(f.source, f.f0)
-    return identity_morphism(CP), ind.algebroid.morphism_monomials()
+    CP, P2, _ = _induced_presentation(f.source, f.f0)
+    factors = P2.exponent_factors(range(len(f.f0.target.gens), len(P2.gens)))
+    return identity_morphism(CP), exponent_vectors(len(P2.gens), factors, P2.truncation)
 
 
 @dataclass
@@ -415,7 +400,7 @@ class EquivalenceCertificate:
         }
 
 
-def theoremD_verdict(f, witness=None, assume_flat=False, bound=None, catalog=None):
+def theoremD_verdict(f, witness=None, assume_flat=False, bound=None):
     """Internal-equivalence certificate: combined-map isomorphism check,
     flat-witness verification, and finite-ring corroboration."""
     D = f.target.Gamma.truncation
@@ -437,8 +422,7 @@ def theoremD_verdict(f, witness=None, assume_flat=False, bound=None, catalog=Non
     inconsistent = False
     from .groupoid import analyze_map, catalog_rings
 
-    rings = catalog if catalog is not None else catalog_rings()
-    for R in rings:
+    for R in catalog_rings():
         try:
             report = analyze_map(f, R)
             oracle[R.name] = {

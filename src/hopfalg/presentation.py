@@ -170,7 +170,7 @@ class GradedPresentation:
         self._odd_square_zero = self._odd if mode.characteristic != 2 else ()
         self._validate()
         self._basis_cache = {}
-        self._nf_rhs_cache = {}
+        self._walks = {}  # weight cap -> `graded_walk` of its box
 
     def _validate(self):
         n = len(self.gens)
@@ -326,51 +326,72 @@ class GradedPresentation:
 
     # -- degree basis ------------------------------------------------------
 
-    def degree_basis(self, t, cap=None):
-        """All normal-form monomials of degree exactly t and weight <= cap
-        (default: the truncation bound), in deterministic order."""
-        key = (t, cap)
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
+    def exponent_factors(self, indices, weights=None):
+        """The `exponent_vectors` factors (index, weight, limit) of the
+        generators `indices`: the one rule for the exponents a normal form
+        allows.  The limit is the generator's rule power, and at most 2 for
+        an odd generator away from characteristic 2; None when nothing
+        bounds it.  `weights[i]` overrides generator i's weight.
+        InfiniteBasis for an unbounded generator of weight <= 0."""
         factors = []
-        inv_free = []
-        for i, d in enumerate(self.degrees):
+        for i in indices:
+            w = self._weight_degrees[i] if weights is None else weights[i]
             rule = self.rules.get(i)
             limit = rule.power if rule is not None else None
             if i in self._odd_square_zero:
                 limit = 2 if limit is None else min(limit, 2)
-            if i in self.inverted:
-                inv_free.append(i)
-            elif limit is not None:
-                factors.append((i, d, limit))
-            elif d <= 0:
-                raise InfiniteBasis(
-                    f"free non-inverted generator {self.names[i]} of degree {d}"
-                )
-            else:
-                factors.append((i, d, None))
-        if len(inv_free) > 1:
+            if limit is None and w <= 0:
+                raise InfiniteBasis(f"free generator {self.names[i]} of weight {w}")
+            factors.append((i, w, limit))
+        return factors
+
+    def graded_walk(self, factors, cap):
+        """Walk the box `exponent_vectors(factors, cap)` once and return
+        `at(t)`: its vectors of degree t, sorted, with the inverted
+        generator's exponent (`factors` must leave it out) solved by degree.
+        With an inverted generator u the box is grouped by degree mod |u|.
+        Within one class u's exponents differ by a constant, so the order
+        at one degree of the class is the order at every degree: each class
+        is sorted once and shifted to t."""
+        inv = sorted(self.inverted)
+        if len(inv) > 1:
             raise InfiniteBasis("two or more inverted generators")
-        if inv_free and self.degrees[inv_free[0]] == 0:
-            raise InfiniteBasis(
-                f"inverted degree-0 generator {self.names[inv_free[0]]}"
-            )
-        D = self.truncation if cap is None else min(cap, self.truncation)
-        result = []
-        # the inverted generator has weight 0: solve for its exponent
-        for m in exponent_vectors(len(self.gens), factors, D):
-            rem = t - self.monomial_degree(m)
-            if inv_free:
-                i0 = inv_free[0]
-                q, r = divmod(rem, self.degrees[i0])
-                if r == 0:
-                    result.append(m[:i0] + (q,) + m[i0 + 1:])
-            elif rem == 0:
-                result.append(m)
-        result.sort()
-        self._basis_cache[key] = result
-        return result
+        buckets = {}
+        vectors = exponent_vectors(len(self.gens), factors, cap)
+        if not inv:
+            for m in vectors:
+                buckets.setdefault(self.monomial_degree(m), []).append(m)
+            return lambda t: buckets.get(t, [])
+        i0 = inv[0]
+        du = self.degrees[i0]
+        if du == 0:
+            raise InfiniteBasis(f"inverted degree-0 generator {self.names[i0]}")
+        for m in vectors:
+            d = self.monomial_degree(m)
+            r = d % du  # m placed at degree r, its class's representative
+            buckets.setdefault(r, []).append(m[:i0] + ((r - d) // du,) + m[i0 + 1:])
+        for ms in buckets.values():
+            ms.sort()
+
+        def at(t):
+            q, r = divmod(t, du)
+            return [m[:i0] + (m[i0] + q,) + m[i0 + 1:] for m in buckets.get(r, ())]
+
+        return at
+
+    def degree_basis(self, t, cap=None):
+        """All normal-form monomials of degree exactly t and weight <= cap
+        (default: the truncation bound), sorted.  The weight box of a cap
+        is walked once for every degree."""
+        cached = self._basis_cache.get((t, cap))
+        if cached is None:
+            D = self.truncation if cap is None else min(cap, self.truncation)
+            at = self._walks.get(D)
+            if at is None:
+                free = [i for i in range(len(self.gens)) if i not in self.inverted]
+                at = self._walks[D] = self.graded_walk(self.exponent_factors(free), D)
+            cached = self._basis_cache[t, cap] = at(t)
+        return cached
 
     # -- misc --------------------------------------------------------------
 

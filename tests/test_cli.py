@@ -288,6 +288,8 @@ EXIT_CODES = [
      2, _PRIME + "4"),
     (["hopf", "bp", "--prime", "1", "--degree", "8", "--out", "{bad}/bp1"],
      2, _PRIME + "1"),
+    (["hopf", "bp", "--prime", "3", "--degree", "-4", "--out", "{bad}/bpneg"],
+     2, "input error: degree -4 is below the first generator's degree 4"),
     (["ext", "{bad}/p4.ini", *_WINDOW], 2, _PRIME + "4"),
     (["ext", "{bad}/plocal.ini", *_WINDOW],
      2, "input error: cobar dimensions need a prime-field coefficient mode"),
@@ -323,8 +325,9 @@ EXIT_CODES = [
 
 @pytest.mark.parametrize(
     "argv, code, prefix", EXIT_CODES,
-    ids=["bp-p4", "bp-p1", "ext-fp-p4", "ext-plocal", "ext-odd-degree",
-         "ext-smax-negative", "ext-empty-t-window", "descent-max-dim-0",
+    ids=["bp-p4", "bp-p1", "bp-degree-below-first-generator", "ext-fp-p4",
+         "ext-plocal", "ext-odd-degree", "ext-smax-negative",
+         "ext-empty-t-window", "descent-max-dim-0",
          "descent-modules-negative", "axioms-bound-negative",
          "morita-degree-negative", "comodule-bound-negative",
          "ring-degree-negative", "ext-inner-negative", "bp-max-gens-0",

@@ -85,6 +85,18 @@ def test_theoremD_conditional_and_yes(flagship):
     assert d["schema"] == 1 and d["status"] == "yes"
 
 
+def test_identity_witness_drops_odd_squares():
+    """x odd in characteristic 3 squares to zero: the witness basis of the
+    line F_3[x]/(x^5) is 1, x, and it verifies."""
+    from conftest import primitive_line
+
+    H = primitive_line(3, 1, 5)
+    assert H.morphism_monomials() == [(0,), (1,)]
+    f = HopfMap(H, H, identity_morphism(H.A), identity_morphism(H.Gamma))
+    cert = morita.theoremD_verdict(f, witness=identity_witness(f))
+    assert cert.status == "yes", cert.to_dict()
+
+
 def test_theoremD_refutes_broken_map(flagship):
     _, H1, H2, f = flagship
     # kill t2 in f1: the combined map misses the t2-line

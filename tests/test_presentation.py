@@ -70,12 +70,21 @@ def negative_rule_ring(names, mode=FP3):
     )
 
 
+def negative_laurent_ring():
+    """F_3[w, u^+-1, e] with |u| = -4 inverted between w and the odd e:
+    u's exponent sits mid-vector and falls as the degree rises."""
+    return GradedPresentation(
+        FP3, [("w", 6), ("u", -4), ("e", 3)], inverted=["u"], truncation=24
+    )
+
+
 RINGS = [
     poly_ring(), quotient_ring(), laurent_ring(),
     negative_rule_ring("xy"), negative_rule_ring("yx"),
-    negative_rule_ring("xy", FP2),
+    negative_rule_ring("xy", FP2), negative_laurent_ring(),
 ]
-RING_IDS = ["poly", "quot", "laurent", "neg-xy", "neg-yx", "neg-xy-f2"]
+RING_IDS = ["poly", "quot", "laurent", "neg-xy", "neg-yx", "neg-xy-f2",
+            "laurent-neg"]
 
 
 def elements(P, max_terms=4):
@@ -155,7 +164,26 @@ def brute_degree_basis(P, t):
 @pytest.mark.parametrize("P", RINGS, ids=RING_IDS)
 @pytest.mark.parametrize("t", [-2, 0, 4, 7, 8, 12, 16, 20])
 def test_degree_basis_matches_brute_force(P, t):
-    assert sorted(P.degree_basis(t)) == brute_degree_basis(P, t)
+    """Equal in order too, not only as sets."""
+    assert P.degree_basis(t) == brute_degree_basis(P, t)
+
+
+@pytest.mark.parametrize("make", [poly_ring, laurent_ring, negative_laurent_ring])
+def test_degree_basis_walks_each_cap_once(make, monkeypatch):
+    """A sweep over a window of degrees at one cap walks its box once."""
+    from hopfalg import presentation
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exponent_vectors(*args)
+
+    monkeypatch.setattr(presentation, "exponent_vectors", counted)
+    P = make()
+    for t in range(-20, 21):
+        P.degree_basis(t, 12)
+    assert len(calls) == 1
 
 
 def brute_exponent_vectors(n, factors, cap):

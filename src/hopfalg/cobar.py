@@ -111,9 +111,6 @@ class CobarComplex:
             int(i in H.morphism_gens) for i in range(len(H.Gamma.gens))
         )
         self._base_mask = tuple(1 - m for m in self._morphism_mask)
-        self._base_positions = tuple(compress(
-            range(len(H.Gamma.gens)), self._base_mask
-        ))
         self._words_cache = {}
         self._basis_cache = {}
         self._columns_cache = {}
@@ -160,7 +157,7 @@ class CobarComplex:
         generators."""
         G = self.H.Gamma
         mono = [0] * len(G.gens)
-        for i, e in zip(self._base_positions, a_mono):
+        for i, e in zip(self.H.base_order, a_mono):
             mono[i] = e
         return G.monomial_element(tuple(mono))
 
@@ -309,15 +306,8 @@ class CobarComplex:
         got = self._etaL_times_cache.get((a, m0))
         if got is not None:
             return got
-        G = self.H.Gamma
-        raw = []
-        for ma, ca in self._etaL_monomial(a).terms.items():
-            res = G._mul_mono(ma, m0)
-            if res is not None:
-                sgn, mono = res
-                raw.append((-ca if sgn < 0 else ca, mono))
         got = []
-        for mono, cc in G.normalize_terms(raw)[0].items():
+        for mono, cc in (self._etaL_monomial(a) * self._elem(m0)).terms.items():
             a_part, w_part = self._split_gamma_mono(mono)
             if any(w_part):
                 got.append((a_part, w_part, int(cc)))

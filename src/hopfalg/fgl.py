@@ -2,21 +2,22 @@
 
 Generator convention: Hazewinkel, via the log recursion
     p*l_n = sum_{0 <= i < n} l_i * v_{n-i}^{p^i},   l_0 = 1,
-with |v_i| = |t_i| = 2(p^i - 1).  The right unit comes from
-    eta_R(l_n) = m_n = sum_{i+j=n} l_i * t_j^{p^i}
-by inverting the log recursion on the target side; the diagonal solves
-    sum_i l_i * Delta(t_{n-i})^{p^i}
-        = sum_{a+b+c=n} l_a * t_b^{p^a} (x) t_c^{p^{a+b}}
-degreewise; the conjugation solves mu(1 (x) c)Delta = eta_L . eps.  All
-intermediates are exact rationals; p-integrality is asserted before any
-image is frozen into an algebroid."""
+with |v_i| = |t_i| = 2(p^i - 1).  The three structure maps are
+recursions over m_n = eta_R(l_n) = sum_{i+j=n} l_i * t_j^{p^i}, t_0 = 1
+(Ravenel, Complex Cobordism, Thm. A2.1.27):
+    eta_R(v_n) = p*m_n - sum_{0 < i < n} m_i * eta_R(v_{n-i})^{p^i},
+    sum_i l_i * Delta(t_{n-i})^{p^i} = sum_{h+k=n} m_h (x) t_k^{p^h},
+    c(t_n) = l_n - sum_{0 < h <= n} m_h * c(t_{n-h})^{p^h},  c(t_0) = 1.
+All intermediates are exact rationals; p-integrality is asserted before
+any image is frozen into an algebroid.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, SolveFailure
+from .errors import InputError
 from .hopf import HopfAlgebroid, TensorPower
 from .presentation import (
     BaseMode,
@@ -41,14 +42,6 @@ def bp_generator_count(p, D):
 
 
 @dataclass
-class LogData:
-    p: int
-    N: int
-    pres: GradedPresentation  # rational presentation the logs live in
-    logs: list  # logs[0] = 1, logs[n] = l_n
-
-
-@dataclass
 class BPData:
     p: int
     D: int
@@ -56,15 +49,11 @@ class BPData:
     A: GradedPresentation
     Gamma: GradedPresentation
     H: HopfAlgebroid
-    logs: LogData
-    etaR_images: list  # eta_R(v_n) as Gamma elements, index 1..N
-    delta_images: dict  # t-name -> tensor-square element
-    c_images: list  # c(t_n), index 1..N
 
 
 def hazewinkel_logs(p, N, pres=None, vname="v"):
-    """The rational log coefficients l_1..l_N inside pres (default: a fresh
-    rational presentation on v_1..v_N)."""
+    """The rational log coefficients [1, l_1, ..., l_N] inside pres
+    (default: a fresh rational presentation on v_1..v_N)."""
     if pres is None:
         D = gen_degree(p, N)
         pres = GradedPresentation(
@@ -80,7 +69,7 @@ def hazewinkel_logs(p, N, pres=None, vname="v"):
             vni = pres.gen(f"{vname}{n - i}")
             acc = acc + logs[i] * (vni ** (p ** i))
         logs.append(acc.scale(Fraction(1, p)))
-    return LogData(p, N, pres, logs)
+    return logs
 
 
 def _tower(mode, N, D, label, relations=None, inverted=()):
@@ -125,18 +114,14 @@ def assemble_bp(p, D, max_gens=None):
         N = min(N, int(max_gens))
     A, Gamma, morphism_order, etaL, eps = _tower(mode, N, D, f"{{}}@p={p}")
 
-    logdata = hazewinkel_logs(p, N, pres=Gamma)
-    logs = logdata.logs
+    logs = hazewinkel_logs(p, N, pres=Gamma)
+    t = [Gamma.one()] + [Gamma.gen(i) for i in morphism_order]
+    # m_n = eta_R(l_n) = sum_{i+j=n} l_i t_j^{p^i}, with t_0 = 1
+    m = [
+        sum((logs[i] * t[n - i] ** (p ** i) for i in range(n + 1)), Gamma.zero())
+        for n in range(N + 1)
+    ]
 
-    # right unit: m_n = eta_R(l_n), then invert the log recursion
-    t = [None] + [Gamma.gen(N + i) for i in range(N)]
-    m = [Gamma.one()]
-    for n in range(1, N + 1):
-        acc = Gamma.zero()
-        for i in range(n + 1):
-            tj = Gamma.one() if n - i == 0 else t[n - i]
-            acc = acc + logs[i] * (tj ** (p ** i))
-        m.append(acc)
     etaR_images = [None]
     for n in range(1, N + 1):
         acc = m[n].scale(p)
@@ -147,52 +132,20 @@ def assemble_bp(p, D, max_gens=None):
 
     ts = TensorPower(A, Gamma, morphism_order, etaR, 2, name="BP.TS")
     incl_l, incl_r = ts.incl_l, ts.incl_r
-
-    # diagonal
     delta = [ts.pres.one()]
+    c_images = [Gamma.one()]
     for n in range(1, N + 1):
         acc = ts.pres.zero()
-        for a in range(n + 1):
-            for b in range(n + 1 - a):
-                c_ = n - a - b
-                left = ts.pres.one() if b == 0 else incl_l(t[b]) ** (p ** a)
-                right = ts.pres.one() if c_ == 0 else incl_r(t[c_]) ** (p ** (a + b))
-                acc = acc + incl_l(logs[a]) * left * right
+        for h in range(n + 1):
+            acc = acc + incl_l(m[h]) * incl_r(t[n - h]) ** (p ** h)
         for i in range(1, n + 1):
             acc = acc - incl_l(logs[i]) * (delta[n - i] ** (p ** i))
         delta.append(assert_p_integral(acc, p))
-    delta_images = {f"t{n}": delta[n] for n in range(1, N + 1)}
-
-    # conjugation: c(t_n) = -(sum over Delta(t_n) terms except 1 (x) t_n
-    # of left-part * c(right-part)), with c(v) = eta_R(v)
-    c_images = [None]
-    pure_right = {}
-    for n in range(1, N + 1):
-        # layout of ts.pres: v's, t's, then t-right copies
-        mono = [0] * len(ts.pres.gens)
-        mono[ts.slots[(1, N + n - 1)]] = 1
-        pure_right[n] = tuple(mono)
-    for n in range(1, N + 1):
-        dn = delta[n]
-        if dn.coefficient(pure_right[n]) != 1:
-            raise SolveFailure(f"Delta(t{n}) lacks the unit 1(x)t{n} term")
-        acc = Gamma.zero()
-        for mono, coeff in dn.terms.items():
-            if mono == pure_right[n]:
-                continue
-            lmono, rmono = ts.split_monomial(mono)
-            term = Gamma.monomial_element(lmono, coeff)
-            for j, e in enumerate(rmono):
-                if e:
-                    term = term * (c_images[j - N + 1] ** e)
-            acc = acc + term
-        c_images.append(assert_p_integral(-acc, p))
-    c = RingMorphism(
-        Gamma,
-        Gamma,
-        [etaR_images[i + 1] for i in range(N)] + c_images[1:],
-        name="c",
-    )
+        acc = logs[n]
+        for h in range(1, n + 1):
+            acc = acc - m[h] * (c_images[n - h] ** (p ** h))
+        c_images.append(assert_p_integral(acc, p))
+    c = RingMorphism(Gamma, Gamma, etaR_images[1:] + c_images[1:], name="c")
 
     H = HopfAlgebroid(
         A,
@@ -202,12 +155,10 @@ def assemble_bp(p, D, max_gens=None):
         etaR,
         eps,
         c,
-        delta_images,
+        {f"t{n}": delta[n] for n in range(1, N + 1)},
         name=f"BP@p={p}",
     )
-    return BPData(
-        p, D, N, A, Gamma, H, logdata, etaR_images, delta_images, c_images[1:]
-    )
+    return BPData(p, D, N, A, Gamma, H)
 
 
 def quotient_localize(bp, n):
@@ -218,13 +169,12 @@ def quotient_localize(bp, n):
     A, Gamma, morphism_order, etaL, eps = _tower(
         mode, N, D, f"v{n}^-1{{}}/I{n}@p={p}", kills, [f"v{n}"]
     )
-    etaR_images = [reduce_mod(x, Gamma) for x in bp.etaR_images[1:]]
-    etaR = RingMorphism(A, Gamma, etaR_images, name="etaR")
+    H = bp.H
+    etaR = RingMorphism(
+        A, Gamma, [reduce_mod(x, Gamma) for x in H.etaR.images], name="etaR"
+    )
     c = RingMorphism(
-        Gamma,
-        Gamma,
-        etaR_images + [reduce_mod(ci, Gamma) for ci in bp.c_images],
-        name="c",
+        Gamma, Gamma, [reduce_mod(x, Gamma) for x in H.c.images], name="c"
     )
     return HopfAlgebroid(
         A,
@@ -234,7 +184,7 @@ def quotient_localize(bp, n):
         etaR,
         eps,
         c,
-        bp.delta_images,
+        {H.Gamma.names[i]: H.delta.images[i] for i in H.morphism_order},
         name=f"v{n}^-1BP/I{n}@p={p}",
     )
 

@@ -141,6 +141,10 @@ class HopfAlgebroid:
             sorted(g if isinstance(g, int) else Gamma.index[g] for g in morphism_gens)
         )
         self.morphism_gens = frozenset(self.morphism_order)
+        # Gamma's positions of the base generators, in A's order
+        self.base_order = tuple(
+            i for i in range(len(Gamma.gens)) if i not in self.morphism_gens
+        )
         self._check_alignment(etaL)
         self.etaL = etaL
         self.etaR = etaR
@@ -163,12 +167,11 @@ class HopfAlgebroid:
         self.delta = RingMorphism(Gamma, self.ts.pres, images, name="delta")
 
     def _check_alignment(self, etaL):
-        base = [i for i in range(len(self.Gamma.gens)) if i not in self.morphism_gens]
-        if len(base) != len(self.A.gens):
+        if len(self.base_order) != len(self.A.gens):
             raise NotFreeOverA(
                 "base generators of Gamma do not match A's generators"
             )
-        for a, i in enumerate(base):
+        for a, i in enumerate(self.base_order):
             if self.Gamma.gens[i] != self.A.gens[a]:
                 raise NotFreeOverA(
                     f"generator mismatch: {self.Gamma.gens[i]} vs {self.A.gens[a]}"

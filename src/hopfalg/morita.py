@@ -30,7 +30,6 @@ from .presentation import (
     coordinates,
     exponent_vectors,
     identity_morphism,
-    reduce_mod,
 )
 
 
@@ -93,20 +92,37 @@ def _require_supported(H, f0):
         raise UnsupportedBaseMap("base modes of B and Gamma must agree")
 
 
+def _collapse(H):
+    """The map moving the exponents of a Gamma-monomial, or of a monomial
+    of its tensor square, into the collapsed pair's generator order: the
+    base generators (A's order), then the morphism generators, then the
+    square's right copies.  Gamma may list a base generator after a
+    morphism generator, so the exponents move by `H.base_order`, not by
+    position."""
+    order = H.base_order + H.morphism_order
+    return lambda m: tuple(m[j] for j in order) + m[len(order):]
+
+
+def _carried(P, move, x):
+    """The element x moved by `move` into P's generators, normalized
+    there."""
+    return P.element([(c, move(m)) for m, c in x.terms.items()])
+
+
 def collapsed_pair(H, f0):
     """B (x)_A Gamma as a presentation: B's generators plus Gamma's
     morphism generators, all A-coefficients pushed through f_0."""
     _require_supported(H, f0)
-    A, B, Gamma = H.A, f0.target, H.Gamma
+    B, Gamma = f0.target, H.Gamma
     nb = len(B.gens)
     gens = list(B.gens) + [Gamma.gens[i] for i in H.morphism_order]
     relations = {i: r for i, r in B.rules.items()}
-    pad = len(gens) - len(Gamma.gens)
+    move = _collapse(H)
     for pos, i in enumerate(H.morphism_order):
         rule = Gamma.rules.get(i)
         if rule is not None:
             relations[nb + pos] = Rule(
-                rule.power, tuple((c, m + (0,) * pad) for c, m in rule.rhs)
+                rule.power, tuple((c, move(m)) for c, m in rule.rhs)
             )
     return GradedPresentation(
         B.mode,
@@ -167,13 +183,14 @@ def _induced_presentation(H, f0):
     gen, power)])."""
     A, B = H.A, f0.target
     prov = collapsed_pair(H, f0)
+    move = _collapse(H)
     newly_killed = [
         i for i in range(len(A.gens)) if B.gen(i).is_zero() and not A.gen(i).is_zero()
     ]
     relations = dict(prov.rules)
     derived = []
     for a in newly_killed:
-        u = reduce_mod(H.etaR(A.gen(a)), prov)
+        u = _carried(prov, move, H.etaR(A.gen(a)))
         if u.is_zero():
             continue
         i, e, rhs = _extract_power_rule(prov, u, {i for _, i, _ in derived})
@@ -191,7 +208,7 @@ def _induced_presentation(H, f0):
     except Exception as exc:
         raise UnsupportedBaseMap(f"derived relations unusable: {exc}") from exc
     for a in newly_killed:
-        if not reduce_mod(H.etaR(A.gen(a)), P2).is_zero():
+        if not _carried(P2, move, H.etaR(A.gen(a))).is_zero():
             raise UnsupportedBaseMap(
                 f"relation from eta_R({A.names[a]}) does not rewrite to zero"
             )
@@ -206,29 +223,27 @@ def induced_algebroid(H, f0):
     _, P2, derived = _induced_presentation(H, f0)
 
     morphism_order = tuple(range(nb, len(P2.gens)))
+    move = _collapse(H)
     etaL = RingMorphism(B, P2, [P2.gen(i) for i in range(nb)], name="etaL")
-    etaR = RingMorphism(
-        B,
-        P2,
-        [reduce_mod(H.etaR(A.gen(i)), P2) for i in range(nb)],
-        name="etaR",
-    )
+    etaR_images = [_carried(P2, move, H.etaR(A.gen(i))) for i in range(nb)]
+    etaR = RingMorphism(B, P2, etaR_images, name="etaR")
     eps = RingMorphism(
         P2,
         B,
         [B.gen(i) for i in range(nb)]
-        + [reduce_mod(H.eps(Gamma.gen(i)), B) for i in H.morphism_order],
+        + [f0(H.eps(Gamma.gen(i))) for i in H.morphism_order],
         name="eps",
     )
     c = RingMorphism(
         P2,
         P2,
-        [reduce_mod(H.etaR(A.gen(i)), P2) for i in range(nb)]
-        + [reduce_mod(H.c(Gamma.gen(i)), P2) for i in H.morphism_order],
+        etaR_images
+        + [_carried(P2, move, H.c(Gamma.gen(i))) for i in H.morphism_order],
         name="c",
     )
     delta_images = {
-        Gamma.names[i]: H.delta(Gamma.gen(i)) for i in H.morphism_order
+        Gamma.names[i]: [(k, move(m)) for m, k in H.delta.images[i].terms.items()]
+        for i in H.morphism_order
     }
     Hf = HopfAlgebroid(
         B,
@@ -247,7 +262,7 @@ def induced_algebroid(H, f0):
     f1 = RingMorphism(
         Gamma,
         P2,
-        [P2.gen(i) for i in range(len(Gamma.gens))],
+        [_carried(P2, move, Gamma.gen(i)) for i in range(len(Gamma.gens))],
         name="f1",
     )
     hm = HopfMap(H, Hf, f0, f1, name="canonical")
@@ -316,7 +331,10 @@ def check_flat_witness(f, g, basis, bound=None):
     D = C.truncation
     if bound is None:
         bound = D
-    h_images = [g(reduce_mod(f.source.etaR(A.gen(i)), CP)) for i in range(len(A.gens))]
+    move = _collapse(f.source)
+    h_images = [
+        g(_carried(CP, move, f.source.etaR(A.gen(i)))) for i in range(len(A.gens))
+    ]
     hw = []
     for i, img in enumerate(h_images):
         if img.is_zero():

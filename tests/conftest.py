@@ -92,6 +92,33 @@ def mu2_algebroid(truncation=8):
     )
 
 
+def line_over_v(order):
+    """(F_3[v], F_3[v][x]/(x^3)), |v| = 4, |x| = 2, x primitive, with
+    Gamma's generators listed in `order`."""
+    mode = BaseMode("fp", 3)
+    A = GradedPresentation(mode, [("v", 4)], truncation=16)
+    degrees = {"x": 2, "v": 4}
+    Gamma = GradedPresentation(
+        mode, [(g, degrees[g]) for g in order],
+        relations={"x": (3, [])}, truncation=16,
+    )
+    x, v = Gamma.index["x"], Gamma.index["v"]
+    etaL = RingMorphism(A, Gamma, [Gamma.gen(v)])
+    eps = RingMorphism(
+        Gamma, A, [A.zero() if g == "x" else A.gen(0) for g in order]
+    )
+    c = RingMorphism(
+        Gamma, Gamma,
+        [-Gamma.gen(x) if g == "x" else Gamma.gen(v) for g in order],
+    )
+    # tensor-square generators: Gamma's, then the right copy of x
+    left = tuple(int(i == x) for i in range(2)) + (0,)
+    return HopfAlgebroid(
+        A, Gamma, [x], etaL, etaL, eps, c,
+        {"x": [(1, left), (1, (0, 0, 1))]},
+    )
+
+
 @pytest.fixture(scope="session")
 def bp2():
     from hopfalg.fgl import assemble_bp

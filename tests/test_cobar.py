@@ -9,7 +9,7 @@ from hopfalg.cobar import CobarComplex, compare_ext, ext_dims, primitive_dims
 from hopfalg.errors import InputError
 from hopfalg.presentation import BaseMode, GradedPresentation
 
-from conftest import mu2_algebroid, primitive_line
+from conftest import line_over_v, mu2_algebroid, primitive_line
 from test_comodule import comodule_catalog
 
 
@@ -205,42 +205,12 @@ def test_stable_range_flagship_slice(flagship):
     assert a[(0, 0)] == 1 and a[(1, 4)] == 1
 
 
-def _line_over_v(order):
-    """(F_3[v], F_3[v][x]/(x^3)), |v| = 4, |x| = 2, x primitive, with
-    Gamma's generators listed in `order`."""
-    from hopfalg.hopf import HopfAlgebroid
-    from hopfalg.presentation import RingMorphism
-
-    mode = BaseMode("fp", 3)
-    A = GradedPresentation(mode, [("v", 4)], truncation=16)
-    degrees = {"x": 2, "v": 4}
-    Gamma = GradedPresentation(
-        mode, [(g, degrees[g]) for g in order],
-        relations={"x": (3, [])}, truncation=16,
-    )
-    x, v = Gamma.index["x"], Gamma.index["v"]
-    etaL = RingMorphism(A, Gamma, [Gamma.gen(v)])
-    eps = RingMorphism(
-        Gamma, A, [A.zero() if g == "x" else A.gen(0) for g in order]
-    )
-    c = RingMorphism(
-        Gamma, Gamma,
-        [-Gamma.gen(x) if g == "x" else Gamma.gen(v) for g in order],
-    )
-    # tensor-square generators: Gamma's, then the right copy of x
-    left = tuple(int(i == x) for i in range(2)) + (0,)
-    return HopfAlgebroid(
-        A, Gamma, [x], etaL, etaL, eps, c,
-        {"x": [(1, left), (1, (0, 0, 1))]},
-    )
-
-
 def test_base_generators_may_follow_morphism_generators():
     """eta_L(a) lands on the base generators wherever Gamma lists them:
     F_3[v] tensor Ext of F_3[x]/(x^3), whichever generator comes first."""
     tables = [
         ext_dims(
-            CobarComplex(_line_over_v(order), s_max=3, t_min=0, t_max=16),
+            CobarComplex(line_over_v(order), s_max=3, t_min=0, t_max=16),
             check_d2=True,
         )
         for order in (("v", "x"), ("x", "v"))

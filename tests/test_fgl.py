@@ -23,7 +23,7 @@ def test_generator_degrees():
 
 def test_log_recursion_p3():
     # p*l_n = sum_{i<n} l_i v_{n-i}^{p^i} with l_0 = 1
-    logs = hazewinkel_logs(3, 2).logs
+    logs = hazewinkel_logs(3, 2)
     P = logs[1].pres
     v1, v2 = P.gen(0), P.gen(1)
     assert logs[1] * P.scalar(Fraction(3)) == v1
@@ -61,15 +61,17 @@ def test_primitivity_mod_In(p, n):
 
 def test_integrality_enforced():
     # the raw log coefficients themselves are non-integral; the assembled
-    # structure maps must never be
-    logs = hazewinkel_logs(2, 2).logs
-    assert any(
-        Fraction(c).denominator != 1 for c in logs[2].terms.values()
-    )
-    bp = fgl.assemble_bp(2, 16)
-    for img in bp.etaR_images[1:]:
-        for c in img.terms.values():
-            assert Fraction(c).denominator == 1
+    # structure maps eta_R, Delta and c must never be
+    for p, D in [(2, 16), (2, 32), (3, 52)]:
+        logs = hazewinkel_logs(p, 2)
+        assert any(
+            Fraction(c).denominator != 1 for c in logs[2].terms.values()
+        )
+        H = fgl.assemble_bp(p, D).H
+        for phi in (H.etaR, H.delta, H.c):
+            for img in phi.images:
+                for c in img.terms.values():
+                    assert Fraction(c).denominator == 1, (p, D, phi.name, img)
 
 
 def test_quotient_localize_shape():

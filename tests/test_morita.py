@@ -2,6 +2,7 @@
 import pytest
 
 from hopfalg import cli, groupoid, hopf, morita
+from hopfalg.cobar import CobarComplex, ext_dims
 from hopfalg.errors import (
     AxiomFailure,
     SearchBudgetExceeded,
@@ -15,7 +16,7 @@ from hopfalg.presentation import (
     identity_morphism,
 )
 
-from conftest import write_mu2_identity_map
+from conftest import line_over_v, write_mu2_identity_map
 
 
 def test_induced_algebroid_axioms(flagship):
@@ -108,6 +109,37 @@ def test_theoremD_refutes_broken_map(flagship):
     cert = morita.theoremD_verdict(bad, assume_flat=True, bound=24)
     assert cert.status == "no"
     assert cert.refutation
+
+
+def test_induced_pair_ignores_the_order_of_gammas_generators():
+    """Killing v on the line over v: Gamma_f is F_3[x]/(x^3) with f1(x) =
+    x whether Gamma lists v before or after x, and neither the
+    certificate nor the Ext table sees the order."""
+    B = GradedPresentation(
+        BaseMode("fp", 3), [("v", 4)], relations={"v": (1, [])}, truncation=16
+    )
+    results = []
+    for order in (("v", "x"), ("x", "v")):
+        H = line_over_v(order)
+        f0 = RingMorphism(H.A, B, [B.gen(0)], name="f0")
+        ind = morita.induced_algebroid(H, f0)
+        Hf, f = ind.algebroid, ind.map
+        x = Hf.Gamma.gen("x")
+        assert not x.is_zero()
+        assert f.f1(H.Gamma.gen("x")) == x
+        assert f.f1(H.Gamma.gen("v")).is_zero()
+        assert morita.check_hopf_map(f, 16).ok
+        cert = morita.theoremD_verdict(f, witness=identity_witness(f))
+        table = ext_dims(CobarComplex(Hf, s_max=3, t_min=0, t_max=16))
+        results.append((Hf.Gamma.fingerprint(), cert.to_dict(), table.to_csv()))
+    assert results[0] == results[1]
+    # F_3[v] -> F_3 is not flat, and the witness check says so
+    cert = results[0][1]
+    assert cert["status"] == "inconclusive" and cert["iso"]["ok"]
+    assert cert["witness"]["failures"] == [
+        "h kills v; composite cannot be injective"
+    ]
+    assert table.nonzero() == [((0, 0), 1), ((1, 2), 1), ((2, 6), 1), ((3, 8), 1)]
 
 
 def _raising(exc):

@@ -557,8 +557,8 @@ def test_power_table_on_bp_structure_maps():
 
     bp = assemble_bp(2, 32)
     H, Gamma, n = bp.H, bp.Gamma, len(bp.Gamma.gens)
-    images = bp.etaR_images[1:] + bp.c_images
-    for x in images:
+    # eta_R(v_n) and c(t_n) for every n
+    for x in H.c.images:
         for phi in (H.delta, H.c, H.eps, H.ts.incl_r):
             assert_power_table_matches(phi, x)
     # the antipode multiplied out of the tensor square, on every Delta(t_n)

@@ -218,10 +218,11 @@ def cmd_oracle_groupoid(args):
     budget = args.budget or DEFAULT_BUDGET
     rings = catalog_rings()
     if args.rings:
-        wanted = set(args.rings.split(","))
+        wanted = args.rings.split(",")
+        unknown = [n for n in wanted if n not in {R.name for R in rings}]
+        if unknown:
+            raise ParseError(f"not in the ring catalog: {', '.join(unknown)}")
         rings = [R for R in rings if R.name in wanted]
-        if not rings:
-            raise ParseError(f"no catalog ring matches {args.rings!r}")
     is_map = False
     try:
         cp = files.read_config(args.path)

@@ -204,7 +204,8 @@ class SheafData:
 
 def sheaf_data(M, rings=None):
     """Sheafify over the universal point and (optionally) a list of finite
-    rings through their groupoids."""
+    rings through their groupoids, which M.H stores (`evaluate_groupoid`):
+    rings from `catalog_rings()` share them with every other caller."""
     from .groupoid import evaluate_groupoid
 
     H = M.H

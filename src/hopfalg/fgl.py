@@ -210,8 +210,8 @@ def johnson_wilson(bp, m, n):
         name=f"v{n}^-1E({m})*/I{n}@p={p}",
     )
     f0 = RingMorphism(H.A, B, [B.gen(i) for i in range(N)], name="f0")
-    ind = induced_algebroid(H, f0)
-    return ind.algebroid, ind.map
+    f = induced_algebroid(H, f0)
+    return f.target, f
 
 
 def strict_height(f, n):

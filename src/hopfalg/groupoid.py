@@ -12,7 +12,10 @@ Points are found by trying every assignment of generators to R-elements
 (a relation, a structure map, a map of algebroids) is compiled once per
 ring into table lookups: a scalar image and one power row per generator
 factor.  Morphisms are indexed by domain, so composition and the
-associativity check visit only composable pairs and triples.
+associativity check visit only composable pairs and triples.  Each
+algebroid stores its groupoids, one per (ring, budget), and frees them
+with itself; the catalog rings are built once and shared, so every call
+finds the same entries.  A stored groupoid is shared: it is immutable.
 
 The same module houses the finite-instance descent checker: for a family
 of R-algebras S_i (char p throughout) and a finite R-module M it verifies
@@ -26,9 +29,11 @@ to a quotient and the descent maps.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linalg
 from .errors import (
@@ -279,18 +284,13 @@ def product_ring(R, S):
     )
 
 
+@functools.cache
 def catalog_rings():
     """The fixed, ordered test-ring catalog: two prime fields, a proper
     field extension, a non-reduced quotient, a non-reduced local ring, and
-    a non-local ring."""
-    return [
-        GF(2),
-        GF(3),
-        GF(4),
-        Zmod(4),
-        dual_numbers(2),
-        Zmod(6),
-    ]
+    a non-local ring.  Built once: every call returns the same tuple of
+    the same ring objects, which key the algebroids' stored groupoids."""
+    return (GF(2), GF(3), GF(4), Zmod(4), dual_numbers(2), Zmod(6))
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +356,6 @@ def eval_compiled(R, assign, compiled):
     return out
 
 
-def eval_at(R, assign, terms):
-    """Evaluate raw (monomial, coefficient) terms at a generator
-    assignment (tuple of R-elements).  Compiles them first; to evaluate
-    one polynomial at many points, call `compile_poly` once and then
-    `eval_compiled`."""
-    return eval_compiled(R, assign, compile_poly(R, terms))
-
-
 def enumerate_points(P, R, budget=DEFAULT_BUDGET):
     """All assignments generator -> R satisfying P's relations, with
     inverted generators required to land in R's units.  Grading is
@@ -419,16 +411,16 @@ def _eval_all(R, assign, polys):
     return tuple(eval_compiled(R, assign, poly) for poly in polys)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteGroupoid:
     ring: FiniteRing
-    objects: list
-    morphisms: list
-    dom: list
-    cod: list
-    identity: dict  # object index -> morphism index
-    inverse: list  # morphism index -> morphism index
-    comp: dict  # (beta index, alpha index) -> morphism index, beta.alpha
+    objects: tuple
+    morphisms: tuple
+    dom: tuple
+    cod: tuple
+    identity: MappingProxyType  # object index -> morphism index
+    inverse: tuple  # morphism index -> morphism index
+    comp: MappingProxyType  # (beta index, alpha index) -> index of beta.alpha
 
 
 def _by_domain(dom, nobj):
@@ -441,7 +433,16 @@ def _by_domain(dom, nobj):
 
 def evaluate_groupoid(H, R, budget=DEFAULT_BUDGET):
     """The literal groupoid of R-points, with every category axiom and the
-    invertibility of every morphism verified exhaustively."""
+    invertibility of every morphism verified exhaustively.  Stored in
+    `H.groupoids` under (R, budget) and shared by every later call: do not
+    modify it."""
+    key = (R, budget)
+    if key not in H.groupoids:
+        H.groupoids[key] = _build_groupoid(H, R, budget)
+    return H.groupoids[key]
+
+
+def _build_groupoid(H, R, budget):
     A, Gamma = H.A, H.Gamma
     objects = enumerate_points(A, R, budget)
     morphisms = enumerate_points(Gamma, R, budget)
@@ -494,7 +495,10 @@ def evaluate_groupoid(H, R, budget=DEFAULT_BUDGET):
                 raise AxiomFailure("composite with wrong endpoints")
             comp[(bi, ai)] = gi
 
-    G = FiniteGroupoid(R, objects, morphisms, dom, cod, identity, inverse, comp)
+    G = FiniteGroupoid(
+        R, tuple(objects), tuple(morphisms), tuple(dom), tuple(cod),
+        MappingProxyType(identity), tuple(inverse), MappingProxyType(comp),
+    )
     _verify_groupoid(G)
     return G
 

@@ -165,6 +165,7 @@ class HopfAlgebroid:
             else:
                 images.append(self.ts.incl_l(Gamma.gen(i)))
         self.delta = RingMorphism(Gamma, self.ts.pres, images, name="delta")
+        self.groupoids = {}  # (ring, budget) -> groupoid, filled by evaluate_groupoid
 
     def _check_alignment(self, etaL):
         if len(self.base_order) != len(self.A.gens):

@@ -11,7 +11,7 @@ eta_R, and every A-generator killed by f_0 contributes the relation
 leading pure power with graded-unit coefficient."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
@@ -169,18 +169,10 @@ def _extract_power_rule(P, u, taken):
     return i, e, rhs
 
 
-@dataclass
-class InducedAlgebroid:
-    algebroid: HopfAlgebroid
-    map: HopfMap
-    relations: list = field(default_factory=list)  # (A-gen name, rule gen, power)
-
-
 def _induced_presentation(H, f0):
     """Gamma_f's presentation: the collapsed pair B (x)_A Gamma with the
     power rules derived from eta_R of the A-generators f_0 newly kills.
-    Returns (collapsed pair, Gamma_f's presentation, [(A-gen name, rule
-    gen, power)])."""
+    Returns (collapsed pair, Gamma_f's presentation)."""
     A, B = H.A, f0.target
     prov = collapsed_pair(H, f0)
     move = _collapse(H)
@@ -188,13 +180,13 @@ def _induced_presentation(H, f0):
         i for i in range(len(A.gens)) if B.gen(i).is_zero() and not A.gen(i).is_zero()
     ]
     relations = dict(prov.rules)
-    derived = []
+    taken = set()
     for a in newly_killed:
         u = _carried(prov, move, H.etaR(A.gen(a)))
         if u.is_zero():
             continue
-        i, e, rhs = _extract_power_rule(prov, u, {i for _, i, _ in derived})
-        derived.append((A.names[a], i, e))
+        i, e, rhs = _extract_power_rule(prov, u, taken)
+        taken.add(i)
         relations[i] = Rule(e, tuple((c, m) for m, c in rhs.terms.items()))
     try:
         P2 = GradedPresentation(
@@ -212,15 +204,15 @@ def _induced_presentation(H, f0):
             raise UnsupportedBaseMap(
                 f"relation from eta_R({A.names[a]}) does not rewrite to zero"
             )
-    return prov, P2, derived
+    return prov, P2
 
 
 def induced_algebroid(H, f0):
-    """(B, Gamma_f) with the five structure maps, plus the canonical map;
-    AxiomFailure unless Gamma_f passes `check_hopf_axioms`."""
+    """The canonical map to (B, Gamma_f), whose target carries the five
+    structure maps; AxiomFailure unless Gamma_f passes `check_hopf_axioms`."""
     A, B, Gamma = H.A, f0.target, H.Gamma
     nb = len(B.gens)
-    _, P2, derived = _induced_presentation(H, f0)
+    _, P2 = _induced_presentation(H, f0)
 
     morphism_order = tuple(range(nb, len(P2.gens)))
     move = _collapse(H)
@@ -265,8 +257,7 @@ def induced_algebroid(H, f0):
         [_carried(P2, move, Gamma.gen(i)) for i in range(len(Gamma.gens))],
         name="f1",
     )
-    hm = HopfMap(H, Hf, f0, f1, name="canonical")
-    return InducedAlgebroid(Hf, hm, derived)
+    return HopfMap(H, Hf, f0, f1, name="canonical")
 
 
 def combined_map(f):
@@ -388,7 +379,7 @@ def identity_witness(f):
     """The canonical freeness witness: C = B (x)_A Gamma, g = identity,
     basis = the morphism monomials of the induced algebroid, which the
     derived leading powers bound."""
-    CP, P2, _ = _induced_presentation(f.source, f.f0)
+    CP, P2 = _induced_presentation(f.source, f.f0)
     factors = P2.exponent_factors(range(len(f.f0.target.gens), len(P2.gens)))
     return identity_morphism(CP), exponent_vectors(len(P2.gens), factors, P2.truncation)
 

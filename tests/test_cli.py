@@ -320,6 +320,8 @@ EXIT_CODES = [
     (["oracle", "groupoid", "{jw}/map.ini", "--rings", "F_3",
       "--budget", "0"],
      2, "input error: --budget must be >= 1, not 0"),
+    (["oracle", "groupoid", "{jw}/map.ini", "--rings", "F_3,F_5,bogus"],
+     2, "input error: not in the ring catalog: F_5, bogus"),
 ]
 
 
@@ -331,7 +333,7 @@ EXIT_CODES = [
          "descent-modules-negative", "axioms-bound-negative",
          "morita-degree-negative", "comodule-bound-negative",
          "ring-degree-negative", "ext-inner-negative", "bp-max-gens-0",
-         "oracle-budget-0"],
+         "oracle-budget-0", "oracle-unknown-ring"],
 )
 def test_exit_codes(refused_docs, jw_files, capsys, argv, code, prefix):
     """What each refused input exits with, and the line it prints."""

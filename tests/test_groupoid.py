@@ -1,12 +1,16 @@
 """Finite-ring groupoid oracles and faithfully-flat descent."""
+import collections
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from hopfalg import fgl, groupoid
+from conftest import mu2_algebroid
+from hopfalg import comodule, fgl, groupoid, morita
 from hopfalg.errors import AxiomFailure, NotACover, SearchBudgetExceeded
 from hopfalg.groupoid import (
     GF,
@@ -14,9 +18,10 @@ from hopfalg.groupoid import (
     FiniteRing,
     Zmod,
     catalog_rings,
+    compile_poly,
     dual_numbers,
     enumerate_points,
-    eval_at,
+    eval_compiled,
     field_extension_cover,
     free_module,
     point_name,
@@ -71,7 +76,7 @@ def test_mu2_groupoid_is_the_order_two_group(mu2):
 def test_wrong_characteristic_is_vacuous(mu2):
     for R in (GF(2), Zmod(4), Zmod(6)):
         G = groupoid.evaluate_groupoid(mu2, R)
-        assert G.objects == [] and G.morphisms == []
+        assert G.objects == () and G.morphisms == ()
 
 
 def test_budget_guard(mu2):
@@ -424,7 +429,8 @@ def test_eval_at_matches_the_old_loop(ring):
             for i in range(ngen)
         )
         want = _outcome(reference_eval_at, R, assign, terms)
-        assert _outcome(eval_at, R, assign, terms) == want, (terms, assign)
+        got = _outcome(eval_compiled, R, assign, compile_poly(R, terms))
+        assert got == want, (terms, assign)
         if want is ZeroDivisionError:
             raised += 1
         else:
@@ -453,15 +459,17 @@ def test_negative_power_of_a_non_unit_raises(ring):
             ((a, R.zero), [((-1, 3), 1)]),
             ((R.one, a), [((1, 0), 1), ((2, -1), 0)]),
         ]:
-            for fn in (reference_eval_at, eval_at):
-                with pytest.raises(ZeroDivisionError):
-                    fn(R, assign, terms)
+            with pytest.raises(ZeroDivisionError):
+                reference_eval_at(R, assign, terms)
+            with pytest.raises(ZeroDivisionError):
+                eval_compiled(R, assign, compile_poly(R, terms))
 
 
 def reference_groupoid(H, R):
     """(objects, morphisms, dom, cod, identity, inverse, comp) as the old
     code built them: every assignment checked with `reference_eval_at`,
-    every ordered pair of morphisms tried for composition."""
+    every ordered pair of morphisms tried for composition.  The lists are
+    returned as tuples, the form `FiniteGroupoid` keeps them in."""
 
     def points(P):
         if not _mode_admits(P, R):
@@ -499,7 +507,8 @@ def reference_groupoid(H, R):
             if cod[ai] == dom[bi]:
                 ts = a + tuple(b[i] for i in H.morphism_order)
                 comp[(bi, ai)] = mor(at(ts, H.delta, Gamma))
-    return objects, morphisms, dom, cod, identity, inverse, comp
+    return (tuple(objects), tuple(morphisms), tuple(dom), tuple(cod),
+            identity, tuple(inverse), comp)
 
 
 def test_groupoids_match_the_all_pairs_reference(flagship):
@@ -588,3 +597,65 @@ def test_coefficients_missing_from_R_matter_only_at_points():
                 G.comp) == reference_groupoid(H, R), R.name
         sizes.append(len(G.morphisms))
     assert sizes == [0, 9, 0, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the groupoids an algebroid stores
+
+
+def test_one_evaluation_per_algebroid_and_ring(monkeypatch):
+    """The certificate evaluates the map's source and target over every
+    catalog ring; two sheaf_data calls over the source then find every
+    groupoid stored, so points are enumerated once per (algebroid, ring)."""
+    source, target = mu2_algebroid(), mu2_algebroid()
+    f = HopfMap(
+        source, target, RingMorphism(source.A, target.A, []),
+        RingMorphism(source.Gamma, target.Gamma, [target.Gamma.gen(0)]),
+    )
+    built = collections.Counter()
+    build = groupoid._build_groupoid
+
+    def counted(H, R, budget):
+        built[id(H), R] += 1
+        return build(H, R, budget)
+
+    monkeypatch.setattr(groupoid, "_build_groupoid", counted)
+    cert = morita.theoremD_verdict(f)
+    assert set(cert.oracle) == {R.name for R in catalog_rings()}
+    one, g = source.Gamma.one(), source.Gamma.gen(0)
+    twisted = comodule.Comodule(source, [("m0", 0), ("m1", 0)],
+                                {"m0": [(one, "m0")], "m1": [(g, "m1")]})
+    for M in (comodule.unit_comodule(source), twisted):
+        S = comodule.sheaf_data(M, rings=catalog_rings())
+        assert len(S.points) == 6 and all(pt.verdict.ok for pt in S.points)
+    assert built == {(id(H), R): 1 for H in (source, target)
+                     for R in catalog_rings()}
+
+
+def test_a_smaller_budget_still_raises_after_a_stored_evaluation():
+    H = mu2_algebroid()
+    R = catalog_rings()[1]  # F_3: |R|^#gens = 3 for Gamma
+    G = groupoid.evaluate_groupoid(H, R)
+    assert groupoid.evaluate_groupoid(H, R) is G
+    with pytest.raises(SearchBudgetExceeded):
+        groupoid.evaluate_groupoid(H, R, budget=2)
+
+
+def test_a_stored_groupoid_is_immutable(mu2):
+    G = groupoid.evaluate_groupoid(mu2, catalog_rings()[1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.comp = {}
+    for table, key in ((G.comp, next(iter(G.comp))), (G.identity, 0),
+                       (G.dom, 0), (G.inverse, 0), (G.morphisms, 0)):
+        with pytest.raises(TypeError):
+            table[key] = 0
+
+
+def test_stored_groupoids_are_freed_with_their_algebroid():
+    H = mu2_algebroid()
+    ref = weakref.ref(groupoid.evaluate_groupoid(H, catalog_rings()[1]))
+    gc.collect()
+    assert ref() is not None
+    del H
+    gc.collect()
+    assert ref() is None

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a hopfalg module imports is used there."""
+"""Source hygiene: every name a hopfalg module imports is used there, and
+only an allowlist of functions keeps a process-wide memo."""
 import ast
 import pathlib
 
@@ -44,3 +45,56 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# A process-wide memo keeps what it returns until the process exits, so
+# nothing derived from an algebroid may have one: `evaluate_groupoid`
+# stores groupoids on the algebroid instead, freed with it.  Allowed: the
+# BP towers, a pure function of (p, D, max_gens) that callers ask for
+# again and again (groupoids of a tower's own algebroid live as long as
+# the tower), and the ring catalog, whose rings key those groupoids and
+# so must be the same objects on every call.
+MEMO_ALLOWLIST = {"fgl.assemble_bp", "groupoid.catalog_rings"}
+
+
+def memoized_functions(source, module):
+    """(line, "module.function") for every function of `source` decorated
+    with `cache` or `lru_cache`, bare or through `functools`, called or
+    not."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            if isinstance(deco, ast.Call):
+                deco = deco.func
+            if isinstance(deco, ast.Attribute):
+                name = deco.attr
+            else:
+                name = getattr(deco, "id", None)
+            if name in ("cache", "lru_cache"):
+                out.append((node.lineno, f"{module}.{node.name}"))
+    return sorted(out)
+
+
+def test_the_check_sees_a_memo_decorator():
+    source = (
+        "import functools\n"
+        "from functools import cached_property, lru_cache\n"
+        "@functools.cache\n"
+        "def a(): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def b(): pass\n"
+        "class C:\n"
+        "    @cached_property\n"
+        "    def d(self): pass\n"
+        "    @functools.lru_cache\n"
+        "    def e(self): pass\n"
+    )
+    assert memoized_functions(source, "m") == [(4, "m.a"), (6, "m.b"), (11, "m.e")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_memo_decorators_only_on_the_allowlist(path):
+    found = memoized_functions(path.read_text(encoding="utf-8"), path.stem)
+    assert [name for _, name in found if name not in MEMO_ALLOWLIST] == []

@@ -122,8 +122,8 @@ def test_induced_pair_ignores_the_order_of_gammas_generators():
     for order in (("v", "x"), ("x", "v")):
         H = line_over_v(order)
         f0 = RingMorphism(H.A, B, [B.gen(0)], name="f0")
-        ind = morita.induced_algebroid(H, f0)
-        Hf, f = ind.algebroid, ind.map
+        f = morita.induced_algebroid(H, f0)
+        Hf = f.target
         x = Hf.Gamma.gen("x")
         assert not x.is_zero()
         assert f.f1(H.Gamma.gen("x")) == x

@@ -9,8 +9,9 @@ Exit codes: 0 = all verified properties pass, 1 = a property failed,
 2 = input error, 3 = search budget exceeded / infinite basis, 4 =
 internal error (an invariant of the computation broke, such as d^2 != 0
 or a cobar differential leaving its enumerated basis: a bug, not bad
-input).  Input validation raises ParseError or InputError; any other
-ValueError is an internal error.
+input).  Input validation raises ParseError or InputError (such as
+UnsupportedBaseMap, a base map `morita check` does not support); any
+other ValueError is an internal error.
 """
 from __future__ import annotations
 

@@ -40,8 +40,8 @@ class NotFreeOverA(HopfAlgError):
     pass
 
 
-class UnsupportedBaseMap(HopfAlgError):
-    pass
+class UnsupportedBaseMap(InputError):
+    """A base map outside the supported class: refused input, exit 2."""
 
 
 class SearchBudgetExceeded(HopfAlgError):

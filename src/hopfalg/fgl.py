@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 from .errors import InputError
 from .hopf import HopfAlgebroid, TensorPower
@@ -49,6 +50,9 @@ class BPData:
     A: GradedPresentation
     Gamma: GradedPresentation
     H: HopfAlgebroid
+    # n -> quotient_localize(self, n) while a caller holds it: held strongly,
+    # a pair and its groupoids would live as long as the cached tower
+    pairs: WeakValueDictionary
 
 
 def hazewinkel_logs(p, N, pres=None, vname="v"):
@@ -158,11 +162,15 @@ def assemble_bp(p, D, max_gens=None):
         {f"t{n}": delta[n] for n in range(1, N + 1)},
         name=f"BP@p={p}",
     )
-    return BPData(p, D, N, A, Gamma, H)
+    return BPData(p, D, N, A, Gamma, H, WeakValueDictionary())
 
 
 def quotient_localize(bp, n):
-    """(v_n^{-1}BP_*/I_n, v_n^{-1}BP_*BP/I_n) in prime-field mode."""
+    """(v_n^{-1}BP_*/I_n, v_n^{-1}BP_*BP/I_n) in prime-field mode: while
+    a caller holds the pair, `bp.pairs` returns it to every later call."""
+    pair = bp.pairs.get(n)
+    if pair is not None:
+        return pair
     p, N, D = bp.p, bp.N, bp.D
     mode = BaseMode("fp", p)
     kills = {f"v{i}": (1, []) for i in range(1, n)}
@@ -176,22 +184,17 @@ def quotient_localize(bp, n):
     c = RingMorphism(
         Gamma, Gamma, [reduce_mod(x, Gamma) for x in H.c.images], name="c"
     )
-    return HopfAlgebroid(
-        A,
-        Gamma,
-        morphism_order,
-        etaL,
-        etaR,
-        eps,
-        c,
+    pair = bp.pairs[n] = HopfAlgebroid(
+        A, Gamma, morphism_order, etaL, etaR, eps, c,
         {H.Gamma.names[i]: H.delta.images[i] for i in H.morphism_order},
         name=f"v{n}^-1BP/I{n}@p={p}",
     )
+    return pair
 
 
 def johnson_wilson(bp, m, n):
     """(v_n^{-1}E(m)_*/I_n, Gamma_f) plus the canonical map from the
-    quotient-localized BP algebroid."""
+    quotient-localized BP algebroid `quotient_localize(bp, n)`."""
     from .morita import induced_algebroid
 
     if not (1 <= n <= m):

@@ -159,15 +159,6 @@ def parse_expression(P, text, special=None, inner=None, bare_names=True):
 # writing expressions back out
 
 
-def _mono_str(names, mono):
-    parts = []
-    for i, e in enumerate(mono):
-        if e == 0:
-            continue
-        parts.append(names[i] if e == 1 else f"{names[i]}^{e}")
-    return "*".join(parts)
-
-
 def _coeff_int(c):
     if hasattr(c, "denominator") and c.denominator != 1:
         raise ParseError(f"coefficient {c} has no integer file form")
@@ -188,14 +179,13 @@ def _signed_sum(elem, spell):
     return out or "0"
 
 
-def element_str(elem, names=None):
+def element_str(elem):
     """Deterministic expression string for an element (sorted monomials)."""
-    names = names or elem.pres.names
 
     def spell(mono, mag):
-        ms = _mono_str(names, mono)
-        if not ms:
+        if not any(mono):
             return str(mag)
+        ms = elem.pres.format_monomial(mono)
         return ms if mag == 1 else f"{mag}*{ms}"
 
     return _signed_sum(elem, spell)
@@ -369,11 +359,10 @@ def parse_algebroid(path):
 
 
 def _delta_str(H, elem):
-    names = H.Gamma.names
-
     def spell(mono, mag):
-        halves = (_mono_str(names, half) for half in H.ts.split_monomial(mono))
-        factors = [f"{side}({ms})" for side, ms in zip("lr", halves) if ms]
+        halves = H.ts.split_monomial(mono)
+        factors = [f"{side}({H.Gamma.format_monomial(half)})"
+                   for side, half in zip("lr", halves) if any(half)]
         if mag != 1 or not factors:
             factors.insert(0, str(mag))
         return "*".join(factors)

@@ -166,6 +166,7 @@ class HopfAlgebroid:
                 images.append(self.ts.incl_l(Gamma.gen(i)))
         self.delta = RingMorphism(Gamma, self.ts.pres, images, name="delta")
         self.groupoids = {}  # (ring, budget) -> groupoid, filled by evaluate_groupoid
+        self.induced = {}  # f_0 -> (B (x)_A Gamma, Gamma_f), filled by morita
 
     def _check_alignment(self, etaL):
         if len(self.base_order) != len(self.A.gens):

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     AxiomFailure,
+    DegreeError,
+    IllegalExponent,
     InfiniteBasis,
+    InputError,
     SearchBudgetExceeded,
     SolveFailure,
     UnsupportedBaseMap,
@@ -29,7 +32,6 @@ from .presentation import (
     Rule,
     coordinates,
     exponent_vectors,
-    identity_morphism,
 )
 
 
@@ -172,7 +174,9 @@ def _extract_power_rule(P, u, taken):
 def _induced_presentation(H, f0):
     """Gamma_f's presentation: the collapsed pair B (x)_A Gamma with the
     power rules derived from eta_R of the A-generators f_0 newly kills.
-    Returns (collapsed pair, Gamma_f's presentation)."""
+    Returns (collapsed pair, Gamma_f's presentation), kept in H.induced."""
+    if f0 in H.induced:
+        return H.induced[f0]
     A, B = H.A, f0.target
     prov = collapsed_pair(H, f0)
     move = _collapse(H)
@@ -197,13 +201,14 @@ def _induced_presentation(H, f0):
             truncation=prov.truncation,
             name=f"Gamma_f[{B.name}]",
         )
-    except Exception as exc:
+    except (InputError, DegreeError, IllegalExponent) as exc:
         raise UnsupportedBaseMap(f"derived relations unusable: {exc}") from exc
     for a in newly_killed:
         if not _carried(P2, move, H.etaR(A.gen(a))).is_zero():
             raise UnsupportedBaseMap(
                 f"relation from eta_R({A.names[a]}) does not rewrite to zero"
             )
+    H.induced[f0] = prov, P2
     return prov, P2
 
 
@@ -302,29 +307,28 @@ def check_iso(m, bound):
     return v
 
 
-def check_flat_witness(f, g, basis, bound=None):
-    """Verify that g: B (x)_A Gamma -> C composed with f_0 (x) eta_R is
-    faithfully flat, witnessed by an A-module basis of C.
+def check_flat_witness(f, basis, bound=None):
+    """Verify that h = f_0 (x) eta_R: A -> C = B (x)_A Gamma is faithfully
+    flat, witnessed by `basis`: monomials of C forming an A-basis of C.
 
-    The composite h = g(f_0 (x) eta_R) is checked degreewise: the products
-    h(a) * g(b) over A-basis monomials a and witness basis elements b must
-    form a basis of C over its coefficient ring in every degree |t| <=
-    bound: their matrix in C's degree basis must be square with a
-    determinant that is a unit of that ring, not merely of full rank.
+    h is checked degreewise: the products h(a) * b over A-basis monomials
+    a and witness basis elements b must form a basis of C over its
+    coefficient ring in every degree |t| <= bound: their matrix in C's
+    degree basis must be square with a determinant that is a unit of that
+    ring, not merely of full rank.
     A-monomials obey A's exponent rule but are weighed by the h-weights,
     the maximal C-weight of each h(image), not by A's degrees: the weight
     the composite actually produces, which keeps the truncated filtrations
     on both sides aligned."""
     v = Verdict()
-    CP = g.source
-    C = g.target
+    C = _induced_presentation(f.source, f.f0)[0]
     A = f.source.A
     D = C.truncation
     if bound is None:
         bound = D
     move = _collapse(f.source)
     h_images = [
-        g(_carried(CP, move, f.source.etaR(A.gen(i)))) for i in range(len(A.gens))
+        _carried(C, move, f.source.etaR(A.gen(i))) for i in range(len(A.gens))
     ]
     hw = []
     for i, img in enumerate(h_images):
@@ -341,12 +345,12 @@ def check_flat_witness(f, g, basis, bound=None):
         # through A's normal form.
         h_of = RingMorphism(A, C, h_images).monomial
         basis_elems = [
-            (CP.weight(b), CP.monomial_degree(b), g(CP.monomial_element(b)))
+            (C.weight(b), C.monomial_degree(b), C.monomial_element(b))
             for b in basis
         ]
         for b, (_, _, gb) in zip(basis, basis_elems):
             if gb.is_zero():
-                v.fail(f"witness element {CP.format_monomial(b)} is zero")
+                v.fail(f"witness element {C.format_monomial(b)} is zero")
         # A-monomials by the weight h gives them, one walk per cap D - wb
         factors = A.exponent_factors(
             [i for i in range(len(A.gens)) if i not in A.inverted], hw
@@ -376,12 +380,12 @@ def check_flat_witness(f, g, basis, bound=None):
 
 
 def identity_witness(f):
-    """The canonical freeness witness: C = B (x)_A Gamma, g = identity,
-    basis = the morphism monomials of the induced algebroid, which the
-    derived leading powers bound."""
-    CP, P2 = _induced_presentation(f.source, f.f0)
+    """The canonical freeness witness, a basis of B (x)_A Gamma over A:
+    the morphism monomials of the induced algebroid, which the derived
+    leading powers bound."""
+    P2 = _induced_presentation(f.source, f.f0)[1]
     factors = P2.exponent_factors(range(len(f.f0.target.gens), len(P2.gens)))
-    return identity_morphism(CP), exponent_vectors(len(P2.gens), factors, P2.truncation)
+    return exponent_vectors(len(P2.gens), factors, P2.truncation)
 
 
 @dataclass
@@ -411,7 +415,8 @@ class EquivalenceCertificate:
 
 def theoremD_verdict(f, witness=None, assume_flat=False, bound=None):
     """Internal-equivalence certificate: combined-map isomorphism check,
-    flat-witness verification, and finite-ring corroboration."""
+    flat-witness verification, and finite-ring corroboration.  `witness`
+    is a basis of B (x)_A Gamma over A, such as `identity_witness(f)`."""
     D = f.target.Gamma.truncation
     if bound is None:
         bound = D
@@ -419,8 +424,7 @@ def theoremD_verdict(f, witness=None, assume_flat=False, bound=None):
     iso = check_iso(cm, bound)
     witness_verdict = None
     if witness is not None:
-        g, basis = witness
-        witness_verdict = check_flat_witness(f, g, basis, bound=bound)
+        witness_verdict = check_flat_witness(f, witness, bound=bound)
         witness_status = "verified" if witness_verdict else "failed"
     elif assume_flat:
         witness_status = "assumed"

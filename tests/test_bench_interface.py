@@ -5,7 +5,8 @@ counts the calls in `COUNTED`, and `perfbench/workloads.py` imports
 names from hopfalg's modules; a name missing from the package breaks
 every benchmark run.  `perfbench/` is not a package, so this test loads
 the tracer by path, reads the imports of the workloads with `ast`, and
-resolves each name here.
+resolves each name here.  It also runs one `structure_oracles` iteration
+against its frozen reference, which no other test reads.
 
 The suite also collects `perfbench/`, whose install test reports every
 reference to an entry point that no wrapper replaces.  So test modules
@@ -22,15 +23,16 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _tracing():
-    path = os.path.join(ROOT, "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _perfbench(name):
+    """perfbench/<name>.py, loaded by path."""
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACING = _tracing()
+TRACING = _perfbench("tracing")
 NAMES = [(m, a) for m, a, _ in TRACING.ENTRY_POINTS + TRACING.COUNTED]
 
 
@@ -71,3 +73,14 @@ def test_workload_import_resolves(module, name):
     owner = importlib.import_module(module)
     if not hasattr(owner, name):
         importlib.import_module(f"{module}.{name}")  # a submodule
+
+
+def test_structure_oracles_matches_its_reference(tmp_path):
+    """One seeded iteration of the workload, in this process: every
+    answer equals the one in perfbench/reference/."""
+    workloads = _perfbench("workloads")
+    w = workloads.WORKLOADS["structure_oracles"]
+    answers = w.run(w.setup(1, str(tmp_path)))
+    expected = workloads.load_expected(
+        w, os.path.join(ROOT, "perfbench", "reference"))
+    assert workloads.mismatches(w.operations, answers, expected) == []

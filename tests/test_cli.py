@@ -254,8 +254,9 @@ def test_missing_required_key_is_an_input_error(tmp_path, capsys, doc,
 def refused_docs(jw_files, tmp_path_factory):
     """Algebroid documents that parse but that `ext` refuses (p-local
     coefficients; an odd degree in characteristic 3), one whose base
-    names the non-prime p = 4, and a comodule over mu_2 that passes its
-    check."""
+    names the non-prime p = 4, a comodule over mu_2 that passes its
+    check, and a flagship map whose f0 sends v1 to 2*v1, an automorphism
+    over F_3 but no mirror map, so outside the supported base maps."""
     from hopfalg.fgl import assemble_bp
 
     from conftest import primitive_line
@@ -275,6 +276,13 @@ def refused_docs(jw_files, tmp_path_factory):
     (d / "twist.ini").write_text(
         "[comodule]\nalgebroid = mu2.ini\n\n"
         "[generators]\nm = 0\n\n[psi]\nm = g(g)(x)m\n"
+    )
+    mapped = (jw_files / "map.ini").read_text()
+    assert "[f0]\nimages = v1; 0\n" in mapped
+    (d / "scaled_v1.ini").write_text(
+        mapped.replace("[f0]\nimages = v1; 0\n", "[f0]\nimages = 2*v1; 0\n")
+        .replace("= source.ini", f"= {jw_files / 'source.ini'}")
+        .replace("= target.ini", f"= {jw_files / 'target.ini'}")
     )
     return d
 
@@ -322,6 +330,8 @@ EXIT_CODES = [
      2, "input error: --budget must be >= 1, not 0"),
     (["oracle", "groupoid", "{jw}/map.ini", "--rings", "F_3,F_5,bogus"],
      2, "input error: not in the ring catalog: F_5, bogus"),
+    (["morita", "check", "{bad}/scaled_v1.ini"],
+     2, "input error: f0 must send v1 to its mirror (got 2*v1)"),
 ]
 
 
@@ -333,7 +343,8 @@ EXIT_CODES = [
          "descent-modules-negative", "axioms-bound-negative",
          "morita-degree-negative", "comodule-bound-negative",
          "ring-degree-negative", "ext-inner-negative", "bp-max-gens-0",
-         "oracle-budget-0", "oracle-unknown-ring"],
+         "oracle-budget-0", "oracle-unknown-ring",
+         "morita-unsupported-base-map"],
 )
 def test_exit_codes(refused_docs, jw_files, capsys, argv, code, prefix):
     """What each refused input exits with, and the line it prints."""

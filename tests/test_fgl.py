@@ -1,4 +1,6 @@
 """The p-typical family: logs, right units, quotient localization."""
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,28 @@ def test_johnson_wilson_pair(flagship):
     # B = F_3[v1^{+-1}]: v2 killed
     assert f.target.A.gen(1).is_zero()
     assert hopf.check_hopf_axioms(H2, 32).ok
+
+
+def test_one_quotient_pair_per_tower_and_height(flagship):
+    """The tower shares each quotient pair a caller holds: every canonical
+    map out of height n starts at the pair quotient_localize(bp, n)
+    returns."""
+    bp, H1, _, f = flagship
+    assert fgl.quotient_localize(bp, 1) is H1
+    assert f.source is H1
+    assert fgl.johnson_wilson(bp, 2, 1)[1].source is H1
+    H2 = fgl.quotient_localize(bp, 2)
+    assert H2 is not H1 and fgl.johnson_wilson(bp, 2, 2)[1].source is H2
+
+
+def test_a_quotient_pair_no_caller_holds_is_freed():
+    """The cached tower does not keep its pairs (and their groupoids)
+    alive; the next call builds the pair again."""
+    bp = fgl.assemble_bp.__wrapped__(3, 40)  # a tower no other test holds
+    ref = weakref.ref(fgl.quotient_localize(bp, 1))
+    gc.collect()
+    assert ref() is None and 1 not in bp.pairs
+    assert fgl.quotient_localize(bp, 1).name == "v1^-1BP/I1@p=3"
 
 
 def test_strict_height():

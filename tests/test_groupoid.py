@@ -632,6 +632,42 @@ def test_one_evaluation_per_algebroid_and_ring(monkeypatch):
                      for R in catalog_rings()}
 
 
+def test_the_source_pair_is_evaluated_once(monkeypatch):
+    """The benchmark's structure-oracle sequence: the certificate of
+    johnson_wilson(bp, 1, 1), then sheaf_data of two comodules over
+    quotient_localize(bp, 1).  The tower hands out the one source pair
+    the caller holds, so its groupoids are built once: 12 builds, 6 rings
+    for each algebroid."""
+    # a tower of its own: a pair of the cached one that another test
+    # holds may be evaluated already
+    bp = fgl.assemble_bp.__wrapped__(3, 52, max_gens=3)
+    built = collections.Counter()
+    build = groupoid._build_groupoid
+
+    def counted(H, R, budget):
+        built[id(H), R] += 1
+        return build(H, R, budget)
+
+    monkeypatch.setattr(groupoid, "_build_groupoid", counted)
+    source = fgl.quotient_localize(bp, 1)
+    _, f = fgl.johnson_wilson(bp, 1, 1)
+    cert = morita.theoremD_verdict(
+        f, witness=morita.identity_witness(f), bound=24
+    )
+    assert cert.status == "yes"
+    one = source.Gamma.one()
+    t1 = source.Gamma.gen("t1")
+    extension = comodule.Comodule(
+        source, [("m0", 0), ("m1", 4)],
+        {"m0": [(one, "m0")], "m1": [(one, "m1"), (t1, "m0")]},
+    )
+    for M in (comodule.unit_comodule(source), extension):
+        comodule.sheaf_data(M, rings=catalog_rings())
+    assert built == {(id(H), R): 1 for H in (source, f.target)
+                     for R in catalog_rings()}
+    assert sum(built.values()) == 12
+
+
 def test_a_smaller_budget_still_raises_after_a_stored_evaluation():
     H = mu2_algebroid()
     R = catalog_rings()[1]  # F_3: |R|^#gens = 3 for Gamma

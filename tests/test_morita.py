@@ -1,4 +1,6 @@
 """Induced algebroids, combined maps, and equivalence certificates."""
+import collections
+
 import pytest
 
 from hopfalg import cli, groupoid, hopf, morita
@@ -44,15 +46,15 @@ def test_combined_map_is_identity(flagship):
 
 def test_flat_witness_verifies(flagship):
     _, _, _, f = flagship
-    g, basis = identity_witness(f)
-    v = morita.check_flat_witness(f, g, basis, bound=32)
+    basis = identity_witness(f)
+    v = morita.check_flat_witness(f, basis, bound=32)
     assert v.ok
 
 
 def test_flat_witness_rejects_wrong_basis(flagship):
     _, _, _, f = flagship
-    g, basis = identity_witness(f)
-    v = morita.check_flat_witness(f, g, basis[:-2], bound=32)
+    basis = identity_witness(f)
+    v = morita.check_flat_witness(f, basis[:-2], bound=32)
     assert not v.ok
 
 
@@ -60,15 +62,15 @@ def test_flat_witness_rejects_a_zero_element(flagship):
     """A basis element past the truncation bound is zero, so the witness
     is no basis, though it adds no A-monomial products to any degree."""
     _, _, _, f = flagship
-    g, basis = identity_witness(f)
-    CP = g.source
+    basis = identity_witness(f)
+    CP = morita.collapsed_pair(f.source, f.f0)
     i = len(CP.gens) - 1
     beyond = tuple(
         CP.truncation // CP.degrees[i] + 1 if j == i else 0
         for j in range(len(CP.gens))
     )
     assert CP.weight(beyond) > CP.truncation
-    v = morita.check_flat_witness(f, g, basis + [beyond], bound=32)
+    v = morita.check_flat_witness(f, basis + [beyond], bound=32)
     assert not v.ok
     assert any("is zero" in msg for msg in v.failures)
 
@@ -140,6 +142,31 @@ def test_induced_pair_ignores_the_order_of_gammas_generators():
         "h kills v; composite cannot be injective"
     ]
     assert table.nonzero() == [((0, 0), 1), ((1, 2), 1), ((2, 6), 1), ((3, 8), 1)]
+
+
+def test_one_induced_presentation_per_algebroid_and_base_map(monkeypatch):
+    """induced_algebroid, identity_witness and the certificate's combined
+    map and flat-witness check share one derivation of (B (x)_A Gamma,
+    Gamma_f); another base map is another derivation."""
+    B = GradedPresentation(
+        BaseMode("fp", 3), [("v", 4)], relations={"v": (1, [])}, truncation=16
+    )
+    H = line_over_v(("v", "x"))
+    derived = collections.Counter()
+    collapse = morita.collapsed_pair
+
+    def counted(H, f0):
+        derived[id(H), f0] += 1
+        return collapse(H, f0)
+
+    monkeypatch.setattr(morita, "collapsed_pair", counted)
+    f0, g0 = (RingMorphism(H.A, B, [B.gen(0)], name="f0") for _ in range(2))
+    f = morita.induced_algebroid(H, f0)
+    morita.theoremD_verdict(f, witness=identity_witness(f))
+    assert derived == {(id(H), f0): 1}
+    assert H.induced[f0][1] is f.target.Gamma
+    morita.induced_algebroid(H, g0)
+    assert derived == {(id(H), f0): 1, (id(H), g0): 1}
 
 
 def _raising(exc):

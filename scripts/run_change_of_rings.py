@@ -7,7 +7,7 @@ stable-range Ext tables for both, and prints the tables plus their diff.
 An empty diff reproduces the change-of-rings agreement; any corruption of
 the induced structure shows up as a listed bidegree.
 
-Typical run (about 0.5 s on a 2-core Intel Xeon; it prints the time of
+Typical run (about 0.1 s on a 2-core Intel Xeon; it prints the time of
 each table and the total):
 
     python scripts/run_change_of_rings.py --degree 48 --inner 36

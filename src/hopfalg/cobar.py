@@ -36,11 +36,13 @@ returns: column j is d of the j-th source key, {target position:
 residue}.  The differentials are more than 99% zero, so every count is a
 rank, taken by `linalg.echelon` on these columns without record vectors.
 Each d_{s,t} is eliminated once, its inner columns (keys of weight <=
-inner) first and then the outer ones with the same pivots; the sorted
+inner) first and then the outer ones with the same pivots, each group
+sparsest first (fewest nonzeros), which keeps fill-in down; the sorted
 leads of that echelon form are cached per (s, t).  The leads depend only
-on the image, so the boundaries of d_{s-1,t} that lie inside the inner
-rows, a suffix of C^{s,t}, are counted by the leads at or past the outer
-prefix (see `ext_dim_stable`).  The plain dimension `ext_dim` is the
+on the image, so the sort does not move them, and the boundaries of
+d_{s-1,t} that lie inside the inner rows, a suffix of C^{s,t}, are
+counted by the leads at or past the outer prefix (see
+`ext_dim_stable`).  The plain dimension `ext_dim` is the
 same routine with no weight cap.  The stable-range dimension reads only
 the inner columns of d_{s,t}, so at s = s_max it builds those alone,
 uncached; the outer columns of the top differential, most of its keys on
@@ -49,6 +51,13 @@ C^{s+1,t}.  No dense matrix is formed on the Ext path.  `differential`
 builds the dense matrix from the columns on demand and never caches it;
 it is kept only as a test reference and as an entry point of the
 benchmark's tracer.
+
+When A inverts one generator u that is primitive, eta_R(u) = eta_L(u)
+(v_n in the quotient-localized pairs), multiplying by u is a chain
+isomorphism C^{*,t} -> C^{*,t+|u|} that keeps key weights: Ext is a
+K(n)_*-module (Ravenel, Complex Cobordism, ch. 6).  `period` checks
+this on the algebroid, and `ext_dims` then computes one period of t and
+fills the rest of the window by the shift.
 """
 from __future__ import annotations
 
@@ -394,11 +403,15 @@ class CobarComplex:
             return len(leads)
         cols = self.d_columns(s, t)
         pivots, _ = linalg.echelon(
-            ((dict(c), None) for c in cols[n_out:]), self.p
+            ((dict(c), None) for c in sorted(cols[n_out:], key=len)), self.p
         )
         rank_in = len(pivots)
         if leads is None:
-            linalg.echelon(((dict(c), None) for c in cols[:n_out]), self.p, pivots)
+            linalg.echelon(
+                ((dict(c), None) for c in sorted(cols[:n_out], key=len)),
+                self.p,
+                pivots,
+            )
             self._leads_cache[(s, t)] = sorted(pivots)
         return rank_in
 
@@ -431,6 +444,31 @@ class CobarComplex:
         """dim Ext^{s,t} = dim ker d_{s,t} - rank d_{s-1,t}: the
         stable-range dimension with no weight cap."""
         return self.ext_dim_stable(s, t, math.inf)
+
+    def period(self):
+        """|u| when A's one inverted generator u is primitive, eta_R(u) =
+        eta_L(u); None otherwise.
+
+        u then has weight 0, carries no rule, and multiplying by u in A,
+        or by eta_L(u) in Gamma, only bumps u's exponent.  So it keeps
+        key weights and normal forms, `basis(s, t + |u|)` is `basis(s,
+        t)` with u bumped, in the same order (`graded_walk` shifts each
+        degree class), and the outer face (eta_R(ua) - eta_L(ua)) (x) w
+        (x) m is eta_L(u) times that of a: multiplication by u is a chain
+        isomorphism C^{*,t} -> C^{*,t+|u|}, and `d_columns(s, t + |u|)
+        == d_columns(s, t)`.  The faces of the comodule slot are A-linear,
+        so this holds for every M (Ravenel, Complex Cobordism, ch. 6: Ext
+        of v_n^{-1}BP_*/I_n is a K(n)_*-module)."""
+        H = self.H
+        if len(H.A.inverted) != 1:
+            return None
+        (i,) = H.A.inverted
+        if not H.A.degrees[i]:
+            return None  # no finite basis: `graded_walk` says so
+        u = H.A.gen(i)
+        if H.etaR(u) != H.etaL(u):
+            return None
+        return abs(H.A.degrees[i])
 
     def key_weight(self, key):
         a, word, _ = key
@@ -476,7 +514,8 @@ class CobarComplex:
         if not n_in:
             return 0
         if s >= self.s_max and n_out:
-            rank_in = linalg.rank(self._columns(basis[n_out:], s, t), self.p)
+            cols = self._columns(basis[n_out:], s, t)
+            rank_in = linalg.rank(sorted(cols, key=len), self.p)
         else:
             rank_in = self._eliminate(s, t, n_out)
         dim = n_in - rank_in
@@ -523,20 +562,31 @@ class ExtTable:
 def ext_dims(C, parallel=1, check_d2=False, inner=None):
     """The Ext dimension table on C's window.  With `inner` set, each
     entry is the stable-range dimension `ext_dim_stable(s, t, inner)`
-    instead of the plain cap cohomology.  The table is computed serially;
-    `parallel` is accepted for existing callers and must be 1 (InputError
-    otherwise)."""
+    instead of the plain cap cohomology.
+
+    With a period |u| (`CobarComplex.period`), only t in [t_min, t_min +
+    |u|) is computed, and every later entry is the one |u| below it; the
+    d^2 = 0 check covers the same t.  Each elimination feeds `echelon`
+    its sparsest columns first (see the module docstring).  The table is
+    computed serially; `parallel` is accepted for existing callers and
+    must be 1 (InputError otherwise)."""
     if parallel != 1:
         raise InputError(f"ext_dims is serial: parallel must be 1, not {parallel}")
     if inner is None:
         inner = math.inf
+    period = C.period()
+    ts = range(C.t_min, C.t_max + 1)
+    if period is not None:
+        ts = ts[:period]
     dims = {}
     for s in range(C.s_max + 1):
-        for t in range(C.t_min, C.t_max + 1):
+        for t in ts:
             dims[(s, t)] = C.ext_dim_stable(s, t, inner)
+        for t in range(ts[-1] + 1, C.t_max + 1):
+            dims[(s, t)] = dims[(s, t - period)]
     if check_d2:
         for s in range(C.s_max):
-            for t in range(C.t_min, C.t_max + 1):
+            for t in ts:
                 if not C.d_squared_is_zero(s, t):
                     raise AssertionError(f"d^2 != 0 at (s,t)=({s},{t})")
     return ExtTable(

@@ -119,6 +119,49 @@ def line_over_v(order):
     )
 
 
+def line_over_unit(udeg):
+    """(F_3[u^+-1], F_3[u^+-1][x]/(x^3)), |x| = 2, x and u primitive: the
+    line over a unit of degree udeg, whose Ext is u-periodic."""
+    mode = BaseMode("fp", 3)
+    A = GradedPresentation(mode, [("u", udeg)], inverted=["u"], truncation=16)
+    Gamma = GradedPresentation(
+        mode, [("u", udeg), ("x", 2)], relations={"x": (3, [])},
+        inverted=["u"], truncation=16,
+    )
+    u, x = Gamma.gen(0), Gamma.gen(1)
+    etaL = RingMorphism(A, Gamma, [u])
+    eps = RingMorphism(Gamma, A, [A.gen(0), A.zero()])
+    c = RingMorphism(Gamma, Gamma, [u, -x])
+    return HopfAlgebroid(
+        A, Gamma, [1], etaL, etaL, eps, c,
+        {"x": [(1, (0, 1, 0)), (1, (0, 0, 1))]},
+        name=f"line(|u|={udeg})",
+    )
+
+
+def mu2_on_unit():
+    """mu_2 acting on a unit: A = F_3[u^+-1], |u| = 4, Gamma =
+    A[g]/(g^2 - 1), eta_R(u) = u*g, Delta(g) = g (x) g, eps(g) = 1,
+    c(g) = g.  u is not primitive (u^2 is), so Ext^{0,4} = 0 while
+    Ext^{0,0} = Ext^{0,8} = 1."""
+    mode = BaseMode("fp", 3)
+    A = GradedPresentation(mode, [("u", 4)], inverted=["u"], truncation=8)
+    Gamma = GradedPresentation(
+        mode, [("u", 4), ("g", 0)], relations={"g": (2, [(1, (0, 0))])},
+        inverted=["u"], truncation=8,
+    )
+    u, g = Gamma.gen(0), Gamma.gen(1)
+    etaL = RingMorphism(A, Gamma, [u])
+    etaR = RingMorphism(A, Gamma, [u * g])
+    eps = RingMorphism(Gamma, A, [A.gen(0), A.one()])
+    c = RingMorphism(Gamma, Gamma, [u * g, g])
+    return HopfAlgebroid(
+        A, Gamma, [1], etaL, etaR, eps, c,
+        {"g": [(1, (0, 1, 1))]},
+        name="mu2 on u@F_3",
+    )
+
+
 @pytest.fixture(scope="session")
 def bp2():
     from hopfalg.fgl import assemble_bp

@@ -1,6 +1,8 @@
 """Cobar-complex cohomology against an independent hand-rolled oracle."""
 import itertools
+import math
 import os
+import time
 
 import pytest
 
@@ -9,7 +11,13 @@ from hopfalg.cobar import CobarComplex, compare_ext, ext_dims, primitive_dims
 from hopfalg.errors import InputError
 from hopfalg.presentation import BaseMode, GradedPresentation
 
-from conftest import line_over_v, mu2_algebroid, primitive_line
+from conftest import (
+    line_over_unit,
+    line_over_v,
+    mu2_algebroid,
+    mu2_on_unit,
+    primitive_line,
+)
 from test_comodule import comodule_catalog
 
 
@@ -90,6 +98,16 @@ def oracle_ext_dim(s, t, d, q, p):
         return ker
     prev, _, _ = _oracle_matrix(s - 1, t, d, q, p)
     return ker - _oracle_rank(prev, p)
+
+
+def oracle_ext_dim_s1_p2(s, t):
+    """dim Ext^{s,t} of v1^-1BP_*/I1 at p=2: K(1)_* (x) H*(S(1)) with
+    H*(S(1)) = F_2[h_10] (x) E(zeta_1), h_10 in (1, 2) and zeta_1 in
+    (1, 0) (Ravenel, Complex Cobordism, ch. 6), and |v1| = 2.  So 1 at s
+    = 0 and 2 at s >= 1 for even t, 0 for odd t."""
+    if t % 2:
+        return 0
+    return 1 if s == 0 else 2
 
 
 def test_oracle_differential_squares_to_zero():
@@ -516,10 +534,15 @@ def test_stable_rank_formula_edge_cases(flagship):
 # the top differential: inner columns only
 
 
+# the one v1-period t in [-32, -29] that a flagship table computes
+_PERIOD = range(-32, -28)
+
+
 def test_stable_table_differentiates_no_outer_top_key(flagship, monkeypatch):
-    """The flagship source table (inner weight 36) differentiates every
-    key below s_max and only the inner keys at s_max; the ranks it caches
-    on the way are the full ranks, and the table is the frozen one."""
+    """The flagship source table (inner weight 36) differentiates, over
+    the one period it computes, every key below s_max and only the inner
+    keys at s_max, and no key at any other t; the ranks it caches on the
+    way are the full ranks, and the table is the frozen one."""
     _, H1, _, _ = flagship
     visited = set()
     d_of_key = CobarComplex.d_of_key
@@ -534,20 +557,24 @@ def test_stable_table_differentiates_no_outer_top_key(flagship, monkeypatch):
     monkeypatch.undo()
     want = _frozen_table("change_of_rings.csv")
     assert T.dims == {st: want.get(st, 0) for st in _bidegrees(C)}
-    for s, t in _bidegrees(C):
-        keys = C.basis(s, t)
-        if s < C.s_max:
-            assert visited.issuperset(keys), (s, t)
-            pivots, _ = linalg.echelon(
-                ((dict(col), None) for col in C.d_columns(s, t)), C.p
-            )
-            assert C.d_rank(s, t) == len(pivots), (s, t)
-            if keys:
-                assert C._leads_cache[(s, t)] == sorted(pivots), (s, t)
-        else:
-            inner = {k for k in keys if C.key_weight(k) <= 36}
-            assert visited.intersection(keys) == inner, t
-    assert sum(C.key_weight(k) > 36 for k in C.basis(3, 0)) > 0
+    in_period = set()
+    for s in range(C.s_max + 1):
+        for t in _PERIOD:
+            keys = C.basis(s, t)
+            in_period.update(keys)
+            if s < C.s_max:
+                assert visited.issuperset(keys), (s, t)
+                pivots, _ = linalg.echelon(
+                    ((dict(col), None) for col in C.d_columns(s, t)), C.p
+                )
+                assert C.d_rank(s, t) == len(pivots), (s, t)
+                if keys:
+                    assert C._leads_cache[(s, t)] == sorted(pivots), (s, t)
+            else:
+                inner = {k for k in keys if C.key_weight(k) <= 36}
+                assert visited.intersection(keys) == inner, t
+    assert visited <= in_period
+    assert sum(C.key_weight(k) > 36 for k in C.basis(3, -32)) > 0
 
 
 def _inner_reference_columns(C, s, t, inner):
@@ -647,7 +674,8 @@ def test_stable_table_feeds_each_column_to_one_elimination(
 ):
     """Over one flagship stable table, `linalg.echelon` receives every
     column of d_{s,t} for s < s_max and the inner columns at s_max, each
-    once: no second pass over d_{s-1,t} for the outer rows."""
+    once, for the t of the one period it computes, and no column at any
+    other t: no second pass over d_{s-1,t} for the outer rows."""
     _, H1, _, _ = flagship
     fed = []
     echelon = linalg.echelon
@@ -659,12 +687,203 @@ def test_stable_table_feeds_each_column_to_one_elimination(
 
     monkeypatch.setattr(linalg, "echelon", counting)
     C = CobarComplex(H1, s_max=3, t_min=-32, t_max=32)
-    ext_dims(C, inner=36)
+    T = ext_dims(C, inner=36)
     monkeypatch.undo()
+    want = _frozen_table("change_of_rings.csv")
+    assert T.dims == {st: want.get(st, 0) for st in _bidegrees(C)}
     below = sum(
-        len(C.basis(s, t)) for s in range(C.s_max) for t in range(-32, 33)
+        len(C.basis(s, t)) for s in range(C.s_max) for t in _PERIOD
     )
     top = sum(
-        C.key_weight(k) <= 36 for t in range(-32, 33) for k in C.basis(3, t)
+        C.key_weight(k) <= 36 for t in _PERIOD for k in C.basis(3, t)
     )
     assert sum(fed) == below + top
+    assert {t for _, t in C._basis_cache} <= set(_PERIOD)
+
+
+# ---------------------------------------------------------------------------
+# one v_n-period: ext_dims computes t in [t_min, t_min + |u|) and fills
+# the rest of the window by the shift
+
+
+def _per_bidegree(C, inner=None):
+    """C's table by one `ext_dim_stable` per bidegree on a fresh complex:
+    the oracle for the shift."""
+    F = CobarComplex(C.H, M=C.M, s_max=C.s_max, t_min=C.t_min, t_max=C.t_max)
+    inner = math.inf if inner is None else inner
+    return {(s, t): F.ext_dim_stable(s, t, inner) for s, t in _bidegrees(F)}
+
+
+def assert_shift_matches_per_bidegree(C, inner=None, check_d2=False):
+    assert C.period() is not None
+    T = ext_dims(C, check_d2=check_d2, inner=inner)
+    assert T.dims == _per_bidegree(C, inner), C.H.name
+
+
+def test_shift_matches_per_bidegree_flagship(flagship):
+    """Both flagship pairs, on the full window, on one that starts off a
+    multiple of |v1| = 4, and on one narrower than a period."""
+    _, H1, H2, _ = flagship
+    for H in (H1, H2):
+        assert CobarComplex(H).period() == 4
+        for t_min, t_max in ((-32, 32), (-31, 29), (-31, -30)):
+            C = CobarComplex(H, s_max=3, t_min=t_min, t_max=t_max)
+            assert_shift_matches_per_bidegree(C, inner=36)
+
+
+def test_shift_matches_per_bidegree_height_2():
+    """Both height-2 pairs at p=3, D=52: |v2| = 16."""
+    from hopfalg.fgl import assemble_bp, johnson_wilson, quotient_localize
+
+    bp = assemble_bp(3, 52, max_gens=3)
+    for H in (quotient_localize(bp, 2), johnson_wilson(bp, 2, 2)[0]):
+        C = CobarComplex(H, s_max=2, t_min=-32, t_max=32)
+        assert C.period() == 16
+        assert_shift_matches_per_bidegree(C, inner=40)
+
+
+def test_shift_matches_per_bidegree_p2_plain():
+    """The plain p=2 table with the d^2 = 0 check: |v1| = 2."""
+    C = CobarComplex(_p2_pair(), s_max=4, t_min=-16, t_max=16)
+    assert C.period() == 2
+    assert_shift_matches_per_bidegree(C, check_d2=True)
+
+
+def test_shift_matches_per_bidegree_comodule(flagship):
+    """The stable table of the t1-extension: the shift holds for a
+    comodule, whose faces are A-linear in the outer coefficient."""
+    M = next(
+        M for M in comodule_catalog(mu2_algebroid(), flagship)
+        if M.name == "t1-extension/induced-pair"
+    )
+    C = CobarComplex(M.H, M=M, s_max=1, t_min=-16, t_max=16)
+    assert_shift_matches_per_bidegree(C, inner=16)
+
+
+def _bump(key, i, e):
+    a, word, mgen = key
+    return (a[:i] + (a[i] + e,) + a[i + 1:], word, mgen)
+
+
+def test_basis_and_columns_shift_by_the_period(flagship):
+    """Bumping v1's exponent maps basis(s, t) onto basis(s, t + 4) in
+    order, and d_columns(s, t + 4) == d_columns(s, t), for s <= 2."""
+    _, H1, H2, _ = flagship
+    for H in (H1, H2):
+        C = CobarComplex(H, s_max=2, t_min=-32, t_max=32)
+        period = C.period()
+        (i,) = H.A.inverted
+        for s in range(3):
+            for t in range(-32, 33 - period):
+                assert C.basis(s, t + period) == [
+                    _bump(k, i, 1) for k in C.basis(s, t)
+                ], (H.name, s, t)
+                assert C.d_columns(s, t + period) == C.d_columns(s, t), (
+                    H.name, s, t
+                )
+
+
+def test_line_over_a_unit_has_its_period():
+    """The period is |u|, whatever the sign of u's degree."""
+    from hopfalg.hopf import check_hopf_axioms
+
+    for udeg in (4, -4):
+        H = line_over_unit(udeg)
+        assert check_hopf_axioms(H, 16).ok
+        C = CobarComplex(H, s_max=3, t_min=-16, t_max=16)
+        assert C.period() == 4
+        assert_shift_matches_per_bidegree(C, check_d2=True)
+
+
+def test_a_unit_that_is_not_primitive_has_no_period(monkeypatch):
+    """mu_2 acting on u: eta_R(u) = u*g, so u is not a cocycle and the
+    table is not u-periodic.  Forcing the shift would make u a class."""
+    from hopfalg.hopf import check_hopf_axioms
+
+    H = mu2_on_unit()
+    assert check_hopf_axioms(H, 8).ok
+    window = dict(s_max=0, t_min=0, t_max=4)
+    C = CobarComplex(H, **window)
+    assert C.period() is None
+    T = ext_dims(C)
+    assert T.dims[(0, 0)] == 1 and T.dims[(0, 4)] == 0
+    monkeypatch.setattr(CobarComplex, "period", lambda self: 4)
+    assert ext_dims(CobarComplex(H, **window)).dims[(0, 4)] == 1
+
+
+def test_no_inverted_generator_no_period():
+    for H in (mu2_algebroid(), primitive_line(3, 2, 3)):
+        assert CobarComplex(H, s_max=1, t_min=0, t_max=8).period() is None
+
+
+def test_a_long_window_costs_one_period(flagship):
+    """|t| <= 4000 builds the bases of one period only, agrees with the
+    |t| <= 32 table, and is the Miller-Ravenel closed form throughout."""
+    _, H1, _, _ = flagship
+    C = CobarComplex(H1, s_max=3, t_min=-4000, t_max=4000)
+    start = time.monotonic()
+    T = ext_dims(C, inner=36)
+    elapsed = time.monotonic() - start
+    assert {t for _, t in C._basis_cache} <= set(range(-4000, -3996))
+    small = ext_dims(CobarComplex(H1, s_max=3, t_min=-32, t_max=32), inner=36)
+    assert all(T.dims[st] == d for st, d in small.dims.items())
+    assert all(
+        d == (s <= 1 and t % 4 == 0) for (s, t), d in T.dims.items()
+    )
+    assert elapsed < 5, elapsed
+
+
+# ---------------------------------------------------------------------------
+# sparsest-first elimination: the leads depend only on the span
+
+
+def assert_sorted_elimination_matches_unsorted(C, inners):
+    """`_eliminate` feeds each group of columns to `echelon` sorted by
+    nonzero count; its inner rank and cached leads equal those of the
+    columns in basis order, and the sort does reorder some of them."""
+    reordered = False
+    for s in range(3):
+        for t in range(C.t_min, C.t_max + 1):
+            cols = C.d_columns(s, t)
+            sizes = [len(c) for c in cols]
+            reordered = reordered or sizes != sorted(sizes)
+            weights = [C.key_weight(k) for k in C.basis(s, t)]
+            for inner in inners:
+                n_out = sum(w > inner for w in weights)
+                C._leads_cache.pop((s, t), None)
+                rank_in = C._eliminate(s, t, n_out)
+                pivots, _ = linalg.echelon(
+                    ((dict(c), None) for c in cols[n_out:]), C.p
+                )
+                assert rank_in == len(pivots), (C.H.name, s, t, inner)
+                linalg.echelon(
+                    ((dict(c), None) for c in cols[:n_out]), C.p, pivots
+                )
+                assert C._leads_cache[(s, t)] == sorted(pivots), (
+                    C.H.name, s, t, inner
+                )
+    assert reordered, C.H.name
+
+
+def test_sorted_elimination_matches_unsorted_flagship(flagship):
+    _, H1, H2, _ = flagship
+    for H in (H1, H2):
+        C = CobarComplex(H, s_max=3, t_min=-32, t_max=-29)
+        assert_sorted_elimination_matches_unsorted(C, (24, 36, math.inf))
+
+
+def test_sorted_elimination_matches_unsorted_p2():
+    C = CobarComplex(_p2_pair(), s_max=3, t_min=-16, t_max=-15)
+    assert_sorted_elimination_matches_unsorted(C, (8, 12, math.inf))
+
+
+def test_p2_tables_match_the_closed_form():
+    """Both p=2 pairs at D=32 (three generators, inner 24, s <= 3, |t| <=
+    16) against K(1)_* (x) H*(S(1))."""
+    from hopfalg.fgl import assemble_bp, johnson_wilson, quotient_localize
+
+    bp = assemble_bp(2, 32, max_gens=3)
+    for H in (quotient_localize(bp, 1), johnson_wilson(bp, 1, 1)[0]):
+        T = ext_dims(CobarComplex(H, s_max=3, t_min=-16, t_max=16), inner=24)
+        for (s, t), d in T.dims.items():
+            assert d == oracle_ext_dim_s1_p2(s, t), (H.name, s, t)

@@ -22,7 +22,6 @@ from .errors import (
     PresentationMismatch,
     Verdict,
 )
-from .groupoid import compile_poly, eval_compiled
 
 
 def _norm_tensor(H, word_list):
@@ -153,6 +152,8 @@ def _ring_matrix_product(R, A, B):
 def sheaf_over_groupoid(M, G):
     """All psi~_alpha over a FiniteGroupoid, with the identity and cocycle
     laws checked exhaustively.  Returns (maps, verdict)."""
+    from .groupoid import compile_poly, eval_compiled
+
     R = G.ring
     v = Verdict()
     n = len(M.gens)

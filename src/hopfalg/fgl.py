@@ -78,9 +78,8 @@ def hazewinkel_logs(p, N, pres=None, vname="v"):
 
 def _tower(mode, N, D, label, relations=None, inverted=()):
     """A on v_1..v_N and Gamma = A[t_1..t_N] under the same rules and
-    inversions, with Gamma's morphism generators (the t's), eta_L and eps.
-    `label` names both rings, "{}" standing for BP* in A and BP*BP in
-    Gamma."""
+    inversions, with Gamma's morphism generators (the t's).  `label`
+    names both rings, "{}" standing for BP* in A and BP*BP in Gamma."""
     vs = [(f"v{i}", gen_degree(mode.p, i)) for i in range(1, N + 1)]
     ts = [(f"t{i}", gen_degree(mode.p, i)) for i in range(1, N + 1)]
 
@@ -90,12 +89,7 @@ def _tower(mode, N, D, label, relations=None, inverted=()):
             name=label.format(what),
         )
 
-    A, Gamma = ring(vs, "BP*"), ring(vs + ts, "BP*BP")
-    etaL = RingMorphism(A, Gamma, [Gamma.gen(i) for i in range(N)], name="etaL")
-    eps = RingMorphism(
-        Gamma, A, [A.gen(i) for i in range(N)] + [A.zero()] * N, name="eps"
-    )
-    return A, Gamma, tuple(range(N, 2 * N)), etaL, eps
+    return ring(vs, "BP*"), ring(vs + ts, "BP*BP"), tuple(range(N, 2 * N))
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +110,7 @@ def assemble_bp(p, D, max_gens=None):
         )
     if max_gens is not None:
         N = min(N, int(max_gens))
-    A, Gamma, morphism_order, etaL, eps = _tower(mode, N, D, f"{{}}@p={p}")
+    A, Gamma, morphism_order = _tower(mode, N, D, f"{{}}@p={p}")
 
     logs = hazewinkel_logs(p, N, pres=Gamma)
     t = [Gamma.one()] + [Gamma.gen(i) for i in morphism_order]
@@ -149,16 +143,14 @@ def assemble_bp(p, D, max_gens=None):
         for h in range(1, n + 1):
             acc = acc - m[h] * (c_images[n - h] ** (p ** h))
         c_images.append(assert_p_integral(acc, p))
-    c = RingMorphism(Gamma, Gamma, etaR_images[1:] + c_images[1:], name="c")
 
     H = HopfAlgebroid(
         A,
         Gamma,
         morphism_order,
-        etaL,
         etaR,
-        eps,
-        c,
+        {f"t{n}": A.zero() for n in range(1, N + 1)},
+        {f"t{n}": c_images[n] for n in range(1, N + 1)},
         {f"t{n}": delta[n] for n in range(1, N + 1)},
         name=f"BP@p={p}",
     )
@@ -174,19 +166,19 @@ def quotient_localize(bp, n):
     p, N, D = bp.p, bp.N, bp.D
     mode = BaseMode("fp", p)
     kills = {f"v{i}": (1, []) for i in range(1, n)}
-    A, Gamma, morphism_order, etaL, eps = _tower(
+    A, Gamma, morphism_order = _tower(
         mode, N, D, f"v{n}^-1{{}}/I{n}@p={p}", kills, [f"v{n}"]
     )
     H = bp.H
     etaR = RingMorphism(
         A, Gamma, [reduce_mod(x, Gamma) for x in H.etaR.images], name="etaR"
     )
-    c = RingMorphism(
-        Gamma, Gamma, [reduce_mod(x, Gamma) for x in H.c.images], name="c"
-    )
     pair = bp.pairs[n] = HopfAlgebroid(
-        A, Gamma, morphism_order, etaL, etaR, eps, c,
-        {H.Gamma.names[i]: H.delta.images[i] for i in H.morphism_order},
+        A, Gamma, morphism_order, etaR,
+        *(
+            {H.Gamma.names[i]: m.images[i] for i in H.morphism_order}
+            for m in (H.eps, H.c, H.delta)
+        ),
         name=f"v{n}^-1BP/I{n}@p={p}",
     )
     return pair

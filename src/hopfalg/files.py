@@ -12,7 +12,8 @@ An algebroid file is a presentation file for Gamma extended with an
 the morphism generators) and a [maps] section: etaL/etaR one image
 expression per A-generator, epsilon/c one per Gamma-generator, delta one
 per morphism generator written as sums of l(expr)*r(expr) tensor words.
-Image lists are semicolon-separated.
+Image lists are semicolon-separated.  etaL, and epsilon and c on the base
+generators, must be the images the algebroid derives (see `hopf`).
 
 A map file points at two algebroid files ([map] source/target) and lists
 [f0]/[f1] images.  A comodule file points at one algebroid and gives
@@ -25,10 +26,18 @@ emit -> parse -> emit is byte-identical.
 from __future__ import annotations
 
 import configparser
+import functools
 import os
 import re
 
-from .errors import InputError, ParseError, SolveFailure
+from .errors import (
+    DegreeError,
+    IllegalExponent,
+    InputError,
+    NotFreeOverA,
+    ParseError,
+    SolveFailure,
+)
 from .hopf import HopfAlgebroid, TensorPower
 from .morita import HopfMap
 from .presentation import BaseMode, GradedPresentation, RingMorphism
@@ -55,13 +64,13 @@ class _ExprParser:
     `special` maps callable atom names (like "l", "r") to functions
     Element -> Element applied to a parenthesized subexpression; the
     subexpression itself is evaluated over `inner` (default: the same
-    presentation)."""
+    presentation).  Where there are such atoms, a generator may appear
+    only inside one of them."""
 
-    def __init__(self, pres, special=None, inner=None, bare_names=True):
+    def __init__(self, pres, special=None, inner=None):
         self.pres = pres
         self.special = special or {}
         self.inner = inner or pres
-        self.bare_names = bare_names
         self._in_special = 0
         self.toks = []
         self.i = 0
@@ -144,15 +153,15 @@ class _ExprParser:
             if self._next() != ")":
                 raise ParseError("missing )")
             return self.special[t](e)
-        if not self.bare_names and not self._in_special:
+        if self.special and not self._in_special:
             raise ParseError(f"bare generator {t!r} not allowed here")
         if t in P.index:
             return P.gen(P.index[t])
         raise ParseError(f"unknown generator {t!r}")
 
 
-def parse_expression(P, text, special=None, inner=None, bare_names=True):
-    return _ExprParser(P, special, inner, bare_names).parse(text)
+def parse_expression(P, text, special=None, inner=None):
+    return _ExprParser(P, special, inner).parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +234,21 @@ def read_config(path):
     return cp
 
 
+def _document(parse):
+    """`parse`, with a DegreeError, IllegalExponent or NotFreeOverA from a
+    malformed document raised as a ParseError; raised inside a computation,
+    the same errors keep their class."""
+
+    @functools.wraps(parse)
+    def parse_document(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except (DegreeError, IllegalExponent, NotFreeOverA) as exc:
+            raise ParseError(str(exc)) from exc
+
+    return parse_document
+
+
 def _presentation_from_config(cp, name_hint=""):
     if not cp.has_section("base") or not cp.has_section("generators"):
         raise ParseError("presentation needs [base] and [generators]")
@@ -266,6 +290,7 @@ def _presentation_from_config(cp, name_hint=""):
     )
 
 
+@_document
 def parse_presentation(path):
     cp = read_config(path)
     return _presentation_from_config(cp, os.path.basename(path))
@@ -320,7 +345,17 @@ def _image_list(text, expect, what):
     return imgs
 
 
+def _images(cp, section, key, S, T, what):
+    """The images in T of S's generators that [section] lists at `key`."""
+    texts = _image_list(_option(cp, section, key), len(S.gens), what)
+    return [parse_expression(T, t) for t in texts]
+
+
+@_document
 def parse_algebroid(path):
+    """The algebroid built from etaR and the epsilon, c and delta images of
+    the morphism generators.  Every other image the document lists (etaL,
+    epsilon and c of a base generator) must be the derived one."""
     cp = read_config(path)
     if not cp.has_section("algebroid") or not cp.has_section("maps"):
         raise ParseError("algebroid file needs [algebroid] and [maps]")
@@ -336,26 +371,38 @@ def parse_algebroid(path):
         raise ParseError(f"unknown morphism generator {exc}") from exc
 
     rings = {"A": A, "Gamma": Gamma}
-    maps = {}
-    for key, name, src, tgt in _STRUCTURE_MAPS:
-        S, T = rings[src], rings[tgt]
-        texts = _image_list(_option(cp, "maps", key), len(S.gens), key)
-        imgs = [parse_expression(T, t) for t in texts]
-        maps[name] = RingMorphism(S, T, imgs, name=name)
-    ts = TensorPower(A, Gamma, morphism_order, maps["etaR"], 2)
+    images = {
+        key: _images(cp, "maps", key, rings[src], rings[tgt], key)
+        for key, _, src, tgt in _STRUCTURE_MAPS
+    }
+    etaR = RingMorphism(A, Gamma, images["etaR"], name="etaR")
+    ts = TensorPower(A, Gamma, morphism_order, etaR, 2)
     special = {"l": ts.incl_l, "r": ts.incl_r}
     delta_texts = _image_list(
         _option(cp, "maps", "delta"), len(morphism_order), "delta"
     )
-    delta_images = {}
-    for i, text in zip(morphism_order, delta_texts):
-        delta_images[Gamma.names[i]] = parse_expression(
-            ts.pres, text, special=special, inner=Gamma, bare_names=False
-        )
-    name = cp.get("algebroid", "name", fallback="")
-    return HopfAlgebroid(
-        A, Gamma, morphism_order, *maps.values(), delta_images, name=name
+    delta = {
+        Gamma.names[i]: parse_expression(ts.pres, text, special, Gamma)
+        for i, text in zip(morphism_order, delta_texts)
+    }
+    eps, c = (
+        {Gamma.names[i]: images[key][i] for i in morphism_order}
+        for key in ("epsilon", "c")
     )
+    H = HopfAlgebroid(
+        A, Gamma, morphism_order, etaR, eps, c, delta,
+        name=cp.get("algebroid", "name", fallback=""),
+    )
+    for key, attr, src, _ in _STRUCTURE_MAPS:
+        m, S = getattr(H, attr), getattr(H, src)
+        for i, img in enumerate(images[key]):
+            want = m(S.gen(i))
+            if img != want:
+                raise ParseError(
+                    f"{key}({S.names[i]}) = {element_str(img)}, but the "
+                    f"derived {key} sends {S.names[i]} to {element_str(want)}"
+                )
+    return H
 
 
 def _delta_str(H, elem):
@@ -413,6 +460,7 @@ def write_algebroid(H, out_dir, stem="algebroid", base_stem="base"):
 # map files
 
 
+@_document
 def parse_map(path):
     cp = read_config(path)
     for sec in ("map", "f0", "f1"):
@@ -421,20 +469,12 @@ def parse_map(path):
     here = os.path.dirname(path)
     source = parse_algebroid(os.path.join(here, _option(cp, "map", "source")))
     target = parse_algebroid(os.path.join(here, _option(cp, "map", "target")))
-    f0_imgs = [
-        parse_expression(target.A, t)
-        for t in _image_list(
-            _option(cp, "f0", "images"), len(source.A.gens), "f0"
+    f0, f1 = (
+        RingMorphism(S, T, _images(cp, sec, "images", S, T, sec), name=sec)
+        for sec, S, T in (
+            ("f0", source.A, target.A), ("f1", source.Gamma, target.Gamma)
         )
-    ]
-    f1_imgs = [
-        parse_expression(target.Gamma, t)
-        for t in _image_list(
-            _option(cp, "f1", "images"), len(source.Gamma.gens), "f1"
-        )
-    ]
-    f0 = RingMorphism(source.A, target.A, f0_imgs, name="f0")
-    f1 = RingMorphism(source.Gamma, target.Gamma, f1_imgs, name="f1")
+    )
     return HopfMap(
         source, target, f0, f1, name=cp.get("map", "name", fallback="")
     )
@@ -463,46 +503,26 @@ def emit_map(f, source_filename, target_filename):
 # ---------------------------------------------------------------------------
 # comodule files
 
-_TENSOR = re.compile(r"\(x\)|⊗")
+# a tensor glyph and the module generator after it, which end a word
+_TENSOR = re.compile(r"(?:\(x\)|⊗)\s*([A-Za-z_][A-Za-z_0-9']*)")
 
 
 def _parse_psi_words(H, text):
-    """`c*g(expr)(x)gen +- ...` into [(Gamma-element, gen name)]."""
+    """`c*g(expr)(x)gen +- ...` into [(Gamma-element, gen name)]: each
+    word's signed head, `+- c*g(expr)`, parsed as an expression."""
+    *words, tail = _TENSOR.split(text)
+    if tail.strip():
+        raise ParseError(f"coaction word {tail.strip()!r} lacks a tensor")
     out = []
-    # split on top-level +/- (no parens nesting crosses a word boundary)
-    terms, depth, cur, sign = [], 0, "", 1
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            if cur.strip():
-                terms.append((sign, cur))
-            cur, sign = "", (1 if ch == "+" else -1)
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append((sign, cur))
-    for sgn, term in terms:
-        m = _TENSOR.search(term)
-        if m is None:
-            raise ParseError(f"coaction word {term.strip()!r} lacks a tensor")
-        head, gen = term[: m.start()].strip(), term[m.end():].strip()
-        if not head.startswith("g(") and "g(" not in head:
-            raise ParseError(f"coaction word {term.strip()!r} lacks g(...)")
-        gamma = parse_expression(
-            H.Gamma,
-            head,
-            special={"g": lambda e: e},
-            bare_names=False,
-        )
-        if sgn < 0:
-            gamma = -gamma
+    for head, gen in zip(words[::2], words[1::2]):
+        if "g(" not in head:
+            raise ParseError(f"coaction word {head.strip()!r} lacks g(...)")
+        gamma = parse_expression(H.Gamma, head, special={"g": lambda e: e})
         out.append((gamma, gen))
     return out
 
 
+@_document
 def parse_comodule(path, H=None):
     from .comodule import Comodule
 
@@ -511,24 +531,16 @@ def parse_comodule(path, H=None):
         if not cp.has_section(sec):
             raise ParseError(f"comodule file needs [{sec}]")
     if H is None:
-        if not cp.has_section("comodule") or not cp.has_option(
-            "comodule", "algebroid"
-        ):
-            raise ParseError("comodule file needs [comodule] algebroid = path")
-        H = parse_algebroid(
-            os.path.join(
-                os.path.dirname(path), cp.get("comodule", "algebroid")
-            )
-        )
+        H = parse_algebroid(os.path.join(
+            os.path.dirname(path), _option(cp, "comodule", "algebroid")
+        ))
     gens = [(n, _int(v, f"degree of {n}")) for n, v in cp.items("generators")]
     psi = {}
     for n, _ in gens:
         if not cp.has_option("psi", n):
             raise ParseError(f"missing coaction for generator {n}")
         psi[n] = _parse_psi_words(H, cp.get("psi", n))
-    name = ""
-    if cp.has_section("comodule"):
-        name = cp.get("comodule", "name", fallback="")
+    name = cp.get("comodule", "name", fallback="")
     return Comodule(H, gens, psi, name=name or os.path.basename(path))
 
 

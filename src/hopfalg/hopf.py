@@ -2,15 +2,17 @@
 degreewise axiom verification.  Points and their composition over finite
 rings live in `groupoid`.
 
-Conventions.  Gamma is required to be free as an A-algebra via eta_L on a
-declared list of morphism generators; the remaining "base" generators of
-Gamma must mirror A's generators by name, degree, and relations, and eta_L
-must send each A-generator to its mirror.  The tensor power Gamma^{(x)k}
-(k composable morphisms; the square k = 2 holds Delta, the cube k = 3
-checks coassociativity) has Gamma's generators as its factor 0 and one
-copy of each morphism generator for every further factor.  Factor j's
-inclusion sends a base generator b to factor j-1's image of eta_R(b): the
-balanced relation of Gamma_{eta_R} (x)_A Gamma_{eta_L}.
+Conventions.  Gamma is free as an A-algebra via eta_L on a declared list
+of morphism generators; the other, "base" generators mirror A's by name
+and degree.  The laws eps.eta_L = id, c.eta_L = eta_R and Delta.eta_L =
+incl_l.eta_L (Ravenel, Complex Cobordism, A1.1.1) then force eta_L and
+eps, c, Delta on the base generators: an algebroid is built from eta_R
+and the images of the morphism generators.  The tensor power
+Gamma^{(x)k} (k composable morphisms; the square k = 2 holds Delta, the
+cube k = 3 checks coassociativity) has Gamma's generators as its factor
+0 and one copy of each morphism generator for every further factor.
+Factor j's inclusion sends a base generator b to factor j-1's image of
+eta_R(b): the balanced relation of Gamma_{eta_R} (x)_A Gamma_{eta_L}.
 
 Every map into or out of the square and the cube (the factor inclusions,
 the counit and antipode composites, the square in factors 0-1 and 1-2 of
@@ -22,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property, partial
 from itertools import islice
 
-from .errors import NotFreeOverA, Verdict
+from .errors import InputError, NotFreeOverA, Verdict
 from .presentation import (
     Element,
     GradedPresentation,
@@ -129,11 +131,13 @@ class TensorPower:
 class HopfAlgebroid:
     """The pair (A, Gamma) with structure maps eta_L, eta_R, eps, c, Delta.
 
-    delta is supplied as generator images for the morphism generators only
-    (raw (coeff, exponents) terms or Elements laid out in the tensor-square
-    generator order); base generators get the forced image incl_l(gen)."""
+    eps, c and delta map each morphism generator's name to its image: an
+    Element of the target (A, Gamma, the tensor square) or raw (coeff,
+    exponents) terms in its generator order; a missing or unknown name is
+    an InputError.  eta_L sends each A-generator a to its mirror b, and
+    eps(b) = a, c(b) = eta_R(a), Delta(b) = incl_l(b)."""
 
-    def __init__(self, A, Gamma, morphism_gens, etaL, etaR, eps, c, delta_images, name=""):
+    def __init__(self, A, Gamma, morphism_gens, etaR, eps, c, delta, name=""):
         self.A = A
         self.Gamma = Gamma
         self.name = name
@@ -145,43 +149,48 @@ class HopfAlgebroid:
         self.base_order = tuple(
             i for i in range(len(Gamma.gens)) if i not in self.morphism_gens
         )
-        self._check_alignment(etaL)
-        self.etaL = etaL
+        self._check_alignment()
+        self.etaL = RingMorphism(
+            A, Gamma, [Gamma.gen(i) for i in self.base_order], name="etaL"
+        )
         self.etaR = etaR
-        self.eps = eps
-        self.c = c
+        self.eps = self._derived("eps", A, map(A.gen, range(len(A.gens))), eps)
+        self.c = self._derived("c", Gamma, etaR.images, c)
         self.ts = TensorPower(
             A, Gamma, self.morphism_order, etaR, 2, name=(name or "H") + ".TS"
         )
-        images = []
-        for i in range(len(Gamma.gens)):
-            if i in self.morphism_gens:
-                img = delta_images[Gamma.names[i]]
-                if isinstance(img, Element):
-                    img = reduce_mod(img, self.ts.pres)
-                else:
-                    img = self.ts.pres.element(img)
-                images.append(img)
-            else:
-                images.append(self.ts.incl_l(Gamma.gen(i)))
-        self.delta = RingMorphism(Gamma, self.ts.pres, images, name="delta")
+        incl_l = [self.ts.incl_l(Gamma.gen(i)) for i in self.base_order]
+        self.delta = self._derived("delta", self.ts.pres, incl_l, delta)
         self.groupoids = {}  # (ring, budget) -> groupoid, filled by evaluate_groupoid
         self.induced = {}  # f_0 -> (B (x)_A Gamma, Gamma_f), filled by morita
 
-    def _check_alignment(self, etaL):
-        if len(self.base_order) != len(self.A.gens):
+    def _check_alignment(self):
+        base = tuple(self.Gamma.gens[i] for i in self.base_order)
+        if base != self.A.gens:
             raise NotFreeOverA(
-                "base generators of Gamma do not match A's generators"
+                f"Gamma's base generators {base} do not mirror A's {self.A.gens}"
             )
-        for a, i in enumerate(self.base_order):
-            if self.Gamma.gens[i] != self.A.gens[a]:
-                raise NotFreeOverA(
-                    f"generator mismatch: {self.Gamma.gens[i]} vs {self.A.gens[a]}"
-                )
-            if etaL(self.A.gen(a)) != self.Gamma.gen(i):
-                raise NotFreeOverA(
-                    f"eta_L must send {self.A.names[a]} to its mirror in Gamma"
-                )
+
+    def _derived(self, name, target, forced, given):
+        """The map Gamma -> target sending the base generators to `forced`
+        (in A's order) and each morphism generator to its image in
+        `given`."""
+        given, Gamma = dict(given), self.Gamma
+        images = dict(zip(self.base_order, forced))
+        for i in self.morphism_order:
+            img = given.pop(Gamma.names[i], None)
+            if img is None:
+                raise InputError(f"{name} needs an image of {Gamma.names[i]}")
+            if isinstance(img, Element):
+                images[i] = reduce_mod(img, target)
+            else:
+                images[i] = target.element(img)
+        if given:
+            raise InputError(
+                f"{name}: not a morphism generator: {', '.join(sorted(given))}"
+            )
+        images = [images[i] for i in range(len(Gamma.gens))]
+        return RingMorphism(Gamma, target, images, name=name)
 
     @cached_property
     def tc(self):
@@ -213,16 +222,13 @@ def check_hopf_axioms(H, bound):
     v = Verdict()
     A, Gamma = H.A, H.Gamma
     ts, tc = H.ts, H.tc
-    incl_l, incl_r = ts.incl_l, ts.incl_r
     n = len(Gamma.gens)
 
-    # counit composites eps . eta = id on A-generators
+    # eps, c and Delta are derived on eta_L(A); the laws at eta_R remain
     for a in range(len(A.gens)):
         if abs(A.degrees[a]) > bound:
             continue
         ga = A.gen(a)
-        if H.eps(H.etaL(ga)) != ga:
-            v.fail(f"eps.etaL != id at {A.names[a]}")
         if H.eps(H.etaR(ga)) != ga:
             v.fail(f"eps.etaR != id at {A.names[a]}")
 
@@ -284,12 +290,8 @@ def check_hopf_axioms(H, bound):
         if abs(A.degrees[a]) > bound:
             continue
         ga = A.gen(a)
-        if H.delta(H.etaL(ga)) != incl_l(H.etaL(ga)):
-            v.fail(f"Delta.etaL != incl_l.etaL at {A.names[a]}")
-        if H.delta(H.etaR(ga)) != incl_r(H.etaR(ga)):
+        if H.delta(H.etaR(ga)) != ts.incl_r(H.etaR(ga)):
             v.fail(f"Delta.etaR != incl_r.etaR at {A.names[a]}")
-        if H.c(H.etaL(ga)) != H.etaR(ga):
-            v.fail(f"c.etaL != etaR at {A.names[a]}")
         if H.c(H.etaR(ga)) != H.etaL(ga):
             v.fail(f"c.etaR != etaL at {A.names[a]}")
     return v

@@ -219,38 +219,27 @@ def induced_algebroid(H, f0):
     nb = len(B.gens)
     _, P2 = _induced_presentation(H, f0)
 
-    morphism_order = tuple(range(nb, len(P2.gens)))
     move = _collapse(H)
-    etaL = RingMorphism(B, P2, [P2.gen(i) for i in range(nb)], name="etaL")
-    etaR_images = [_carried(P2, move, H.etaR(A.gen(i))) for i in range(nb)]
-    etaR = RingMorphism(B, P2, etaR_images, name="etaR")
-    eps = RingMorphism(
-        P2,
-        B,
-        [B.gen(i) for i in range(nb)]
-        + [f0(H.eps(Gamma.gen(i))) for i in H.morphism_order],
-        name="eps",
+    etaR = RingMorphism(
+        B, P2, [_carried(P2, move, H.etaR(A.gen(i))) for i in range(nb)],
+        name="etaR",
     )
-    c = RingMorphism(
-        P2,
-        P2,
-        etaR_images
-        + [_carried(P2, move, H.c(Gamma.gen(i))) for i in H.morphism_order],
-        name="c",
-    )
-    delta_images = {
-        Gamma.names[i]: [(k, move(m)) for m, k in H.delta.images[i].terms.items()]
-        for i in H.morphism_order
-    }
     Hf = HopfAlgebroid(
         B,
         P2,
-        morphism_order,
-        etaL,
+        range(nb, len(P2.gens)),
         etaR,
-        eps,
-        c,
-        delta_images,
+        {Gamma.names[i]: f0(H.eps(Gamma.gen(i))) for i in H.morphism_order},
+        {
+            Gamma.names[i]: _carried(P2, move, H.c(Gamma.gen(i)))
+            for i in H.morphism_order
+        },
+        {
+            Gamma.names[i]: [
+                (k, move(m)) for m, k in H.delta.images[i].terms.items()
+            ]
+            for i in H.morphism_order
+        },
         name=f"({B.name},Gamma_f)",
     )
     v = check_hopf_axioms(Hf, P2.truncation)

@@ -184,9 +184,10 @@ class GradedPresentation:
                 if len(m) != n:
                     raise InputError("rule monomial has wrong length")
                 if sum(e * d for e, d in zip(m, self.degrees)) != lhs_deg:
-                    raise DegreeError(
-                        f"inhomogeneous rule for {self.names[i]}^{rule.power}"
+                    lhs = self.format_monomial(
+                        tuple(rule.power * (j == i) for j in range(n))
                     )
+                    raise DegreeError(f"inhomogeneous rule for {lhs}")
                 for j, e in enumerate(m):
                     if e < 0:
                         raise IllegalExponent("negative exponent in rule RHS")

@@ -40,6 +40,11 @@ def run_cli(*args):
     return _run("-m", "hopfalg", *args)
 
 
+def run_code(code):
+    """Run a Python snippet under this interpreter."""
+    return _run("-c", code)
+
+
 def run_script(name, *args):
     """Run a script from the repository's scripts/ directory."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,12 +63,9 @@ def primitive_line(p, xdeg, power, truncation=16, name=""):
         truncation=truncation,
         name=name or f"F_{p}[x]/(x^{power})",
     )
-    etaL = RingMorphism(A, Gamma, [], name="etaL")
-    etaR = RingMorphism(A, Gamma, [], name="etaR")
-    eps = RingMorphism(Gamma, A, [A.zero()], name="eps")
-    c = RingMorphism(Gamma, Gamma, [-Gamma.gen(0)], name="c")
     return HopfAlgebroid(
-        A, Gamma, [0], etaL, etaR, eps, c,
+        A, Gamma, [0], RingMorphism(A, Gamma, [], name="etaR"),
+        {"x": A.zero()}, {"x": -Gamma.gen(0)},
         {"x": [(1, (1, 0)), (1, (0, 1))]},
         name=name or f"line(p={p},|x|={xdeg},x^{power})",
     )
@@ -81,12 +83,9 @@ def mu2_algebroid(truncation=8):
         truncation=truncation,
         name="F_3[g]/(g^2-1)",
     )
-    etaL = RingMorphism(A, Gamma, [], name="etaL")
-    etaR = RingMorphism(A, Gamma, [], name="etaR")
-    eps = RingMorphism(Gamma, A, [A.one()], name="eps")
-    c = RingMorphism(Gamma, Gamma, [Gamma.gen(0)], name="c")
     return HopfAlgebroid(
-        A, Gamma, [0], etaL, etaR, eps, c,
+        A, Gamma, [0], RingMorphism(A, Gamma, [], name="etaR"),
+        {"g": A.one()}, {"g": Gamma.gen(0)},
         {"g": [(1, (1, 1))]},
         name="mu2@F_3",
     )
@@ -103,18 +102,11 @@ def line_over_v(order):
         relations={"x": (3, [])}, truncation=16,
     )
     x, v = Gamma.index["x"], Gamma.index["v"]
-    etaL = RingMorphism(A, Gamma, [Gamma.gen(v)])
-    eps = RingMorphism(
-        Gamma, A, [A.zero() if g == "x" else A.gen(0) for g in order]
-    )
-    c = RingMorphism(
-        Gamma, Gamma,
-        [-Gamma.gen(x) if g == "x" else Gamma.gen(v) for g in order],
-    )
     # tensor-square generators: Gamma's, then the right copy of x
     left = tuple(int(i == x) for i in range(2)) + (0,)
     return HopfAlgebroid(
-        A, Gamma, [x], etaL, etaL, eps, c,
+        A, Gamma, [x], RingMorphism(A, Gamma, [Gamma.gen(v)]),
+        {"x": A.zero()}, {"x": -Gamma.gen(x)},
         {"x": [(1, left), (1, (0, 0, 1))]},
     )
 
@@ -129,11 +121,9 @@ def line_over_unit(udeg):
         inverted=["u"], truncation=16,
     )
     u, x = Gamma.gen(0), Gamma.gen(1)
-    etaL = RingMorphism(A, Gamma, [u])
-    eps = RingMorphism(Gamma, A, [A.gen(0), A.zero()])
-    c = RingMorphism(Gamma, Gamma, [u, -x])
     return HopfAlgebroid(
-        A, Gamma, [1], etaL, etaL, eps, c,
+        A, Gamma, [1], RingMorphism(A, Gamma, [u]),
+        {"x": A.zero()}, {"x": -x},
         {"x": [(1, (0, 1, 0)), (1, (0, 0, 1))]},
         name=f"line(|u|={udeg})",
     )
@@ -151,12 +141,9 @@ def mu2_on_unit():
         inverted=["u"], truncation=8,
     )
     u, g = Gamma.gen(0), Gamma.gen(1)
-    etaL = RingMorphism(A, Gamma, [u])
-    etaR = RingMorphism(A, Gamma, [u * g])
-    eps = RingMorphism(Gamma, A, [A.gen(0), A.one()])
-    c = RingMorphism(Gamma, Gamma, [u * g, g])
     return HopfAlgebroid(
-        A, Gamma, [1], etaL, etaR, eps, c,
+        A, Gamma, [1], RingMorphism(A, Gamma, [u * g]),
+        {"g": A.one()}, {"g": g},
         {"g": [(1, (0, 1, 1))]},
         name="mu2 on u@F_3",
     )

@@ -101,8 +101,11 @@ def test_criterion_4_fault_injection(flagship):
         H1.A, Gamma, [Gamma.gen(0), Gamma.gen(1)], name="bad_etaR"
     )
     bad = HopfAlgebroid(
-        H1.A, Gamma, H1.morphism_order, H1.etaL, bad_etaR, H1.eps, H1.c,
-        {Gamma.names[i]: H1.delta(Gamma.gen(i)) for i in H1.morphism_order},
+        H1.A, Gamma, H1.morphism_order, bad_etaR,
+        *(
+            {Gamma.names[i]: m.images[i] for i in H1.morphism_order}
+            for m in (H1.eps, H1.c, H1.delta)
+        ),
         name="corrupted",
     )
     window = dict(s_max=1, t_min=0, t_max=16)

@@ -353,3 +353,86 @@ def test_exit_codes(refused_docs, jw_files, capsys, argv, code, prefix):
     argv = [a.format(bad=refused_docs, jw=jw_files) for a in argv]
     assert cli.run(argv) == code
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.fixture(scope="module")
+def bp8_dir(tmp_path_factory):
+    """The p=2 tower at D=8 (v1, v2; t1, t2) as documents."""
+    from hopfalg.fgl import assemble_bp
+
+    d = tmp_path_factory.mktemp("bp8")
+    files.write_algebroid(assemble_bp(2, 8).H, str(d))
+    return d
+
+
+def _edited(bp8_dir, d, old, new):
+    """The bp8 documents under d, with `old` replaced by `new` in the
+    algebroid document; returns its path."""
+    text = (bp8_dir / "algebroid.ini").read_text()
+    assert text.count(old) == 1
+    (d / "base.ini").write_text((bp8_dir / "base.ini").read_text())
+    path = d / "algebroid.ini"
+    path.write_text(text.replace(old, new))
+    return path
+
+
+# (line edited, its replacement, the message): etaL, and epsilon and c of a
+# base generator, differing from the maps the algebroid derives
+FORCED_IMAGES = [
+    ("etaL = v1; v2\n", "etaL = v1; v2 + v1^3\n",
+     "etaL(v2) = v2 + v1^3, but the derived etaL sends v2 to v2"),
+    ("epsilon = v1; v2;", "epsilon = v1; v2 + v1^3;",
+     "epsilon(v2) = v2 + v1^3, but the derived epsilon sends v2 to v2"),
+    ("c = 2*t1 + v1;", "c = v1;",
+     "c(v1) = v1, but the derived c sends v1 to 2*t1 + v1"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", FORCED_IMAGES,
+                         ids=["etaL", "epsilon", "c"])
+def test_a_forced_image_that_differs_is_an_input_error(
+        bp8_dir, tmp_path, capsys, old, new, message):
+    from hopfalg import cli
+
+    path = _edited(bp8_dir, tmp_path, old, new)
+    assert cli.run(["hopf", "axioms", str(path)]) == cli.EXIT_INPUT == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_a_degree_error_in_a_presentation_is_an_input_error(tmp_path, capsys):
+    from hopfalg import cli
+
+    path = tmp_path / "ring.ini"
+    path.write_text("[base]\nmode = fp\np = 3\n\n[generators]\nx = 2\ny = 4\n\n"
+                    "[relations]\ny = x\n")
+    assert cli.run(["ring", "check", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: inhomogeneous rule for y\n"
+    )
+
+
+def test_a_degree_error_in_a_structure_map_is_an_input_error(
+        bp8_dir, tmp_path, capsys):
+    from hopfalg import cli
+
+    path = _edited(bp8_dir, tmp_path, "; -t2 - t1^3 - v1*t1^2\n", "; t1^2\n")
+    assert cli.run(["hopf", "axioms", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: image of t2 has degree 4, expected 6\n"
+    )
+
+
+def test_a_degree_error_in_a_coaction_is_an_input_error(
+        bp8_dir, tmp_path, capsys):
+    from hopfalg import cli
+
+    path = tmp_path / "comodule.ini"
+    path.write_text(
+        f"[comodule]\nalgebroid = {bp8_dir / 'algebroid.ini'}\n\n"
+        "[generators]\nm0 = 0\nm1 = 2\n\n"
+        "[psi]\nm0 = g(1)(x)m0\nm1 = g(1)(x)m1 + g(t1^2)(x)m0\n"
+    )
+    assert cli.run(["comodule", "check", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: psi(m1) term at m0 has degree 4, expected 2\n"
+    )

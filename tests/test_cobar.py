@@ -1,6 +1,8 @@
 """Cobar-complex cohomology against an independent hand-rolled oracle."""
+import functools
 import itertools
 import math
+import operator
 import os
 import time
 
@@ -9,7 +11,13 @@ import pytest
 from hopfalg import linalg
 from hopfalg.cobar import CobarComplex, compare_ext, ext_dims, primitive_dims
 from hopfalg.errors import InputError
-from hopfalg.presentation import BaseMode, GradedPresentation
+from hopfalg.hopf import TensorPower
+from hopfalg.presentation import (
+    BaseMode,
+    GradedPresentation,
+    RingMorphism,
+    identity_morphism,
+)
 
 from conftest import (
     line_over_unit,
@@ -295,18 +303,15 @@ def test_compare_ext_reports_first_disagreement():
 
 def test_mode_guards():
     from hopfalg.hopf import HopfAlgebroid
-    from hopfalg.presentation import RingMorphism
 
     mode = BaseMode("int")
     A = GradedPresentation(mode, [], truncation=8)
     Gamma = GradedPresentation(
         mode, [("x", 2)], relations={"x": (2, [])}, truncation=8
     )
-    etaL = RingMorphism(A, Gamma, [])
-    eps = RingMorphism(Gamma, A, [A.zero()])
-    c = RingMorphism(Gamma, Gamma, [-Gamma.gen(0)])
     H_int = HopfAlgebroid(
-        A, Gamma, [0], etaL, etaL, eps, c,
+        A, Gamma, [0], RingMorphism(A, Gamma, []),
+        {"x": A.zero()}, {"x": -Gamma.gen(0)},
         {"x": [(1, (1, 0)), (1, (0, 1))]},
     )
     with pytest.raises(InputError):
@@ -427,6 +432,136 @@ def test_differential_matches_reference_comodules(flagship):
     term, and windows where a key leaves the enumerated basis."""
     for M in comodule_catalog(mu2_algebroid(), flagship):
         assert_differentials_match(M.H, M, 3, -16, 16)
+
+
+# ---------------------------------------------------------------------------
+# d against the coface maps, sharing no code with the complex
+
+
+class CofaceReference:
+    """d of a basis key as the alternating sum of the coface maps
+    Gamma^{(x)s} (x)_A M -> Gamma^{(x)s+1} (x)_A M, projected onto the
+    nondegenerate keys, built from `hopf.TensorPower` and `RingMorphism`
+    alone.  The key (a, w_1|...|w_s, m) is eta_L(a) w_1 (x) ... (x) w_s
+    (x) m, and the cofaces are 1 (x) x, Delta in factor i, and x (x) gamma
+    for each coaction term gamma (x) m' of m.  Every product is taken in
+    the target tensor power, whose factor inclusions carry the balanced
+    relation, so no coefficient is slid by hand.  k = 1 is Gamma itself,
+    since a TensorPower has k >= 2."""
+
+    def __init__(self, H, M):
+        self.H, self.M = H, M
+        self._powers = {}
+        self._into = {}
+
+    def _power(self, k):
+        """(presentation, factor inclusions, monomial splitter) of
+        Gamma^{(x)k}."""
+        got = self._powers.get(k)
+        if got is None:
+            H = self.H
+            if k == 1:
+                got = (H.Gamma, [identity_morphism(H.Gamma)], lambda m: (m,))
+            else:
+                T = TensorPower(H.A, H.Gamma, H.morphism_order, H.etaR, k)
+                got = (T.pres, list(T.inclusions()), T.split_monomial)
+            self._powers[k] = got
+        return got
+
+    def _square_into(self, k, i):
+        """The tensor square into factors i, i+1 of Gamma^{(x)k}."""
+        got = self._into.get((k, i))
+        if got is None:
+            H, G = self.H, self.H.Gamma
+            P, incl, _ = self._power(k)
+            got = self._into[(k, i)] = RingMorphism(
+                H.ts.pres,
+                P,
+                [incl[i](G.gen(g)) for g in range(len(G.gens))]
+                + [incl[i + 1](G.gen(g)) for g in H.morphism_order],
+            )
+        return got
+
+    def d(self, key):
+        H, G = self.H, self.H.Gamma
+        a, word, mgen = key
+        s = len(word)
+        _, incl, split = self._power(s + 1)
+        coeff = H.A.monomial_element(a)
+        ys = [G.monomial_element(w) for w in word]
+        left = incl[0](H.etaL(coeff))
+        faces = [  # (sign, module generator, factors of the product)
+            (1, mgen, [incl[0](H.etaR(coeff))]
+             + [incl[j + 1](y) for j, y in enumerate(ys)])
+        ]
+        for i in range(s):
+            into = self._square_into(s + 1, i)
+            faces.append(((-1) ** (i + 1), mgen, [left] + [
+                incl[j](y) if j < i else into(H.delta(y)) if j == i
+                else incl[j + 1](y)
+                for j, y in enumerate(ys)
+            ]))
+        for other, gamma in self.M.psi[mgen].items():
+            faces.append(((-1) ** (s + 1), other, [left] + [
+                incl[j](y) for j, y in enumerate(ys)
+            ] + [incl[s](gamma)]))
+        p = G.mode.p
+        acc = {}
+        for sign, out, factors in faces:
+            for mono, c in functools.reduce(operator.mul, factors).terms.items():
+                first, *rest = split(mono)
+                ws = (
+                    tuple(e * (g in H.morphism_gens) for g, e in enumerate(first)),
+                    *rest,
+                )
+                if all(map(any, ws)):
+                    k = (tuple(first[g] for g in H.base_order), ws, out)
+                    acc[k] = (acc.get(k, 0) + sign * int(c)) % p
+        return {k: c for k, c in acc.items() if c}
+
+
+def _coface_split(C, ts):
+    """(keys, terms of d above the weight cap D) over s <= s_max and t in
+    ts; on every term of weight <= D, `d_of_key` equals the coface
+    reference."""
+    ref = CofaceReference(C.H, C.M)
+    keys = above = 0
+    for s in range(C.s_max + 1):
+        for t in ts:
+            for key in C.basis(s, t):
+                d = C.d_of_key(key)
+                low = {k: c for k, c in d.items() if C.key_weight(k) <= C.D}
+                assert low == ref.d(key), (C.H.name, C.M.name, key)
+                keys += 1
+                above += len(d) - len(low)
+    return keys, above
+
+
+@pytest.mark.parametrize(
+    "pair, s_max, window, keys",
+    [("source", 3, 32, 933), ("induced", 3, 32, 160), ("p2", 4, 16, 408)],
+)
+def test_d_is_the_sum_of_the_cofaces(flagship, pair, s_max, window, keys):
+    """Every key of one period, s <= s_max; no term of d lies above D."""
+    _, H1, H2, _ = flagship
+    H = {"source": H1, "induced": H2}.get(pair) or _p2_pair()
+    C = CobarComplex(H, s_max=s_max, t_min=-window, t_max=window)
+    period = range(-window, -window + C.period())
+    assert _coface_split(C, period) == (keys, 0)
+
+
+def test_d_is_the_sum_of_the_cofaces_comodules(mu2, flagship):
+    """Every key at s <= 2, |t| <= 16.  The t1-extension's d has terms
+    above D, where it leaves the enumerated basis: the reference's
+    products truncate them, and every other comodule's d has none."""
+    split = {}
+    for M in comodule_catalog(mu2, flagship):
+        C = CobarComplex(M.H, M=M, s_max=2, t_min=-16, t_max=16)
+        split[M.name] = _coface_split(C, range(-16, 17))
+    assert sum(keys for keys, _ in split.values()) == 3428
+    assert {name: above for name, (_, above) in split.items() if above} == {
+        "t1-extension/induced-pair": 54
+    }
 
 
 # ---------------------------------------------------------------------------

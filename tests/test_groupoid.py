@@ -143,15 +143,13 @@ def _primitive_algebroid(names):
         mode, [(x, 1) for x in names],
         relations={x: (2, []) for x in names}, truncation=8,
     )
-    none = RingMorphism(A, Gamma, [])
-
     def unit(i, slot):
         return tuple(int(j == slot * n + i) for j in range(2 * n))
 
     return HopfAlgebroid(
-        A, Gamma, list(range(n)), none, none,
-        RingMorphism(Gamma, A, [A.zero()] * n),
-        RingMorphism(Gamma, Gamma, [-Gamma.gen(i) for i in range(n)]),
+        A, Gamma, list(range(n)), RingMorphism(A, Gamma, []),
+        {x: A.zero() for x in names},
+        {x: -Gamma.gen(i) for i, x in enumerate(names)},
         {x: [(1, unit(i, 0)), (1, unit(i, 1))] for i, x in enumerate(names)},
         name="+".join(names),
     )
@@ -582,11 +580,8 @@ def test_coefficients_missing_from_R_matter_only_at_points():
     v, t = Gamma.gen(0), Gamma.gen(1)
     shift = v + Gamma.scalar(Fraction(1, 2)) * t
     H = HopfAlgebroid(
-        A, Gamma, ["t"],
-        RingMorphism(A, Gamma, [v], name="etaL"),
-        RingMorphism(A, Gamma, [shift], name="etaR"),
-        RingMorphism(Gamma, A, [A.gen(0), A.zero()], name="eps"),
-        RingMorphism(Gamma, Gamma, [shift, -t], name="c"),
+        A, Gamma, ["t"], RingMorphism(A, Gamma, [shift], name="etaR"),
+        {"t": A.zero()}, {"t": -t},
         {"t": [(1, (0, 1, 0)), (1, (0, 0, 1))]},
         name="half-shift",
     )

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from hopfalg import hopf
-from hopfalg.errors import NotFreeOverA
+from hopfalg.errors import InputError, NotFreeOverA
 from hopfalg.hopf import HopfAlgebroid
 from hopfalg.presentation import BaseMode, GradedPresentation, RingMorphism
 
@@ -98,12 +98,9 @@ def test_corrupted_delta_fails_axioms():
     Gamma = GradedPresentation(
         mode, [("x", xdeg)], relations={"x": (power, [])}, truncation=16
     )
-    etaL = RingMorphism(A, Gamma, [])
-    etaR = RingMorphism(A, Gamma, [])
-    eps = RingMorphism(Gamma, A, [A.zero()])
-    c = RingMorphism(Gamma, Gamma, [-Gamma.gen(0)])
     H = HopfAlgebroid(
-        A, Gamma, [0], etaL, etaR, eps, c, {"x": [(1, (1, 0))]}
+        A, Gamma, [0], RingMorphism(A, Gamma, []),
+        {"x": A.zero()}, {"x": -Gamma.gen(0)}, {"x": [(1, (1, 0))]},
     )
     v = hopf.check_hopf_axioms(H, 16)
     assert not v.ok
@@ -112,9 +109,9 @@ def test_corrupted_delta_fails_axioms():
 
 def test_corrupted_antipode_fails_axioms():
     H = primitive_line(3, 2, 3)
-    bad_c = RingMorphism(H.Gamma, H.Gamma, [H.Gamma.gen(0)])  # c(x) = +x
     bad = HopfAlgebroid(
-        H.A, H.Gamma, [0], H.etaL, H.etaR, H.eps, bad_c,
+        H.A, H.Gamma, [0], H.etaR, {"x": H.A.zero()},
+        {"x": H.Gamma.gen(0)},  # c(x) = +x
         {"x": [(1, (1, 0)), (1, (0, 1))]},
     )
     v = hopf.check_hopf_axioms(bad, 16)
@@ -127,14 +124,51 @@ def test_misaligned_base_generators_rejected():
     Gamma = GradedPresentation(
         mode, [("w", 4), ("t", 4)], truncation=16
     )  # name mismatch
-    etaL = RingMorphism(A, Gamma, [Gamma.gen(0)])
     with pytest.raises(NotFreeOverA):
         HopfAlgebroid(
-            A, Gamma, [1], etaL, etaL,
-            RingMorphism(Gamma, A, [A.gen(0), A.zero()]),
-            RingMorphism(Gamma, Gamma, [Gamma.gen(0), -Gamma.gen(1)]),
+            A, Gamma, [1], RingMorphism(A, Gamma, [Gamma.gen(0)]),
+            {"t": A.zero()}, {"t": -Gamma.gen(1)},
             {"t": [(1, (0, 1, 0)), (1, (0, 0, 1))]},
         )
+
+
+def test_structure_maps_on_base_generators_are_derived(bp3):
+    """eta_L sends each A-generator to its mirror b, and eps(b) = a,
+    c(b) = eta_R(a), Delta(b) = incl_l(b); on the morphism generators the
+    maps keep the given images."""
+    H = bp3.H
+    assert H.base_order
+    for a, b in enumerate(H.base_order):
+        ga, gb = H.A.gen(a), H.Gamma.gen(b)
+        assert H.etaL(ga) == gb
+        assert (H.eps(gb), H.c(gb), H.delta(gb)) == (
+            ga, H.etaR(ga), H.ts.incl_l(gb)
+        )
+    for i in H.morphism_order:
+        assert H.eps(H.Gamma.gen(i)).is_zero()
+
+
+@pytest.mark.parametrize("which", ["eps", "c", "delta"])
+def test_missing_or_unknown_image_is_an_input_error(which):
+    """Each of eps, c and delta needs exactly the morphism generators."""
+    H = primitive_line(3, 2, 3)
+    given = {
+        "eps": {"x": H.A.zero()},
+        "c": {"x": -H.Gamma.gen(0)},
+        "delta": {"x": [(1, (1, 0)), (1, (0, 1))]},
+    }
+
+    def build(images):
+        maps = {**given, which: images}
+        return HopfAlgebroid(
+            H.A, H.Gamma, [0], H.etaR, maps["eps"], maps["c"], maps["delta"]
+        )
+
+    assert hopf.check_hopf_axioms(build(given[which]), 16).ok
+    with pytest.raises(InputError, match=f"{which} needs an image of x"):
+        build({})
+    with pytest.raises(InputError, match="not a morphism generator: y"):
+        build({**given[which], "y": given[which]["x"]})
 
 
 def test_point_algebra_over_finite_ring(mu2):
@@ -166,9 +200,8 @@ def test_counital_but_not_coassociative_delta():
     H = HopfAlgebroid(
         A, G, [0, 1],
         RingMorphism(A, G, []),
-        RingMorphism(A, G, []),
-        RingMorphism(G, A, [A.zero(), A.zero()]),
-        RingMorphism(G, G, [x, y + x ** 4]),
+        {"x": A.zero(), "y": A.zero()},
+        {"x": x, "y": y + x ** 4},
         {
             "x": [(1, (1, 0, 0, 0)), (1, (0, 0, 1, 0))],
             "y": [(1, (0, 1, 0, 0)), (1, (0, 0, 0, 1)), (1, (1, 0, 3, 0))],

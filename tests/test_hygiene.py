@@ -1,11 +1,15 @@
-"""Source hygiene: every name a hopfalg module imports is used there, and
-only an allowlist of functions keeps a process-wide memo."""
+"""Source hygiene: every name a hopfalg module imports is used there,
+only an allowlist of functions keeps a process-wide memo, and the Ext path
+loads no module it does not run."""
 import ast
 import pathlib
 
 import pytest
 
 import hopfalg
+from hopfalg import files
+
+from conftest import mu2_algebroid, run_code
 
 MODULES = sorted(
     path
@@ -100,3 +104,19 @@ def test_the_check_sees_a_memo_decorator():
 def test_memo_decorators_only_on_the_allowlist(path):
     found = memoized_functions(path.read_text(encoding="utf-8"), path.stem)
     assert [name for _, name in found if name not in MEMO_ALLOWLIST] == []
+
+
+def test_ext_does_not_load_the_finite_ring_oracle(tmp_path):
+    """`hopfalg ext` evaluates no points over finite rings, so it never
+    imports `groupoid`, the package's largest module: without written
+    bytecode every process would compile it anew."""
+    files.write_algebroid(mu2_algebroid(), str(tmp_path))
+    r = run_code(
+        "import sys\n"
+        "from hopfalg import cli\n"
+        f"code = cli.run(['ext', {str(tmp_path / 'algebroid.ini')!r}, "
+        "'--smax', '2', '--tmin', '0', '--tmax', '4'])\n"
+        "print(code, 'hopfalg.groupoid' in sys.modules)\n"
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 False"

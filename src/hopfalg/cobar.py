@@ -34,7 +34,8 @@ weight), so the keys above any weight cap are a prefix.  Each
 differential d_{s,t} is stored sparse, as the columns `d_columns`
 returns: column j is d of the j-th source key, {target position:
 residue}.  The differentials are more than 99% zero, so every count is a
-rank, taken by `linalg.echelon` on these columns without record vectors.
+rank, taken by `linalg.echelon` on these columns without record vectors,
+and d^2 = 0 is a sparse product, `linalg.apply`, of cached columns.
 Each d_{s,t} is eliminated once, its inner columns (keys of weight <=
 inner) first and then the outer ones with the same pivots, each group
 sparsest first (fewest nonzeros), which keeps fill-in down; the sorted
@@ -353,18 +354,13 @@ class CobarComplex:
         """d of each key of C^{s,t} in `keys`, as sparse columns
         {target basis position: residue} against the whole of
         basis(s+1, t); not cached."""
-        pos = {k: i for i, k in enumerate(self.basis(s + 1, t))}
-        cols = []
-        for k in keys:
-            col = {}
-            for outk, c in self.d_of_key(k).items():
-                r = pos.get(outk)
-                if r is None:
-                    raise AssertionError(
-                        f"differential leaves the enumerated basis at {outk}"
-                    )
-                col[r] = c
-            cols.append(col)
+        cols, outside = linalg.coordinates(
+            map(self.d_of_key, keys), self.basis(s + 1, t)
+        )
+        if outside is not None:
+            raise AssertionError(
+                f"differential leaves the enumerated basis at {outside}"
+            )
         return cols
 
     def d_columns(self, s, t):
@@ -423,22 +419,10 @@ class CobarComplex:
             self._eliminate(s, t, 0)
         return self._leads_cache[(s, t)]
 
-    def d_rank(self, s, t):
-        """rank d_{s,t}, the number of its leads."""
-        return len(self.d_leads(s, t))
-
     def d_squared_is_zero(self, s, t):
         """d_{s+1,t} d_{s,t} = 0, as a sparse product of the columns."""
-        p = self.p
         d1 = self.d_columns(s + 1, t)
-        for col in self.d_columns(s, t):
-            acc = {}
-            for r, c in col.items():
-                for i, x in d1[r].items():
-                    acc[i] = acc.get(i, 0) + c * x
-            if any(v % p for v in acc.values()):
-                return False
-        return True
+        return not any(linalg.apply(d1, col, self.p) for col in self.d_columns(s, t))
 
     def ext_dim(self, s, t):
         """dim Ext^{s,t} = dim ker d_{s,t} - rank d_{s-1,t}: the
@@ -565,8 +549,12 @@ def ext_dims(C, parallel=1, check_d2=False, inner=None):
     instead of the plain cap cohomology.
 
     With a period |u| (`CobarComplex.period`), only t in [t_min, t_min +
-    |u|) is computed, and every later entry is the one |u| below it; the
-    d^2 = 0 check covers the same t.  Each elimination feeds `echelon`
+    |u|) is computed, and every later entry is the one |u| below it.
+    d_{s+1,t} d_{s,t} = 0 is checked at the same t (AssertionError
+    otherwise): with `check_d2` at every s < s_max, and by default only
+    where both differentials were built in full for the table (every s <
+    s_max on a plain table, s + 1 < s_max on a stable one), so the check
+    builds nothing.  Each elimination feeds `echelon`
     its sparsest columns first (see the module docstring).  The table is
     computed serially; `parallel` is accepted for existing callers and
     must be 1 (InputError otherwise)."""
@@ -584,9 +572,10 @@ def ext_dims(C, parallel=1, check_d2=False, inner=None):
             dims[(s, t)] = C.ext_dim_stable(s, t, inner)
         for t in range(ts[-1] + 1, C.t_max + 1):
             dims[(s, t)] = dims[(s, t - period)]
-    if check_d2:
-        for s in range(C.s_max):
-            for t in ts:
+    built = C._columns_cache
+    for s in range(C.s_max):
+        for t in ts:
+            if check_d2 or ((s, t) in built and (s + 1, t) in built):
                 if not C.d_squared_is_zero(s, t):
                     raise AssertionError(f"d^2 != 0 at (s,t)=({s},{t})")
     return ExtTable(
@@ -626,12 +615,8 @@ def primitive_dims(H, t_min, t_max):
         if not ab:
             out[t] = 0
             continue
-        pos = {m: i for i, m in enumerate(H.Gamma.degree_basis(t))}
-        vecs = []
-        for a in ab:
-            diff = H.etaR(H.A.monomial_element(a)) - H.etaL(
-                H.A.monomial_element(a)
-            )
-            vecs.append({pos[m]: c for m, c in diff.terms.items()})
+        elems = map(H.A.monomial_element, ab)
+        diffs = ((H.etaR(x) - H.etaL(x)).terms for x in elems)
+        vecs, _ = linalg.coordinates(diffs, H.Gamma.degree_basis(t))
         out[t] = len(ab) - linalg.rank(vecs, p)
     return out

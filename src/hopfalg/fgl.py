@@ -55,14 +55,14 @@ class BPData:
     pairs: WeakValueDictionary
 
 
-def hazewinkel_logs(p, N, pres=None, vname="v"):
+def hazewinkel_logs(p, N, pres=None):
     """The rational log coefficients [1, l_1, ..., l_N] inside pres
     (default: a fresh rational presentation on v_1..v_N)."""
     if pres is None:
         D = gen_degree(p, N)
         pres = GradedPresentation(
             BaseMode("plocal", p),
-            [(f"{vname}{i}", gen_degree(p, i)) for i in range(1, N + 1)],
+            [(f"v{i}", gen_degree(p, i)) for i in range(1, N + 1)],
             truncation=D,
             name=f"BP*({p})Q",
         )
@@ -70,7 +70,7 @@ def hazewinkel_logs(p, N, pres=None, vname="v"):
     for n in range(1, N + 1):
         acc = pres.zero()
         for i in range(n):
-            vni = pres.gen(f"{vname}{n - i}")
+            vni = pres.gen(f"v{n - i}")
             acc = acc + logs[i] * (vni ** (p ** i))
         logs.append(acc.scale(Fraction(1, p)))
     return logs

@@ -553,10 +553,10 @@ def emit_comodule(M, algebroid_filename):
         lines.append(f"{n} = {d}")
     lines += ["", "[psi]"]
     for n, _ in M.gens:
-        words = []
-        for other in sorted(M.psi[n]):
-            gamma = M.psi[n][other]
-            words.append(f"g({element_str(gamma)})(x){other}")
-        lines.append(f"{n} = " + (" + ".join(words) if words else "0"))
+        psi = M.psi[n]
+        if not psi:
+            raise InputError(f"coaction of {n} is empty: it fails the counit law")
+        words = [f"g({element_str(psi[o])})(x){o}" for o in sorted(psi)]
+        lines.append(f"{n} = " + " + ".join(words))
     lines.append("")
     return "\n".join(lines)

@@ -23,9 +23,9 @@ that M -> prod_i S_i (x) M  is the equalizer of the two coface maps into
 prod_{i,j} S_i (x) S_j (x) M.  Everything there is an F_p-vector space,
 and the check is exact linear algebra through `linalg`: a rank and a
 kernel, never an enumeration of vectors.  Its one vector format is the
-dict column {index: residue} that `linalg` eliminates: coordinates, the
-action of a ring element (the images of the basis vectors), projections
-to a quotient and the descent maps.
+dict column {index: residue} that `linalg` eliminates and multiplies
+(`linalg.apply`): coordinates, the action of a ring element (the images
+of the basis vectors), projections to a quotient and the descent maps.
 """
 from __future__ import annotations
 
@@ -232,7 +232,7 @@ def poly_quotient(p, modulus, var="x", name=""):
     )
 
 
-def GF(q, name=None):
+def GF(q):
     """The field with q elements, q in {2,3,4,9} (enough for the catalog)."""
     table = {
         2: lambda: Zmod(2),
@@ -243,7 +243,7 @@ def GF(q, name=None):
     if q not in table:
         raise InputError(f"no constructor for GF({q})")
     R = table[q]()
-    R.name = name or f"F_{q}"
+    R.name = f"F_{q}"
     return R
 
 
@@ -684,15 +684,6 @@ class FpSpaceBasis:
         return self._coords[elem]
 
 
-def _image(cols, x, p):
-    """sum_k x_k cols[k] for dict vectors x and cols[k]."""
-    out = {}
-    for k, xk in x.items():
-        for i, y in cols[k].items():
-            out[i] = (out.get(i, 0) + xk * y) % p
-    return {i: y for i, y in out.items() if y}
-
-
 def _shift(col, off):
     """The dict vector `col` with every index moved up by `off`."""
     return {off + i: x for i, x in col.items()}
@@ -719,10 +710,10 @@ class FpModule:
             raise InputError("1 must act as the identity")
         for a in range(R.n):
             for b in range(R.n):
-                if [_image(act[a], col, p) for col in act[b]] != act[R.mul[a][b]]:
+                if [linalg.apply(act[a], col, p) for col in act[b]] != act[R.mul[a][b]]:
                     raise InputError("action not multiplicative")
                 sums = [
-                    _image([ca, cb], {0: 1, 1: 1}, p)
+                    linalg.apply([ca, cb], {0: 1, 1: 1}, p)
                     for ca, cb in zip(act[a], act[b])
                 ]
                 if sums != act[R.add[a][b]]:
@@ -830,7 +821,7 @@ def tensor_algebra_module(alg, M):
         for i, scol in enumerate(smod.action[r]):
             for j, mcol in enumerate(M.action[r]):
                 # (r.s_i) (x) m_j - s_i (x) (r.m_j)
-                rels.append(_image(
+                rels.append(linalg.apply(
                     [{i2 * km + j: x for i2, x in scol.items()},
                      _shift(mcol, i * km)],
                     {0: 1, 1: p - 1}, p,
@@ -926,10 +917,10 @@ def check_descent(cover, M, purity_probe=None, _depth=0):
 
     # the columns of d0 - d1
     diff = [
-        _image([d0c, d1c], {0: 1, 1: p - 1}, p) for d0c, d1c in zip(d0, d1)
+        linalg.apply([d0c, d1c], {0: 1, 1: p - 1}, p) for d0c, d1c in zip(d0, d1)
     ]
     for c, col in enumerate(e):
-        if _image(diff, col, p):
+        if linalg.apply(diff, col, p):
             v.fail(f"coface maps disagree on 1 (x) m_{c}")
     if not v.ok:
         return v

@@ -1,15 +1,19 @@
 """Exact linear algebra: one elimination routine over two fields.
 
-`echelon` works on dict vectors {index: nonzero entry} and pivots on the
-leading (smallest) index, over F_p when its characteristic is a prime p
-and over Q (ints and Fractions) when it is 0.  `reduce_fp` takes a vector
-to its normal form modulo its pivots; `kernel_fp`, `rank_fp` and
-`kernel_basis_fp` are F_p adapters over it, the last two taking dense
-lists of rows.  `rank(cols, char)` is the one rank front end: the rank
-of copies of dict vectors over F_p or Q, which every rank in the package
-goes through (`rank_fp` included).  `solve` and `is_invertible` take
-sparse columns with entries in a `BaseMode` and eliminate over the
-mode's field: F_p, or Q for the modes over Z and Z_(p).
+The one vector format is the dict vector {index: nonzero entry}, and a
+matrix is a list of such columns.  `apply` is the one sparse product of
+a matrix and a vector over F_p, and `coordinates` the one projection of
+labelled vectors {label: entry} onto a basis, a list of labels.
+`echelon` pivots on the leading (smallest) index, over F_p when its
+characteristic is a prime p and over Q (ints and Fractions) when it is
+0.  `reduce_fp` takes a vector to its normal form modulo its pivots;
+`kernel_fp`, `rank_fp` and `kernel_basis_fp` are F_p adapters over it,
+the last two taking dense lists of rows.  `rank(cols, char)` is the one
+rank front end: the rank of copies of dict vectors over F_p or Q, which
+every rank in the package goes through (`rank_fp` included).  `solve`
+and `is_invertible` take sparse columns with entries in a `BaseMode` and
+eliminate over the mode's field: F_p, or Q for the modes over Z and
+Z_(p).
 
 A square matrix over the mode's ring is invertible when its determinant
 is a unit there: nonzero in F_p, prime to p in Z_(p), +-1 in Z.  Full
@@ -94,6 +98,34 @@ def echelon(vectors, char, pivots=None):
                 axpy(c, f, pivot[1], char)
         reduced.append((v, c))
     return pivots, reduced
+
+
+def apply(cols, x, p):
+    """sum_k x_k cols[k] over F_p for the dict vectors x and cols[k]:
+    the matrix with dict columns `cols` applied to x, zero entries
+    dropped."""
+    out = {}
+    for k, xk in x.items():
+        for i, y in cols[k].items():
+            out[i] = (out.get(i, 0) + xk * y) % p
+    return {i: y for i, y in out.items() if y}
+
+
+def coordinates(vectors, basis):
+    """The dict vectors {label: entry} of `vectors` in the coordinates of
+    `basis`, a list of labels: one dict {position in basis: entry} per
+    vector, and None; or None and the first label that `basis` lacks."""
+    pos = {m: r for r, m in enumerate(basis)}
+    cols = []
+    for x in vectors:
+        col = {}
+        for m, c in x.items():
+            r = pos.get(m)
+            if r is None:
+                return None, m
+            col[r] = c
+        cols.append(col)
+    return cols, None
 
 
 def reduce_fp(v, pivots, p):

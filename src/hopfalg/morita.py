@@ -30,7 +30,6 @@ from .presentation import (
     GradedPresentation,
     RingMorphism,
     Rule,
-    coordinates,
     exponent_vectors,
 )
 
@@ -285,7 +284,7 @@ def check_iso(m, bound):
         if cut is not None:
             v.fail(f"degree {t}: image of {src.format_monomial(cut)} truncated")
             continue
-        cols, outside = coordinates(images, bt)
+        cols, outside = linalg.coordinates((x.terms for x in images), bt)
         if outside is not None:
             v.fail(
                 f"degree {t}: image monomial {tgt.format_monomial(outside)} "
@@ -353,14 +352,14 @@ def check_flat_witness(f, basis, bound=None):
                 v.fail(f"C basis infinite in degree {t}")
                 continue
             cols = [
-                h_of(mono) * gb
+                (h_of(mono) * gb).terms
                 for wb, db, gb in basis_elems
                 for mono in walks[D - wb](t - db)
             ]
             if len(cols) != len(cb):
                 v.fail(f"degree {t}: {len(cols)} products vs basis size {len(cb)}")
                 continue
-            coords, outside = coordinates(cols, cb)
+            coords, outside = linalg.coordinates(cols, cb)
             if outside is not None:
                 v.fail(f"degree {t}: product leaves the enumerated basis")
             elif not linalg.is_invertible(coords, len(cb), C.mode):

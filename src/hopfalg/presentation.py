@@ -618,8 +618,8 @@ def invert_element(x):
         return None
     # columns: products x * b_j in the degree-0 basis; the solution must
     # lie in the base ring (integral, or p-integral), else x is no unit
-    cols, outside = coordinates(
-        (x * P.monomial_element(b) for b in cand), target_basis
+    cols, outside = linalg.coordinates(
+        ((x * P.monomial_element(b)).terms for b in cand), target_basis
     )
     if outside is not None:
         return None
@@ -627,23 +627,6 @@ def invert_element(x):
     if sol is None:
         return None
     return P.element([(c, b) for b, c in zip(cand, sol) if c != 0])
-
-
-def coordinates(elements, basis):
-    """The coordinates of `elements` in `basis`, a list of monomials: one
-    dict {position in basis: coefficient} per element, and None; or None
-    and the first monomial of an element that `basis` lacks."""
-    pos = {m: r for r, m in enumerate(basis)}
-    cols = []
-    for x in elements:
-        col = {}
-        for m, c in x.terms.items():
-            r = pos.get(m)
-            if r is None:
-                return None, m
-            col[r] = c
-        cols.append(col)
-    return cols, None
 
 
 class RingMorphism:

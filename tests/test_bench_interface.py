@@ -5,7 +5,7 @@ counts the calls in `COUNTED`, and `perfbench/workloads.py` imports
 names from hopfalg's modules; a name missing from the package breaks
 every benchmark run.  `perfbench/` is not a package, so this test loads
 the tracer by path, reads the imports of the workloads with `ast`, and
-resolves each name here.  It also runs one `structure_oracles` iteration
+resolves each name here.  It also runs one iteration of each workload
 against its frozen reference, which no other test reads.
 
 The suite also collects `perfbench/`, whose install test reports every
@@ -75,12 +75,17 @@ def test_workload_import_resolves(module, name):
         importlib.import_module(f"{module}.{name}")  # a submodule
 
 
-def test_structure_oracles_matches_its_reference(tmp_path):
-    """One seeded iteration of the workload, in this process: every
-    answer equals the one in perfbench/reference/."""
-    workloads = _perfbench("workloads")
-    w = workloads.WORKLOADS["structure_oracles"]
+WORKLOADS = _perfbench("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_matches_its_reference(name, tmp_path):
+    """One seeded iteration of the workload, in this process, through the
+    calls the benchmark makes (`hopfalg ext ... --parallel 1`,
+    `ext_dims(..., parallel=1, check_d2=True)`): every answer equals the
+    one in perfbench/reference/."""
+    w = WORKLOADS.WORKLOADS[name]
     answers = w.run(w.setup(1, str(tmp_path)))
-    expected = workloads.load_expected(
+    expected = WORKLOADS.load_expected(
         w, os.path.join(ROOT, "perfbench", "reference"))
-    assert workloads.mismatches(w.operations, answers, expected) == []
+    assert WORKLOADS.mismatches(w.operations, answers, expected) == []

@@ -5,7 +5,13 @@ import pytest
 
 from hopfalg import files
 
-from conftest import mu2_algebroid, run_cli, write_mu2_identity_map
+from conftest import (
+    mu2_algebroid,
+    primitive_line,
+    run_cli,
+    run_code,
+    write_mu2_identity_map,
+)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +180,35 @@ def test_internal_error_in_the_stable_path(mu2_dir, monkeypatch, capsys, smax):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")
     assert "leaves the enumerated basis" in err
+
+
+# Run in a fresh process: once d_{2,6} is built, add 1 to d_{1,6} in a row
+# where d_{2,6} is nonzero; the d^2 = 0 check runs with no flag.
+D2_CORRUPTED = """
+import sys
+from hopfalg import cli
+from hopfalg.cobar import CobarComplex
+
+columns = CobarComplex._columns
+
+def corrupting(self, keys, s, t):
+    cols = columns(self, keys, s, t)
+    if (s, t) == (2, 6):
+        r = next(r for r, col in enumerate(cols) if col)
+        d1 = self._columns_cache[(1, 6)][0]
+        d1[r] = (d1.get(r, 0) + 1) % self.p
+    return cols
+
+CobarComplex._columns = corrupting
+sys.exit(cli.run(["ext", {path!r}, "--smax", "2", "--tmin", "0", "--tmax", "8"]))
+"""
+
+
+def test_ext_exits_4_when_d_squared_is_not_zero(tmp_path):
+    alg, _ = files.write_algebroid(primitive_line(3, 2, 9), str(tmp_path))
+    r = run_code(D2_CORRUPTED.format(path=alg))
+    assert r.returncode == 4, r.stderr
+    assert r.stderr == "internal error: d^2 != 0 at (s,t)=(1,6)\n"
 
 
 def test_malformed_integer_is_an_input_error(tmp_path, capsys):

@@ -173,17 +173,37 @@ def test_d_squared_flagship(flagship):
                 assert C.d_squared_is_zero(s, t), (H.name, s, t)
 
 
-def test_d_squared_detects_a_corrupted_differential():
-    C = CobarComplex(primitive_line(3, 2, 3), s_max=3, t_min=0, t_max=12)
-    s, t = 2, 8
-    assert C.d_squared_is_zero(s, t)
+def _corrupt(C, s, t):
+    """Add 1 to one entry of the cached d_{s,t}, in a row where d_{s+1,t}
+    is nonzero, so that d_{s+1,t} d_{s,t} != 0."""
     d1 = C.differential(s + 1, t)
     r = next(k for k in range(len(d1[0])) if any(row[k] for row in d1))
     col = C.d_columns(s, t)[0]  # the cached column, corrupted in place
     col[r] = (col.get(r, 0) + 1) % C.p
     if not col[r]:
         del col[r]
+
+
+def test_d_squared_detects_a_corrupted_differential():
+    C = CobarComplex(primitive_line(3, 2, 3), s_max=3, t_min=0, t_max=12)
+    s, t = 2, 8
+    assert C.d_squared_is_zero(s, t)
+    _corrupt(C, s, t)
     assert not C.d_squared_is_zero(s, t)
+
+
+@pytest.mark.parametrize("inner", [None, 10])
+def test_ext_dims_checks_d_squared_by_default(inner):
+    """With no flag, `ext_dims` checks d^2 = 0 wherever the table built
+    both differentials in full, and builds nothing for it: on a plain
+    window every s < s_max, on a stable one s + 1 < s_max (the top
+    level's keys of weight > inner are never differentiated)."""
+    C = CobarComplex(primitive_line(3, 2, 3), s_max=4, t_min=0, t_max=12)
+    ext_dims(C, inner=inner)
+    assert ((4, 12) in C._columns_cache) == (inner is None)
+    _corrupt(C, 2, 8)
+    with pytest.raises(AssertionError, match=r"d\^2 != 0 at \(s,t\)=\(2,8\)"):
+        ext_dims(C, inner=inner)
 
 
 def test_ext0_equals_primitives(flagship):
@@ -702,7 +722,7 @@ def test_stable_table_differentiates_no_outer_top_key(flagship, monkeypatch):
                 pivots, _ = linalg.echelon(
                     ((dict(col), None) for col in C.d_columns(s, t)), C.p
                 )
-                assert C.d_rank(s, t) == len(pivots), (s, t)
+                assert len(C.d_leads(s, t)) == len(pivots), (s, t)
                 if keys:
                     assert C._leads_cache[(s, t)] == sorted(pivots), (s, t)
             else:

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfalg import files, hopf, morita
-from hopfalg.errors import ParseError
+from hopfalg.errors import InputError, ParseError
 from hopfalg.presentation import BaseMode, GradedPresentation
 
 
@@ -83,6 +83,16 @@ def test_comodule_roundtrip(tmp_path, mu2):
     for gen, _ in M.gens:
         assert N.psi_raw(gen) == M.psi_raw(gen)
     assert files.emit_comodule(N, "algebroid.ini") == doc
+
+
+def test_emit_comodule_refuses_an_empty_coaction(mu2):
+    """psi(m) = 0 fails the counit law, and `parse_comodule` would refuse
+    the `m = 0` line, so the emitter refuses it and names m."""
+    from hopfalg.comodule import Comodule
+
+    M = Comodule(mu2, [("m", 0)], {"m": []})
+    with pytest.raises(InputError, match="coaction of m is empty"):
+        files.emit_comodule(M, "algebroid.ini")
 
 
 def test_comodule_accepts_unicode_tensor(tmp_path, mu2):

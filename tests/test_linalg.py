@@ -4,6 +4,7 @@ loops over F_p, Fraction Gauss-Jordan over Q, and the Leibniz
 determinant for invertibility over Z, Z_(p) and F_p."""
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,15 @@ from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from hopfalg import linalg
-from hopfalg.linalg import echelon, is_invertible, kernel_fp, rank, solve
+from hopfalg.linalg import (
+    apply,
+    coordinates,
+    echelon,
+    is_invertible,
+    kernel_fp,
+    rank,
+    solve,
+)
 from hopfalg.presentation import BaseMode
 
 
@@ -175,13 +184,23 @@ def test_echelon_matches_reference_loops(case):
     columns = _dicts([[row[j] for row in rows] for j in range(ncols)], p)
     kernel = kernel_fp(enumerate(columns), p)
     assert len(kernel) == len(reference_kernel_basis_fp(rows, ncols, p))
-    for c in kernel:
-        for row in rows:
-            assert sum(row[j] * x for j, x in c.items()) % p == 0
+    assert all(apply(columns, c, p) == {} for c in kernel)
     mode = BaseMode("fp", p)
     b = {i: x % p for i, x in enumerate(rhs) if x % p}
     assert solve(columns, b, mode) == reference_solve_fp(rows, rhs, ncols, p)
     assert rank(columns, mode.characteristic) == len(pivots)
+    # rhs^T A, sparse and dense
+    row_dicts = _dicts(rows, p)
+    product = [sum(y * row[j] for y, row in zip(rhs, rows)) % p
+               for j in range(ncols)]
+    assert apply(row_dicts, b, p) == {j: x for j, x in enumerate(product) if x}
+    # the rows in the coordinates of a shuffled basis, and back
+    basis = list(range(ncols))
+    random.Random(ncols * p).shuffle(basis)
+    cols, outside = coordinates(row_dicts, basis)
+    assert outside is None
+    assert [{basis[r]: x for r, x in col.items()} for col in cols] == row_dicts
+    assert coordinates(row_dicts + [{ncols: 1}], basis) == (None, ncols)
 
 
 def _gauss_jordan_frac(a, ncols):

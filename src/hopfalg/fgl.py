@@ -9,7 +9,8 @@ recursions over m_n = eta_R(l_n) = sum_{i+j=n} l_i * t_j^{p^i}, t_0 = 1
     sum_i l_i * Delta(t_{n-i})^{p^i} = sum_{h+k=n} m_h (x) t_k^{p^h},
     c(t_n) = l_n - sum_{0 < h <= n} m_h * c(t_{n-h})^{p^h},  c(t_0) = 1.
 All intermediates are exact rationals; p-integrality is asserted before
-any image is frozen into an algebroid.
+any image is frozen into an algebroid.  Delta's recursion runs in the
+square the algebroid builds; `reduce_mod` moves images to a quotient pair.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from functools import lru_cache
 from weakref import WeakValueDictionary
 
 from .errors import InputError
-from .hopf import HopfAlgebroid, TensorPower
+from .hopf import HopfAlgebroid
 from .presentation import (
     BaseMode,
     GradedPresentation,
@@ -128,31 +129,29 @@ def assemble_bp(p, D, max_gens=None):
         etaR_images.append(assert_p_integral(acc, p))
     etaR = RingMorphism(A, Gamma, etaR_images[1:], name="etaR")
 
-    ts = TensorPower(A, Gamma, morphism_order, etaR, 2, name="BP.TS")
-    incl_l, incl_r = ts.incl_l, ts.incl_r
-    delta = [ts.pres.one()]
     c_images = [Gamma.one()]
     for n in range(1, N + 1):
-        acc = ts.pres.zero()
-        for h in range(n + 1):
-            acc = acc + incl_l(m[h]) * incl_r(t[n - h]) ** (p ** h)
-        for i in range(1, n + 1):
-            acc = acc - incl_l(logs[i]) * (delta[n - i] ** (p ** i))
-        delta.append(assert_p_integral(acc, p))
         acc = logs[n]
         for h in range(1, n + 1):
             acc = acc - m[h] * (c_images[n - h] ** (p ** h))
         c_images.append(assert_p_integral(acc, p))
 
+    def delta(ts):
+        images = [ts.pres.one()]
+        for n in range(1, N + 1):
+            acc = ts.pres.zero()
+            for h in range(n + 1):
+                acc = acc + ts.incl_l(m[h]) * ts.incl_r(t[n - h]) ** (p ** h)
+            for i in range(1, n + 1):
+                acc = acc - ts.incl_l(logs[i]) * (images[n - i] ** (p ** i))
+            images.append(assert_p_integral(acc, p))
+        return {f"t{n}": images[n] for n in range(1, N + 1)}
+
     H = HopfAlgebroid(
-        A,
-        Gamma,
-        morphism_order,
-        etaR,
+        A, Gamma, morphism_order, etaR,
         {f"t{n}": A.zero() for n in range(1, N + 1)},
         {f"t{n}": c_images[n] for n in range(1, N + 1)},
-        {f"t{n}": delta[n] for n in range(1, N + 1)},
-        name=f"BP@p={p}",
+        delta, name=f"BP@p={p}",
     )
     return BPData(p, D, N, A, Gamma, H, WeakValueDictionary())
 
@@ -173,12 +172,14 @@ def quotient_localize(bp, n):
     etaR = RingMorphism(
         A, Gamma, [reduce_mod(x, Gamma) for x in H.etaR.images], name="etaR"
     )
+    names = [H.Gamma.names[i] for i in H.morphism_order]
+
+    def images(m, target):
+        return {g: reduce_mod(m.image(g), target) for g in names}
+
     pair = bp.pairs[n] = HopfAlgebroid(
-        A, Gamma, morphism_order, etaR,
-        *(
-            {H.Gamma.names[i]: m.images[i] for i in H.morphism_order}
-            for m in (H.eps, H.c, H.delta)
-        ),
+        A, Gamma, morphism_order, etaR, images(H.eps, A), images(H.c, Gamma),
+        lambda ts: images(H.delta, ts.pres),
         name=f"v{n}^-1BP/I{n}@p={p}",
     )
     return pair

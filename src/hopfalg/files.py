@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
     SolveFailure,
 )
-from .hopf import HopfAlgebroid, TensorPower
+from .hopf import HopfAlgebroid
 from .morita import HopfMap
 from .presentation import BaseMode, GradedPresentation, RingMorphism
 
@@ -376,15 +376,16 @@ def parse_algebroid(path):
         for key, _, src, tgt in _STRUCTURE_MAPS
     }
     etaR = RingMorphism(A, Gamma, images["etaR"], name="etaR")
-    ts = TensorPower(A, Gamma, morphism_order, etaR, 2)
-    special = {"l": ts.incl_l, "r": ts.incl_r}
-    delta_texts = _image_list(
-        _option(cp, "maps", "delta"), len(morphism_order), "delta"
-    )
-    delta = {
-        Gamma.names[i]: parse_expression(ts.pres, text, special, Gamma)
-        for i, text in zip(morphism_order, delta_texts)
-    }
+
+    def delta(ts):
+        special = {"l": ts.incl_l, "r": ts.incl_r}
+        texts = _image_list(_option(cp, "maps", "delta"), len(morphism_order),
+                            "delta")
+        return {
+            Gamma.names[i]: parse_expression(ts.pres, text, special, Gamma)
+            for i, text in zip(morphism_order, texts)
+        }
+
     eps, c = (
         {Gamma.names[i]: images[key][i] for i in morphism_order}
         for key in ("epsilon", "c")

@@ -7,7 +7,8 @@ of morphism generators; the other, "base" generators mirror A's by name
 and degree.  The laws eps.eta_L = id, c.eta_L = eta_R and Delta.eta_L =
 incl_l.eta_L (Ravenel, Complex Cobordism, A1.1.1) then force eta_L and
 eps, c, Delta on the base generators: an algebroid is built from eta_R
-and the images of the morphism generators.  The tensor power
+and the images of the morphism generators, Delta's written in the square
+the algebroid builds.  The tensor power
 Gamma^{(x)k} (k composable morphisms; the square k = 2 holds Delta, the
 cube k = 3 checks coassociativity) has Gamma's generators as its factor
 0 and one copy of each morphism generator for every further factor.
@@ -26,23 +27,12 @@ from itertools import islice
 
 from .errors import InputError, NotFreeOverA, Verdict
 from .presentation import (
-    Element,
     GradedPresentation,
     RingMorphism,
     Rule,
     exponent_vectors,
     reduce_mod,
 )
-
-
-def _embed_terms(elem, target):
-    """Reinterpret an element in a target presentation whose generator list
-    starts with the source's generators."""
-    pad = len(target.gens) - len(elem.pres.gens)
-    out = target.element([(c, m + (0,) * pad) for m, c in elem.terms.items()])
-    if elem.truncated:
-        out = Element(target, out.terms, True)
-    return out
 
 
 class TensorPower:
@@ -55,7 +45,8 @@ class TensorPower:
     Factor j's inclusion sends a morphism generator to its copy and a base
     generator b to factor j-1's image of eta_R(b) (the balanced relation).
     The copies carry their originals' power rules, transported through
-    these inclusions."""
+    these inclusions.  An algebroid builds its square `ts` and cube `tc`;
+    no other module constructs a tensor power."""
 
     def __init__(self, A, Gamma, morphism_gens, etaR, k, name=""):
         self.A, self.Gamma, self.etaR, self.k = A, Gamma, etaR, k
@@ -105,7 +96,8 @@ class TensorPower:
         )
         # factor 1 re-normalizes eta_R(b) into P: multiplying it out
         # through factor 0's morphism costs more term products
-        through = partial(_embed_terms, target=P)
+        pad = (0,) * (len(P.gens) - len(Gamma.gens))
+        through = partial(reduce_mod, target=P, move=lambda m: m + pad)
         for j in range(1, self.k):
             images = []
             for i, gname in enumerate(Gamma.names):
@@ -116,6 +108,14 @@ class TensorPower:
                     images.append(through(self.etaR(A.gen(A.index[gname]))))
             through = RingMorphism(Gamma, P, images, name=f"incl{j}")
             yield through
+
+    def map_out(self, target, left, right, name=""):
+        """The map out of the square (k = 2) into `target` that sends
+        Gamma's generator i in the left factor to left(i) and the right
+        copy of morphism generator i to right(i)."""
+        images = [left(i) for i in range(len(self.Gamma.gens))]
+        images += [right(i) for _, i in self.slots]
+        return RingMorphism(self.pres, target, images, name=name)
 
     def split_monomial(self, m):
         """Split a monomial into the k factors' Gamma-monomials, full-width
@@ -131,11 +131,14 @@ class TensorPower:
 class HopfAlgebroid:
     """The pair (A, Gamma) with structure maps eta_L, eta_R, eps, c, Delta.
 
-    eps, c and delta map each morphism generator's name to its image: an
-    Element of the target (A, Gamma, the tensor square) or raw (coeff,
-    exponents) terms in its generator order; a missing or unknown name is
-    an InputError.  eta_L sends each A-generator a to its mirror b, and
-    eps(b) = a, c(b) = eta_R(a), Delta(b) = incl_l(b)."""
+    eps and c map each morphism generator's name to its image, an Element
+    of A and of Gamma.  Delta's target, the tensor square, is fixed by
+    (A, Gamma, eta_R): the algebroid builds it as `ts`, and `delta` is a
+    function ts -> {name: image}, an Element of `ts.pres`, written through
+    `ts.incl_l` and `ts.incl_r`.  A missing or unknown name, or an image
+    of another presentation, is an InputError.  eta_L sends each
+    A-generator a to its mirror b, and eps(b) = a, c(b) = eta_R(a),
+    Delta(b) = incl_l(b)."""
 
     def __init__(self, A, Gamma, morphism_gens, etaR, eps, c, delta, name=""):
         self.A = A
@@ -160,7 +163,7 @@ class HopfAlgebroid:
             A, Gamma, self.morphism_order, etaR, 2, name=(name or "H") + ".TS"
         )
         incl_l = [self.ts.incl_l(Gamma.gen(i)) for i in self.base_order]
-        self.delta = self._derived("delta", self.ts.pres, incl_l, delta)
+        self.delta = self._derived("delta", self.ts.pres, incl_l, delta(self.ts))
         self.groupoids = {}  # (ring, budget) -> groupoid, filled by evaluate_groupoid
         self.induced = {}  # f_0 -> (B (x)_A Gamma, Gamma_f), filled by morita
 
@@ -174,17 +177,18 @@ class HopfAlgebroid:
     def _derived(self, name, target, forced, given):
         """The map Gamma -> target sending the base generators to `forced`
         (in A's order) and each morphism generator to its image in
-        `given`."""
+        `given`, an Element of target."""
         given, Gamma = dict(given), self.Gamma
         images = dict(zip(self.base_order, forced))
         for i in self.morphism_order:
             img = given.pop(Gamma.names[i], None)
             if img is None:
                 raise InputError(f"{name} needs an image of {Gamma.names[i]}")
-            if isinstance(img, Element):
-                images[i] = reduce_mod(img, target)
-            else:
-                images[i] = target.element(img)
+            if getattr(img, "pres", None) is not target:
+                raise InputError(
+                    f"{name}({Gamma.names[i]}) is not an element of {target!r}"
+                )
+            images[i] = img
         if given:
             raise InputError(
                 f"{name}: not a morphism generator: {', '.join(sorted(given))}"
@@ -234,15 +238,10 @@ def check_hopf_axioms(H, bound):
 
     # maps out of TS, given by the images of Gamma's generators in the
     # left factor and of the right copies of the morphism generators
-    def ts_map(target, l_image, r_image, name):
-        images = [l_image(i) for i in range(n)]
-        images += [r_image(i) for i in H.morphism_order]
-        return RingMorphism(ts.pres, target, images, name=name)
-
-    eps1 = ts_map(Gamma, lambda i: H.etaL(H.eps(Gamma.gen(i))), Gamma.gen, "eps@1")
-    one_eps = ts_map(Gamma, Gamma.gen, lambda i: H.etaR(H.eps(Gamma.gen(i))), "1@eps")
-    mu_1c = ts_map(Gamma, Gamma.gen, lambda i: H.c(Gamma.gen(i)), "mu(1@c)")
-    mu_c1 = ts_map(Gamma, lambda i: H.c(Gamma.gen(i)), Gamma.gen, "mu(c@1)")
+    eps1 = ts.map_out(Gamma, lambda i: H.etaL(H.eps.image(i)), Gamma.gen, "eps@1")
+    one_eps = ts.map_out(Gamma, Gamma.gen, lambda i: H.etaR(H.eps.image(i)), "1@eps")
+    mu_1c = ts.map_out(Gamma, Gamma.gen, H.c.image, "mu(1@c)")
+    mu_c1 = ts.map_out(Gamma, H.c.image, Gamma.gen, "mu(c@1)")
 
     # TS -> TC for coassociativity: the square put into factors j, j+1 of
     # the cube (a base generator in factor 1 acts through eta_R);
@@ -250,12 +249,12 @@ def check_hopf_axioms(H, bound):
     def copy(j):
         return lambda i: tc.pres.gen(tc.slots[(j, i)])
 
-    into01 = ts_map(tc.pres, tc.incl_l.image, copy(1), "into01")
-    into12 = ts_map(tc.pres, tc.incl_r.image, copy(2), "into12")
-    delta_left = ts_map(
+    into01 = ts.map_out(tc.pres, tc.incl_l.image, copy(1), "into01")
+    into12 = ts.map_out(tc.pres, tc.incl_r.image, copy(2), "into12")
+    delta_left = ts.map_out(
         tc.pres, lambda i: into01(H.delta.image(i)), copy(2), "Delta@1"
     )
-    delta_right = ts_map(
+    delta_right = ts.map_out(
         tc.pres, tc.incl_l.image, lambda i: into12(H.delta.image(i)), "1@Delta"
     )
 

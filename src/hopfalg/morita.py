@@ -31,6 +31,7 @@ from .presentation import (
     RingMorphism,
     Rule,
     exponent_vectors,
+    reduce_mod,
 )
 
 
@@ -56,12 +57,9 @@ def check_hopf_map(f, bound):
         if f.f1(src.etaR(ga)) != tgt.etaR(f.f0(ga)):
             v.fail(f"f1.etaR != etaR.f0 at {src.A.names[a]}")
     # f1 (x) f1 between the tensor squares, for the Delta compatibility
-    f1_f1 = RingMorphism(
-        src.ts.pres,
-        tgt.ts.pres,
-        [tgt.ts.incl_l(img) for img in f.f1.images]
-        + [tgt.ts.incl_r(f.f1.images[j]) for j in src.morphism_order],
-        name="f1@f1",
+    f1_f1 = src.ts.map_out(
+        tgt.ts.pres, lambda i: tgt.ts.incl_l(f.f1.image(i)),
+        lambda i: tgt.ts.incl_r(f.f1.image(i)), "f1@f1",
     )
     for i in range(len(src.Gamma.gens)):
         if abs(src.Gamma.degrees[i]) > bound:
@@ -102,12 +100,6 @@ def _collapse(H):
     position."""
     order = H.base_order + H.morphism_order
     return lambda m: tuple(m[j] for j in order) + m[len(order):]
-
-
-def _carried(P, move, x):
-    """The element x moved by `move` into P's generators, normalized
-    there."""
-    return P.element([(c, move(m)) for m, c in x.terms.items()])
 
 
 def collapsed_pair(H, f0):
@@ -185,7 +177,7 @@ def _induced_presentation(H, f0):
     relations = dict(prov.rules)
     taken = set()
     for a in newly_killed:
-        u = _carried(prov, move, H.etaR(A.gen(a)))
+        u = reduce_mod(H.etaR(A.gen(a)), prov, move)
         if u.is_zero():
             continue
         i, e, rhs = _extract_power_rule(prov, u, taken)
@@ -203,7 +195,7 @@ def _induced_presentation(H, f0):
     except (InputError, DegreeError, IllegalExponent) as exc:
         raise UnsupportedBaseMap(f"derived relations unusable: {exc}") from exc
     for a in newly_killed:
-        if not _carried(P2, move, H.etaR(A.gen(a))).is_zero():
+        if not reduce_mod(H.etaR(A.gen(a)), P2, move).is_zero():
             raise UnsupportedBaseMap(
                 f"relation from eta_R({A.names[a]}) does not rewrite to zero"
             )
@@ -220,25 +212,21 @@ def induced_algebroid(H, f0):
 
     move = _collapse(H)
     etaR = RingMorphism(
-        B, P2, [_carried(P2, move, H.etaR(A.gen(i))) for i in range(nb)],
+        B, P2, [reduce_mod(H.etaR(A.gen(i)), P2, move) for i in range(nb)],
         name="etaR",
     )
+
+    def images(move_image):
+        return {Gamma.names[i]: move_image(i) for i in H.morphism_order}
+
     Hf = HopfAlgebroid(
         B,
         P2,
         range(nb, len(P2.gens)),
         etaR,
-        {Gamma.names[i]: f0(H.eps(Gamma.gen(i))) for i in H.morphism_order},
-        {
-            Gamma.names[i]: _carried(P2, move, H.c(Gamma.gen(i)))
-            for i in H.morphism_order
-        },
-        {
-            Gamma.names[i]: [
-                (k, move(m)) for m, k in H.delta.images[i].terms.items()
-            ]
-            for i in H.morphism_order
-        },
+        images(lambda i: f0(H.eps.images[i])),
+        images(lambda i: reduce_mod(H.c.images[i], P2, move)),
+        lambda ts: images(lambda i: reduce_mod(H.delta.images[i], ts.pres, move)),
         name=f"({B.name},Gamma_f)",
     )
     v = check_hopf_axioms(Hf, P2.truncation)
@@ -247,7 +235,7 @@ def induced_algebroid(H, f0):
     f1 = RingMorphism(
         Gamma,
         P2,
-        [_carried(P2, move, Gamma.gen(i)) for i in range(len(Gamma.gens))],
+        [reduce_mod(Gamma.gen(i), P2, move) for i in range(len(Gamma.gens))],
         name="f1",
     )
     return HopfMap(H, Hf, f0, f1, name="canonical")
@@ -316,7 +304,7 @@ def check_flat_witness(f, basis, bound=None):
         bound = D
     move = _collapse(f.source)
     h_images = [
-        _carried(C, move, f.source.etaR(A.gen(i))) for i in range(len(A.gens))
+        reduce_mod(f.source.etaR(A.gen(i)), C, move) for i in range(len(A.gens))
     ]
     hw = []
     for i, img in enumerate(h_images):

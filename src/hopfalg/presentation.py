@@ -722,9 +722,13 @@ def assert_p_integral(elem, p):
     return elem
 
 
-def reduce_mod(elem, target):
-    """Reinterpret an element in a presentation with the same generator list
-    (possibly different mode/rules) and normalize there."""
-    if len(target.gens) != len(elem.pres.gens):
-        raise PresentationMismatch("generator count mismatch")
-    return target.element(list((c, m) for m, c in elem.terms.items()))
+def reduce_mod(elem, target, move=None):
+    """`elem` moved into target, each exponent vector by `move` (default:
+    the same generator list, else PresentationMismatch), normalized there;
+    a truncated element stays truncated.  The one transport of elements
+    between presentations."""
+    if move is None:
+        if len(target.gens) != len(elem.pres.gens):
+            raise PresentationMismatch("generator count mismatch")
+        move = tuple  # a tuple as it is
+    return target.element([(c, move(m)) for m, c in elem.terms.items()], elem.truncated)

@@ -66,7 +66,7 @@ def primitive_line(p, xdeg, power, truncation=16, name=""):
     return HopfAlgebroid(
         A, Gamma, [0], RingMorphism(A, Gamma, [], name="etaR"),
         {"x": A.zero()}, {"x": -Gamma.gen(0)},
-        {"x": [(1, (1, 0)), (1, (0, 1))]},
+        lambda ts: {"x": ts.incl_l(Gamma.gen(0)) + ts.incl_r(Gamma.gen(0))},
         name=name or f"line(p={p},|x|={xdeg},x^{power})",
     )
 
@@ -86,7 +86,7 @@ def mu2_algebroid(truncation=8):
     return HopfAlgebroid(
         A, Gamma, [0], RingMorphism(A, Gamma, [], name="etaR"),
         {"g": A.one()}, {"g": Gamma.gen(0)},
-        {"g": [(1, (1, 1))]},
+        lambda ts: {"g": ts.incl_l(Gamma.gen(0)) * ts.incl_r(Gamma.gen(0))},
         name="mu2@F_3",
     )
 
@@ -101,13 +101,11 @@ def line_over_v(order):
         mode, [(g, degrees[g]) for g in order],
         relations={"x": (3, [])}, truncation=16,
     )
-    x, v = Gamma.index["x"], Gamma.index["v"]
-    # tensor-square generators: Gamma's, then the right copy of x
-    left = tuple(int(i == x) for i in range(2)) + (0,)
+    x, v = Gamma.gen("x"), Gamma.gen("v")
     return HopfAlgebroid(
-        A, Gamma, [x], RingMorphism(A, Gamma, [Gamma.gen(v)]),
-        {"x": A.zero()}, {"x": -Gamma.gen(x)},
-        {"x": [(1, left), (1, (0, 0, 1))]},
+        A, Gamma, ["x"], RingMorphism(A, Gamma, [v]),
+        {"x": A.zero()}, {"x": -x},
+        lambda ts: {"x": ts.incl_l(x) + ts.incl_r(x)},
     )
 
 
@@ -124,7 +122,7 @@ def line_over_unit(udeg):
     return HopfAlgebroid(
         A, Gamma, [1], RingMorphism(A, Gamma, [u]),
         {"x": A.zero()}, {"x": -x},
-        {"x": [(1, (0, 1, 0)), (1, (0, 0, 1))]},
+        lambda ts: {"x": ts.incl_l(x) + ts.incl_r(x)},
         name=f"line(|u|={udeg})",
     )
 
@@ -144,7 +142,7 @@ def mu2_on_unit():
     return HopfAlgebroid(
         A, Gamma, [1], RingMorphism(A, Gamma, [u * g]),
         {"g": A.one()}, {"g": g},
-        {"g": [(1, (0, 1, 1))]},
+        lambda ts: {"g": ts.incl_l(g) * ts.incl_r(g)},
         name="mu2 on u@F_3",
     )
 

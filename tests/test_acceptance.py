@@ -23,7 +23,7 @@ from hopfalg.groupoid import (
 )
 from hopfalg.hopf import HopfAlgebroid
 from hopfalg.morita import combined_map, identity_witness
-from hopfalg.presentation import RingMorphism
+from hopfalg.presentation import RingMorphism, reduce_mod
 
 from conftest import run_cli
 from test_cobar import oracle_ext_dim
@@ -100,12 +100,14 @@ def test_criterion_4_fault_injection(flagship):
     bad_etaR = RingMorphism(
         H1.A, Gamma, [Gamma.gen(0), Gamma.gen(1)], name="bad_etaR"
     )
+    def images(m, move=lambda x: x):
+        return {Gamma.names[i]: move(m.images[i]) for i in H1.morphism_order}
+
+    # eps and c keep their rings; Delta moves into the new square
     bad = HopfAlgebroid(
         H1.A, Gamma, H1.morphism_order, bad_etaR,
-        *(
-            {Gamma.names[i]: m.images[i] for i in H1.morphism_order}
-            for m in (H1.eps, H1.c, H1.delta)
-        ),
+        images(H1.eps), images(H1.c),
+        lambda ts: images(H1.delta, lambda x: reduce_mod(x, ts.pres)),
         name="corrupted",
     )
     window = dict(s_max=1, t_min=0, t_max=16)

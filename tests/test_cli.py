@@ -224,20 +224,26 @@ def test_malformed_integer_is_an_input_error(tmp_path, capsys):
     assert cli.run(["ring", "check", str(p)]) == cli.EXIT_INPUT
 
 
-def test_internal_value_error_is_not_an_input_error(mu2_dir, monkeypatch, capsys):
-    """Only InputError and ParseError mean bad input; a ValueError raised
-    inside the computation is an internal error."""
+@pytest.mark.parametrize("exc, message", [
+    (ValueError("stray value"), "internal error: stray value\n"),
+    (KeyError("w"), "internal error: KeyError: 'w'\n"),
+], ids=["ValueError", "KeyError"])
+def test_internal_value_error_is_not_an_input_error(mu2_dir, monkeypatch, capsys,
+                                                    exc, message):
+    """Only InputError and ParseError mean bad input; a ValueError, or any
+    other exception, raised inside the computation is an internal error,
+    never exit 1 (a property failed)."""
     from hopfalg import cli
     from hopfalg.cobar import CobarComplex
 
     def broken(self, key):
-        raise ValueError("stray value")
+        raise exc
 
     monkeypatch.setattr(CobarComplex, "d_of_key", broken)
     code = cli.run(["ext", str(mu2_dir / "algebroid.ini"), "--smax", "1",
                     "--tmin", "0", "--tmax", "0"])
     assert code == cli.EXIT_INTERNAL == 4
-    assert capsys.readouterr().err == "internal error: stray value\n"
+    assert capsys.readouterr().err == message
 
 
 # every key an algebroid or map document must carry: (document, section, key)
@@ -291,10 +297,12 @@ def refused_docs(jw_files, tmp_path_factory):
     coefficients; an odd degree in characteristic 3), one whose base
     names the non-prime p = 4, a comodule over mu_2 that passes its
     check, and a flagship map whose f0 sends v1 to 2*v1, an automorphism
-    over F_3 but no mirror map, so outside the supported base maps."""
+    over F_3 but no mirror map, so outside the supported base maps.  Three
+    copies of the line over F_3[v] whose Gamma does not mirror A: its
+    base generator renamed to w, `morphisms` naming v, and no morphisms."""
     from hopfalg.fgl import assemble_bp
 
-    from conftest import primitive_line
+    from conftest import line_over_v, primitive_line
 
     d = tmp_path_factory.mktemp("refused")
     files.write_algebroid(assemble_bp(3, 24, max_gens=2).H, str(d),
@@ -319,6 +327,20 @@ def refused_docs(jw_files, tmp_path_factory):
         .replace("= source.ini", f"= {jw_files / 'source.ini'}")
         .replace("= target.ini", f"= {jw_files / 'target.ini'}")
     )
+    files.write_algebroid(line_over_v(["v", "x"]), str(d), stem="line",
+                          base_stem="line_base")
+    line = (d / "line.ini").read_text()
+    renamed = line
+    for old, new in (("v = 4\n", "w = 4\n"), ("etaL = v\n", "etaL = w\n"),
+                     ("etaR = v\n", "etaR = w\n"), ("c = v;", "c = w;")):
+        assert renamed.count(old) == 1
+        renamed = renamed.replace(old, new)
+    (d / "renamed_base.ini").write_text(renamed)
+    assert line.count("morphisms = x\n") == 1
+    for stem, morphisms in (("base_morphism", "v"), ("no_morphisms", "")):
+        (d / f"{stem}.ini").write_text(
+            line.replace("morphisms = x\n", f"morphisms = {morphisms}\n")
+        )
     return d
 
 
@@ -367,6 +389,12 @@ EXIT_CODES = [
      2, "input error: not in the ring catalog: F_5, bogus"),
     (["morita", "check", "{bad}/scaled_v1.ini"],
      2, "input error: f0 must send v1 to its mirror (got 2*v1)"),
+    (["hopf", "axioms", "{bad}/renamed_base.ini"],
+     2, "input error: Gamma's base generators (('w', 4),) do not mirror A's"),
+    (["hopf", "axioms", "{bad}/base_morphism.ini"],
+     2, "input error: Gamma's base generators (('x', 2),) do not mirror A's"),
+    (["hopf", "axioms", "{bad}/no_morphisms.ini"],
+     2, "input error: Gamma's base generators (('v', 4), ('x', 2)) do not"),
 ]
 
 
@@ -379,7 +407,8 @@ EXIT_CODES = [
          "morita-degree-negative", "comodule-bound-negative",
          "ring-degree-negative", "ext-inner-negative", "bp-max-gens-0",
          "oracle-budget-0", "oracle-unknown-ring",
-         "morita-unsupported-base-map"],
+         "morita-unsupported-base-map", "algebroid-base-generator-renamed",
+         "algebroid-morphism-is-base-generator", "algebroid-no-morphisms"],
 )
 def test_exit_codes(refused_docs, jw_files, capsys, argv, code, prefix):
     """What each refused input exits with, and the line it prints."""

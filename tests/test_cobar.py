@@ -332,7 +332,7 @@ def test_mode_guards():
     H_int = HopfAlgebroid(
         A, Gamma, [0], RingMorphism(A, Gamma, []),
         {"x": A.zero()}, {"x": -Gamma.gen(0)},
-        {"x": [(1, (1, 0)), (1, (0, 1))]},
+        lambda ts: {"x": ts.incl_l(Gamma.gen(0)) + ts.incl_r(Gamma.gen(0))},
     )
     with pytest.raises(InputError):
         CobarComplex(H_int)

@@ -143,14 +143,14 @@ def _primitive_algebroid(names):
         mode, [(x, 1) for x in names],
         relations={x: (2, []) for x in names}, truncation=8,
     )
-    def unit(i, slot):
-        return tuple(int(j == slot * n + i) for j in range(2 * n))
-
     return HopfAlgebroid(
         A, Gamma, list(range(n)), RingMorphism(A, Gamma, []),
         {x: A.zero() for x in names},
         {x: -Gamma.gen(i) for i, x in enumerate(names)},
-        {x: [(1, unit(i, 0)), (1, unit(i, 1))] for i, x in enumerate(names)},
+        lambda ts: {
+            x: ts.incl_l(Gamma.gen(i)) + ts.incl_r(Gamma.gen(i))
+            for i, x in enumerate(names)
+        },
         name="+".join(names),
     )
 
@@ -582,7 +582,7 @@ def test_coefficients_missing_from_R_matter_only_at_points():
     H = HopfAlgebroid(
         A, Gamma, ["t"], RingMorphism(A, Gamma, [shift], name="etaR"),
         {"t": A.zero()}, {"t": -t},
-        {"t": [(1, (0, 1, 0)), (1, (0, 0, 1))]},
+        lambda ts: {"t": ts.incl_l(t) + ts.incl_r(t)},
         name="half-shift",
     )
     sizes = []

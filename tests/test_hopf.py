@@ -98,9 +98,10 @@ def test_corrupted_delta_fails_axioms():
     Gamma = GradedPresentation(
         mode, [("x", xdeg)], relations={"x": (power, [])}, truncation=16
     )
+    x = Gamma.gen(0)
     H = HopfAlgebroid(
         A, Gamma, [0], RingMorphism(A, Gamma, []),
-        {"x": A.zero()}, {"x": -Gamma.gen(0)}, {"x": [(1, (1, 0))]},
+        {"x": A.zero()}, {"x": -x}, lambda ts: {"x": ts.incl_l(x)},
     )
     v = hopf.check_hopf_axioms(H, 16)
     assert not v.ok
@@ -109,10 +110,11 @@ def test_corrupted_delta_fails_axioms():
 
 def test_corrupted_antipode_fails_axioms():
     H = primitive_line(3, 2, 3)
+    x = H.Gamma.gen(0)
     bad = HopfAlgebroid(
         H.A, H.Gamma, [0], H.etaR, {"x": H.A.zero()},
-        {"x": H.Gamma.gen(0)},  # c(x) = +x
-        {"x": [(1, (1, 0)), (1, (0, 1))]},
+        {"x": x},  # c(x) = +x
+        lambda ts: {"x": ts.incl_l(x) + ts.incl_r(x)},
     )
     v = hopf.check_hopf_axioms(bad, 16)
     assert not v.ok
@@ -124,11 +126,12 @@ def test_misaligned_base_generators_rejected():
     Gamma = GradedPresentation(
         mode, [("w", 4), ("t", 4)], truncation=16
     )  # name mismatch
+    t = Gamma.gen(1)
     with pytest.raises(NotFreeOverA):
         HopfAlgebroid(
             A, Gamma, [1], RingMorphism(A, Gamma, [Gamma.gen(0)]),
-            {"t": A.zero()}, {"t": -Gamma.gen(1)},
-            {"t": [(1, (0, 1, 0)), (1, (0, 0, 1))]},
+            {"t": A.zero()}, {"t": -t},
+            lambda ts: {"t": ts.incl_l(t) + ts.incl_r(t)},
         )
 
 
@@ -150,25 +153,34 @@ def test_structure_maps_on_base_generators_are_derived(bp3):
 
 @pytest.mark.parametrize("which", ["eps", "c", "delta"])
 def test_missing_or_unknown_image_is_an_input_error(which):
-    """Each of eps, c and delta needs exactly the morphism generators."""
-    H = primitive_line(3, 2, 3)
+    """Each of eps, c and delta needs exactly the morphism generators,
+    each image an element of the map's own target: not of another copy of
+    it, nor raw (coefficient, exponents) terms."""
+    H, other = primitive_line(3, 2, 3), primitive_line(3, 2, 3)
+    x = H.Gamma.gen(0)
     given = {
-        "eps": {"x": H.A.zero()},
-        "c": {"x": -H.Gamma.gen(0)},
-        "delta": {"x": [(1, (1, 0)), (1, (0, 1))]},
+        "eps": lambda ts: {"x": H.A.zero()},
+        "c": lambda ts: {"x": -x},
+        "delta": lambda ts: {"x": ts.incl_l(x) + ts.incl_r(x)},
     }
 
-    def build(images):
-        maps = {**given, which: images}
+    def build(edit):
+        """The line with `which`'s images changed by `edit`."""
+        maps = {**given, which: lambda ts: edit(given[which](ts))}
         return HopfAlgebroid(
-            H.A, H.Gamma, [0], H.etaR, maps["eps"], maps["c"], maps["delta"]
+            H.A, H.Gamma, [0], H.etaR, maps["eps"](None), maps["c"](None),
+            maps["delta"],
         )
 
-    assert hopf.check_hopf_axioms(build(given[which]), 16).ok
+    assert hopf.check_hopf_axioms(build(lambda images: images), 16).ok
     with pytest.raises(InputError, match=f"{which} needs an image of x"):
-        build({})
+        build(lambda images: {})
     with pytest.raises(InputError, match="not a morphism generator: y"):
-        build({**given[which], "y": given[which]["x"]})
+        build(lambda images: {**images, "y": images["x"]})
+    foreign = getattr(other, which).images[0]
+    for image in (foreign, [(1, (1,) * len(foreign.pres.gens))]):
+        with pytest.raises(InputError, match=rf"{which}\(x\) is not an element"):
+            build(lambda images: {"x": image})
 
 
 def test_point_algebra_over_finite_ring(mu2):
@@ -202,9 +214,9 @@ def test_counital_but_not_coassociative_delta():
         RingMorphism(A, G, []),
         {"x": A.zero(), "y": A.zero()},
         {"x": x, "y": y + x ** 4},
-        {
-            "x": [(1, (1, 0, 0, 0)), (1, (0, 0, 1, 0))],
-            "y": [(1, (0, 1, 0, 0)), (1, (0, 0, 0, 1)), (1, (1, 0, 3, 0))],
+        lambda ts: {
+            "x": ts.incl_l(x) + ts.incl_r(x),
+            "y": ts.incl_l(y) + ts.incl_r(y) + ts.incl_l(x) * ts.incl_r(x) ** 3,
         },
     )
     v = hopf.check_hopf_axioms(H, 16)

@@ -1,6 +1,6 @@
 """Source hygiene: every name a hopfalg module imports is used there,
-only an allowlist of functions keeps a process-wide memo, and the Ext path
-loads no module it does not run."""
+only an allowlist of functions keeps a process-wide memo, only `hopf`
+builds a tensor power, and the Ext path loads no module it does not run."""
 import ast
 import pathlib
 
@@ -104,6 +104,40 @@ def test_the_check_sees_a_memo_decorator():
 def test_memo_decorators_only_on_the_allowlist(path):
     found = memoized_functions(path.read_text(encoding="utf-8"), path.stem)
     assert [name for _, name in found if name not in MEMO_ALLOWLIST] == []
+
+
+# The tensor square is fixed by (A, Gamma, eta_R): `HopfAlgebroid` builds
+# it once and hands it to the caller's Delta, and builds the cube for the
+# axioms, so no other module constructs a `TensorPower`.
+def tensor_power_calls(source):
+    """Lines of `source` that call `TensorPower`, bare or as an
+    attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "TensorPower"
+    )
+
+
+def test_the_check_sees_a_tensor_power_construction():
+    source = (
+        "from . import hopf\n"
+        "from .hopf import TensorPower\n"
+        "ts = TensorPower(A, G, (1,), etaR, 2)\n"
+        "tc = hopf.TensorPower(A, G, (1,), etaR, 3)\n"
+        "ts.map_out(G, f, g)\n"
+    )
+    assert tensor_power_calls(source) == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.stem != "hopf"],
+    ids=lambda path: path.name,
+)
+def test_only_hopf_builds_a_tensor_power(path):
+    assert tensor_power_calls(path.read_text(encoding="utf-8")) == []
 
 
 def test_ext_does_not_load_the_finite_ring_oracle(tmp_path):

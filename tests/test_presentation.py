@@ -26,6 +26,7 @@ from hopfalg.presentation import (
     exponent_vectors,
     identity_morphism,
     invert_element,
+    reduce_mod,
 )
 
 FP3 = BaseMode("fp", 3)
@@ -241,6 +242,16 @@ def test_truncation_flag_is_sticky():
     assert big.is_zero() and big.truncated
     assert (big + P.one()).truncated
     assert (P.one() * big).truncated
+    # moved into another presentation, with or without an exponent map,
+    # a truncated element stays truncated
+    same = GradedPresentation(FP3, P.gens, truncation=48)
+    wide = GradedPresentation(FP3, [("c", 6)] + list(P.gens), truncation=48)
+    for x in (big, big + P.gen(0)):
+        for target, move in ((same, None), (wide, lambda m: (0,) + m)):
+            moved = reduce_mod(x, target, move)
+            assert moved.truncated and len(moved.terms) == len(x.terms)
+    with pytest.raises(PresentationMismatch):
+        reduce_mod(big, wide)
 
 
 def test_koszul_sign_odd_generators():
@@ -556,16 +567,13 @@ def test_power_table_on_bp_structure_maps():
     from hopfalg.fgl import assemble_bp
 
     bp = assemble_bp(2, 32)
-    H, Gamma, n = bp.H, bp.Gamma, len(bp.Gamma.gens)
+    H, Gamma = bp.H, bp.Gamma
     # eta_R(v_n) and c(t_n) for every n
     for x in H.c.images:
         for phi in (H.delta, H.c, H.eps, H.ts.incl_r):
             assert_power_table_matches(phi, x)
     # the antipode multiplied out of the tensor square, on every Delta(t_n)
-    mu_1c = RingMorphism(
-        H.ts.pres, Gamma,
-        [Gamma.gen(i) for i in range(n)] + [H.c.image(j) for j in H.morphism_order],
-    )
+    mu_1c = H.ts.map_out(Gamma, Gamma.gen, H.c.image)
     for j in H.morphism_order:
         assert_power_table_matches(mu_1c, H.delta.image(j))
 

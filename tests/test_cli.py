@@ -224,15 +224,8 @@ def test_malformed_integer_is_an_input_error(tmp_path, capsys):
     assert cli.run(["ring", "check", str(p)]) == cli.EXIT_INPUT
 
 
-@pytest.mark.parametrize("exc, message", [
-    (ValueError("stray value"), "internal error: stray value\n"),
-    (KeyError("w"), "internal error: KeyError: 'w'\n"),
-], ids=["ValueError", "KeyError"])
-def test_internal_value_error_is_not_an_input_error(mu2_dir, monkeypatch, capsys,
-                                                    exc, message):
-    """Only InputError and ParseError mean bad input; a ValueError, or any
-    other exception, raised inside the computation is an internal error,
-    never exit 1 (a property failed)."""
+def _ext_with_broken_differential(mu2_dir, monkeypatch, exc):
+    """Run `ext` on mu_2 with a differential that raises `exc`."""
     from hopfalg import cli
     from hopfalg.cobar import CobarComplex
 
@@ -240,10 +233,30 @@ def test_internal_value_error_is_not_an_input_error(mu2_dir, monkeypatch, capsys
         raise exc
 
     monkeypatch.setattr(CobarComplex, "d_of_key", broken)
-    code = cli.run(["ext", str(mu2_dir / "algebroid.ini"), "--smax", "1",
+    return cli.run(["ext", str(mu2_dir / "algebroid.ini"), "--smax", "1",
                     "--tmin", "0", "--tmax", "0"])
+
+
+def test_internal_value_error_is_not_an_input_error(mu2_dir, monkeypatch, capsys):
+    """Only InputError and ParseError mean bad input; a ValueError raised
+    inside the computation is an internal error."""
+    from hopfalg import cli
+
+    code = _ext_with_broken_differential(mu2_dir, monkeypatch,
+                                         ValueError("stray value"))
     assert code == cli.EXIT_INTERNAL == 4
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == "internal error: stray value\n"
+
+
+def test_any_other_internal_exception_is_an_internal_error(mu2_dir, monkeypatch,
+                                                           capsys):
+    """Any other exception raised inside the computation (here a KeyError)
+    is an internal error too, never exit 1 (a property failed)."""
+    from hopfalg import cli
+
+    code = _ext_with_broken_differential(mu2_dir, monkeypatch, KeyError("w"))
+    assert code == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 'w'\n"
 
 
 # every key an algebroid or map document must carry: (document, section, key)

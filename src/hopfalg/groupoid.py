@@ -12,8 +12,10 @@ Points are found by trying every assignment of generators to R-elements
 (a relation, a structure map, a map of algebroids) is compiled once per
 ring into table lookups: a scalar image and one power row per generator
 factor.  Morphisms are indexed by domain, so composition and the
-associativity check visit only composable pairs and triples.  Each
-algebroid stores its groupoids, one per (ring, budget), and frees them
+associativity check visit only composable pairs and triples.  Delta is
+split by its right-factor monomials, so a composite is a sum of table
+lookups, and associativity is checked one row of composites at a time.
+Each algebroid stores its groupoids, one per (ring, budget), and frees them
 with itself; the catalog rings are built once and shared, so every call
 finds the same entries.  A stored groupoid is shared: it is immutable.
 
@@ -411,6 +413,26 @@ def _eval_all(R, assign, polys):
     return tuple(eval_compiled(R, assign, poly) for poly in polys)
 
 
+def _split_delta(R, H):
+    """Delta of each generator of Gamma split by right-factor monomial:
+    per generator, a list of (left polynomial compiled for R, index of the
+    right monomial), and the distinct right monomials, compiled for R.
+    Delta(g) is the sum over its list of left * right."""
+    n = len(H.Gamma.gens)
+    index = {}
+    lefts = []
+    for i in range(n):
+        groups = {}
+        for m, coeff in sorted(H.delta(H.Gamma.gen(i)).terms.items()):
+            groups.setdefault(m[n:], []).append((m[:n], coeff))
+        lefts.append([
+            (compile_poly(R, terms), index.setdefault(r, len(index)))
+            for r, terms in groups.items()
+        ])
+    monomials = [compile_poly(R, [(r, 1)]) for r in index]
+    return lefts, monomials
+
+
 @dataclass(frozen=True)
 class FiniteGroupoid:
     ring: FiniteRing
@@ -424,7 +446,8 @@ class FiniteGroupoid:
 
 
 def _by_domain(dom, nobj):
-    """Morphism indices grouped by domain object, each list ascending."""
+    """Morphism indices grouped by domain object (by codomain when given
+    the codomains), each list ascending."""
     out = [[] for _ in range(nobj)]
     for m, x in enumerate(dom):
         out[x].append(m)
@@ -450,9 +473,7 @@ def _build_groupoid(H, R, budget):
     mor_index = {a: i for i, a in enumerate(morphisms)}
 
     etaL, etaR = (_compiled_images(R, f, A) for f in (H.etaL, H.etaR))
-    eps, c, delta = (
-        _compiled_images(R, f, Gamma) for f in (H.eps, H.c, H.delta)
-    )
+    eps, c = (_compiled_images(R, f, Gamma) for f in (H.eps, H.c))
 
     dom, cod = [], []
     for a in morphisms:
@@ -482,13 +503,31 @@ def _build_groupoid(H, R, budget):
 
     # composable pairs only: beta runs over the morphisms out of cod alpha.
     # The tensor square's assignment takes its left slots from alpha and
-    # its right copies from beta's morphism generators.
+    # its right copies from beta's morphism generators, so each Delta(g)
+    # splits as a sum over its right monomials r of (left polynomial) * r.
+    # Each left polynomial is evaluated once per alpha and each right
+    # monomial once per beta; a composite sums their products by table
+    # lookup, which is exact because R is commutative.
     by_dom = _by_domain(dom, len(objects))
     right = [tuple(b[i] for i in H.morphism_order) for b in morphisms]
+    lefts, monomials = _split_delta(R, H)
+    right_values = [_eval_all(R, b, monomials) for b in right]
+    add, mul, zero = R.add, R.mul, R.zero
     comp = {}
     for ai, a in enumerate(morphisms):
+        left_values = [
+            [(eval_compiled(R, a, poly), ri) for poly, ri in groups]
+            for groups in lefts
+        ]
         for bi in by_dom[cod[ai]]:
-            gi = mor_index.get(_eval_all(R, a + right[bi], delta))
+            rv = right_values[bi]
+            image = []
+            for groups in left_values:
+                val = zero
+                for lv, ri in groups:
+                    val = add[val][mul[lv][rv[ri]]]
+                image.append(val)
+            gi = mor_index.get(tuple(image))
             if gi is None:
                 raise AxiomFailure("composite of points is not a point")
             if dom[gi] != dom[ai] or cod[gi] != cod[bi]:
@@ -515,13 +554,28 @@ def _verify_groupoid(G):
             raise AxiomFailure(f"left inverse law fails at morphism {ai}")
         if G.comp[(ai, inv)] != G.identity[G.cod[ai]]:
             raise AxiomFailure(f"right inverse law fails at morphism {ai}")
-    # every composable triple (gamma, beta, alpha)
+    # every composable triple (gamma, beta, alpha), one row at a time:
+    # rows[b] lists b.alpha over the alphas into dom b, ascending, and
+    # position[m] is m's place among the morphisms into cod m.  For each
+    # (gamma, beta) the row gamma.(beta.alpha) must equal (gamma.beta)'s.
+    by_cod = _by_domain(G.cod, len(G.objects))
+    position = [0] * len(G.morphisms)
+    for into in by_cod:
+        for k, m in enumerate(into):
+            position[m] = k
+    rows = [
+        [G.comp[(bi, ai)] for ai in by_cod[G.dom[bi]]]
+        for bi in range(len(G.morphisms))
+    ]
     by_dom = _by_domain(G.dom, len(G.objects))
-    for (bi, ai), ba in G.comp.items():
+    for bi, row in enumerate(rows):
         for ci in by_dom[G.cod[bi]]:
-            left = G.comp[(ci, ba)]
-            right = G.comp[(G.comp[(ci, bi)], ai)]
+            crow = rows[ci]
+            left = [crow[position[ba]] for ba in row]
+            right = rows[crow[position[bi]]]
             if left != right:
+                k = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
+                ai = by_cod[G.dom[bi]][k]
                 raise AxiomFailure(
                     f"associativity fails on triple ({ci},{bi},{ai})"
                 )

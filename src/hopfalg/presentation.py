@@ -19,6 +19,13 @@ Truncation uses the *weight* of a monomial: the degree contributed by the
 non-inverted generators only.  For presentations without inverted
 generators weight equals degree; for localized algebras it makes every
 degree piece finite while staying multiplicative.
+
+Products of normal forms are not re-normalized.  Normal times normal can
+break only a power rule or square an odd generator: an eliminable or
+killed generator is absent from both factors, and an inverted one may
+take any exponent.  Weight is additive, so a product that breaks nothing
+is kept or truncated by w1 + w2 alone; only the products that break a
+power rule are rewritten.
 """
 from __future__ import annotations
 
@@ -147,6 +154,8 @@ class GradedPresentation:
         self.name = name
         inv = set()
         for g in inverted:
+            if not isinstance(g, int) and g not in self.index:
+                raise InputError(f"inverted name {g!r} is not a generator")
             inv.add(g if isinstance(g, int) else self.index[g])
         self.inverted = frozenset(inv)
         # the degrees that count towards a monomial's weight
@@ -165,6 +174,11 @@ class GradedPresentation:
         # no rule and no inverted generator: `normalize_terms` needs no
         # `_first_violation` scan for a monomial without negative exponents
         self._plain = not rules and not self.inverted
+        # (generator, power) of each power rule: the only rules a product
+        # of two normal monomials can break
+        self._power_rules = tuple(
+            (i, r.power) for i, r in sorted(rules.items()) if r.power > 1
+        )
         self._odd = tuple(i for i, d in enumerate(self.degrees) if d % 2 != 0)
         # an odd generator squares to zero away from characteristic 2
         self._odd_square_zero = self._odd if mode.characteristic != 2 else ()
@@ -497,23 +511,52 @@ class Element:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product of two normal forms, without re-normalizing it.
+
+        A normal monomial obeys every rule, so the product of two can only
+        break a power rule (its exponent reaches the rule's power) or
+        square an odd generator, which `_mul_mono` drops.  Eliminable and
+        kill rules, and inverted generators, never fire on it.  Weight is
+        additive: a product that breaks nothing is in normal form, kept
+        when w1 + w2 is within the truncation bound, and its coefficients
+        are summed raw and reduced once.  Only the rule-breaking products
+        go through `normalize_terms`, untruncated, since a power rule
+        whose right side holds an inverted generator lowers the weight."""
         if not isinstance(other, Element):
             return self.scale(other)
         self._check(other)
-        mode = self.pres.mode
-        raw = []
+        P = self.pres
+        weight, mul_mono, powers = P.weight, P._mul_mono, P._power_rules
+        right = [(m2, c2, weight(m2)) for m2, c2 in other.terms.items()]
+        truncated = self.truncated or other.truncated
+        sums = {}
+        broken = []
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                res = self.pres._mul_mono(m1, m2)
+            room = P.truncation - weight(m1)
+            for m2, c2, w2 in right:
+                res = mul_mono(m1, m2)
                 if res is None:
                     continue
                 sgn, mono = res
-                c = mode.mul(c1, c2)
-                if sgn < 0:
-                    c = mode.neg(c)
-                raw.append((c, mono))
-        terms, trunc = self.pres.normalize_terms(raw)
-        return Element(self.pres, terms, self.truncated or other.truncated or trunc)
+                c = c1 * c2 if sgn > 0 else -c1 * c2
+                if powers and any(mono[i] >= k for i, k in powers):
+                    broken.append((c, mono))
+                elif w2 > room:
+                    truncated = True
+                else:
+                    sums[mono] = sums.get(mono, 0) + c
+        if broken:
+            rewritten, trunc = P.normalize_terms(broken)
+            truncated = truncated or trunc
+            for m, c in rewritten.items():
+                sums[m] = sums.get(m, 0) + c
+        coerce = P.mode.coerce
+        terms = {}
+        for m, c in sums.items():
+            c = coerce(c)
+            if c != 0:
+                terms[m] = c
+        return Element(P, terms, truncated)
 
     def __rmul__(self, other):
         return self.scale(other)

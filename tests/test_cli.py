@@ -488,6 +488,18 @@ def test_a_degree_error_in_a_presentation_is_an_input_error(tmp_path, capsys):
     )
 
 
+def test_an_unknown_inverted_name_is_an_input_error(tmp_path, capsys):
+    from hopfalg import cli
+
+    path = tmp_path / "ring.ini"
+    path.write_text("[base]\nmode = fp\np = 3\n\n[generators]\nv = 4\n\n"
+                    "[inverted]\nnames = q\n")
+    assert cli.run(["ring", "check", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: inverted name 'q' is not a generator\n"
+    )
+
+
 def test_a_degree_error_in_a_structure_map_is_an_input_error(
         bp8_dir, tmp_path, capsys):
     from hopfalg import cli

@@ -512,10 +512,15 @@ def reference_groupoid(H, R):
 def test_groupoids_match_the_all_pairs_reference(flagship):
     """The flagship pair has only automorphisms at every catalog ring;
     BP at p=2 with two generators also has morphisms between distinct
-    objects, 192 of them over Z/4."""
+    objects, 192 of them over Z/4.  The induced pair of BP at p=3 with
+    three generators has a Delta(t3) of 25 terms over 10 right-factor
+    monomials, so many terms share the right monomial they are grouped by
+    (the flagship's largest Delta, of t2, has 5 terms over 4)."""
     _, source, target, _ = flagship
     cases = [(H, R) for H in (source, target) for R in catalog_rings()]
     cases.append((fgl.assemble_bp(2, 16, max_gens=2).H, Zmod(4)))
+    induced, _ = fgl.johnson_wilson(fgl.assemble_bp(3, 52, max_gens=3), 1, 1)
+    cases.append((induced, GF(3)))
     between = 0
     for H, R in cases:
         G = groupoid.evaluate_groupoid(H, R)

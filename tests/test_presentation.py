@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfalg.errors import (
@@ -673,3 +673,119 @@ def test_morphism_sum_matches_old_sum():
         x = random_element(rng, A, rng.sample(degrees, 3))
         flags.add(assert_same_sum(to_low, x).truncated)
     assert flags == {False, True}
+
+
+# -- products of normal forms ------------------------------------------------
+
+
+def reference_product(x, y):
+    """x * y as every product used to be formed: each pair of terms
+    through `_mul_mono`, then the whole list through `normalize_terms`.
+    Returns (terms, truncated)."""
+    P, mode = x.pres, x.pres.mode
+    raw = []
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            res = P._mul_mono(m1, m2)
+            if res is None:
+                continue
+            sgn, mono = res
+            c = mode.mul(c1, c2)
+            raw.append((mode.neg(c) if sgn < 0 else c, mono))
+    terms, trunc = P.normalize_terms(raw)
+    return terms, x.truncated or y.truncated or trunc
+
+
+def ruled_ring(mode):
+    """u^+-1 (inverted), x, y, z even and e, f odd, weight cap 6, with
+    every rule shape: the power rule x^3 = u^3 + 2*u*x^2, whose right side
+    has weight 0 or 4 where x^3 has weight 6; y = x^2 + u*x eliminable;
+    z = 0 killed.  In characteristic 2 the odd e also obeys e^2 = u^3."""
+    n = 6
+    relations = {
+        "x": (3, [(1, (3, 0, 0, 0, 0, 0)), (2, (1, 2, 0, 0, 0, 0))]),
+        "y": (1, [(1, (0, 2, 0, 0, 0, 0)), (1, (1, 1, 0, 0, 0, 0))]),
+        "z": (1, []),
+    }
+    if mode.characteristic == 2:
+        relations["e"] = (2, [(1, (3,) + (0,) * (n - 1))])
+    return GradedPresentation(
+        mode,
+        [("u", 2), ("x", 2), ("e", 3), ("f", 1), ("y", 4), ("z", 6)],
+        relations=relations, inverted=["u"], truncation=6,
+        name=f"ruled-{mode.kind}{mode.p or ''}",
+    )
+
+
+PRODUCT_RINGS = RINGS + [
+    ruled_ring(FP3), ruled_ring(FP2), ruled_ring(INT),
+    plocal_ring(BaseMode("plocal", 2)),
+]
+PRODUCT_IDS = RING_IDS + ["ruled-f3", "ruled-f2", "ruled-int", "plocal"]
+
+
+def normal_forms(P, max_terms=5):
+    """Normal forms of P with untruncated flags, p-local ones with Fraction
+    coefficients: sums of the normal monomials with exponents in -2..2 on
+    inverted generators and 0..2 on the others."""
+    if P.mode.kind == "plocal":
+        coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 3, 5]))
+    else:
+        coeff = st.integers(-6, 6)
+    box = itertools.product(*[
+        range(-2, 3) if i in P.inverted else range(3) for i in range(len(P.gens))
+    ])
+    normal = [m for m in box if P.monomial_element(m).terms == {m: 1}]
+    return st.lists(st.tuples(coeff, st.sampled_from(normal)), max_size=max_terms).map(
+        lambda raw: Element(P, P.element(raw).terms, False)
+    )
+
+
+@pytest.mark.parametrize("P", PRODUCT_RINGS, ids=PRODUCT_IDS)
+def test_product_matches_the_normalizing_reference(P):
+    @settings(derandomize=True, max_examples=150)
+    @given(normal_forms(P), normal_forms(P))
+    def inner(x, y):
+        got = x * y
+        terms, truncated = reference_product(x, y)
+        assert got.terms == terms
+        assert got.truncated == truncated
+        if P.mode.kind == "plocal":
+            assert_canonical(got.terms)
+
+    inner()
+
+
+@pytest.mark.parametrize("mode", [FP3, FP2, INT])
+def test_a_product_past_the_cap_may_rewrite_below_it(mode):
+    """x * x^2 has weight 6 + 2 past the cap 6 once multiplied by x, but
+    x^3 rewrites to u^3 + 2*u*x^2 of weight 0 and 4: a product that broke
+    a power rule must not be truncated by its weight before rewriting."""
+    P = ruled_ring(mode)
+    x, u = P.gen("x"), P.gen("u")
+    got = x * (x * x)
+    assert got == u ** 3 + (u * x * x).scale(2)
+    assert not got.truncated
+    # a product that breaks no rule is truncated by w1 + w2 alone
+    over = (x * x) * (P.gen("e") * P.gen("f"))
+    assert over.is_zero() and over.truncated
+
+
+def test_a_rule_free_product_normalizes_nothing(flagship, monkeypatch):
+    """The flagship source's Gamma has no rules: its products, the ones
+    past the cap included, never go through `normalize_terms`."""
+    _, source, _, _ = flagship
+    G = source.Gamma
+    x = G.gen("t1") + G.gen("v1") ** -1 * G.gen("t2") + G.gen("v2")
+    y = x ** 3 + G.gen("t2").scale(2)
+    calls = []
+    original = GradedPresentation.normalize_terms
+
+    def counted(self, raw):
+        calls.append(self)
+        return original(self, raw)
+
+    monkeypatch.setattr(GradedPresentation, "normalize_terms", counted)
+    product = y * y * y
+    assert product.truncated and not product.is_zero()
+    assert calls == []

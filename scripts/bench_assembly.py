@@ -3,8 +3,11 @@
 
 Prints one line per (prime, degree cap): generator count, assembly time,
 axiom-suite time.  Useful for picking degree caps before a long cobar run.
+`--gens N` keeps at most N generators (`assemble_bp(max_gens=N)`), as the
+p=3, D=52 tower of three generators does.
 
     python scripts/bench_assembly.py --primes 2 3 --degrees 16 24 32 40
+    python scripts/bench_assembly.py --primes 3 --degrees 52 --gens 3
 """
 import argparse
 import sys
@@ -19,6 +22,8 @@ def main(argv=None):
     ap.add_argument("--primes", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--degrees", type=int, nargs="+",
                     default=[16, 24, 32, 40])
+    ap.add_argument("--gens", type=int, default=None,
+                    help="at most this many generators (default: all)")
     ap.add_argument("--skip-axioms", action="store_true")
     args = ap.parse_args(argv)
 
@@ -26,7 +31,7 @@ def main(argv=None):
     for p in args.primes:
         for D in args.degrees:
             t0 = time.monotonic()
-            bp = assemble_bp(p, D)
+            bp = assemble_bp(p, D, max_gens=args.gens)
             t1 = time.monotonic()
             if args.skip_axioms:
                 ax = "-"

@@ -53,12 +53,13 @@ builds the dense matrix from the columns on demand and never caches it;
 it is kept only as a test reference and as an entry point of the
 benchmark's tracer.
 
-When A inverts one generator u that is primitive, eta_R(u) = eta_L(u)
-(v_n in the quotient-localized pairs), multiplying by u is a chain
-isomorphism C^{*,t} -> C^{*,t+|u|} that keeps key weights: Ext is a
-K(n)_*-module (Ravenel, Complex Cobordism, ch. 6).  `period` checks
-this on the algebroid, and `ext_dims` then computes one period of t and
-fills the rest of the window by the shift.
+When A inverts one generator u whose power u^k is primitive,
+eta_R(u^k) = eta_L(u^k) (k = 1: v_n in the quotient-localized pairs),
+multiplying by u^k is a chain isomorphism C^{*,t} -> C^{*,t+k|u|} that
+keeps key weights: Ext is a K(n)_*-module (Ravenel, Complex Cobordism,
+ch. 6).  `period` finds the smallest such k on the algebroid, and
+`ext_dims` then computes one period of t and fills the rest of the
+window by the shift.
 """
 from __future__ import annotations
 
@@ -430,29 +431,35 @@ class CobarComplex:
         return self.ext_dim_stable(s, t, math.inf)
 
     def period(self):
-        """|u| when A's one inverted generator u is primitive, eta_R(u) =
-        eta_L(u); None otherwise.
+        """k|u| for the smallest k >= 1 such that u^k is primitive,
+        eta_R(u^k) = eta_L(u^k), where u is A's one inverted generator;
+        None when there is no such u, or no such k with k|u| at most the
+        window's width (k = 1 is always tried).
 
-        u then has weight 0, carries no rule, and multiplying by u in A,
-        or by eta_L(u) in Gamma, only bumps u's exponent.  So it keeps
-        key weights and normal forms, `basis(s, t + |u|)` is `basis(s,
-        t)` with u bumped, in the same order (`graded_walk` shifts each
-        degree class), and the outer face (eta_R(ua) - eta_L(ua)) (x) w
-        (x) m is eta_L(u) times that of a: multiplication by u is a chain
-        isomorphism C^{*,t} -> C^{*,t+|u|}, and `d_columns(s, t + |u|)
-        == d_columns(s, t)`.  The faces of the comodule slot are A-linear,
-        so this holds for every M (Ravenel, Complex Cobordism, ch. 6: Ext
-        of v_n^{-1}BP_*/I_n is a K(n)_*-module)."""
+        u has weight 0, carries no rule, and multiplying by u^k in A, or
+        by eta_L(u^k) in Gamma, only bumps u's exponent.  So it keeps key
+        weights and normal forms, `basis(s, t + k|u|)` is `basis(s, t)`
+        with u bumped by k, in the same order (`graded_walk` shifts each
+        degree class), and the outer face (eta_R(u^k a) - eta_L(u^k a))
+        (x) w (x) m is eta_L(u^k) times that of a: multiplication by u^k
+        is a chain isomorphism C^{*,t} -> C^{*,t+k|u|}, and
+        `d_columns(s, t + k|u|) == d_columns(s, t)`.  The faces of the
+        comodule slot are A-linear, so this holds for every M (Ravenel,
+        Complex Cobordism, ch. 6: Ext of v_n^{-1}BP_*/I_n is a
+        K(n)_*-module)."""
         H = self.H
         if len(H.A.inverted) != 1:
             return None
         (i,) = H.A.inverted
-        if not H.A.degrees[i]:
+        du = abs(H.A.degrees[i])
+        if not du:
             return None  # no finite basis: `graded_walk` says so
-        u = H.A.gen(i)
-        if H.etaR(u) != H.etaL(u):
-            return None
-        return abs(H.A.degrees[i])
+        width = self.t_max - self.t_min + 1
+        for k in range(1, max(width // du, 1) + 1):
+            m = tuple(k * (j == i) for j in range(len(H.A.gens)))
+            if H.etaR.monomial(m) == H.etaL.monomial(m):
+                return k * du
+        return None
 
     def key_weight(self, key):
         a, word, _ = key
@@ -548,8 +555,8 @@ def ext_dims(C, parallel=1, check_d2=False, inner=None):
     entry is the stable-range dimension `ext_dim_stable(s, t, inner)`
     instead of the plain cap cohomology.
 
-    With a period |u| (`CobarComplex.period`), only t in [t_min, t_min +
-    |u|) is computed, and every later entry is the one |u| below it.
+    With a period k|u| (`CobarComplex.period`), only t in [t_min, t_min
+    + k|u|) is computed, and every later entry is the one k|u| below it.
     d_{s+1,t} d_{s,t} = 0 is checked at the same t (AssertionError
     otherwise): with `check_d2` at every s < s_max, and by default only
     where both differentials were built in full for the table (every s <

@@ -19,7 +19,9 @@ Every map into or out of the square and the cube (the factor inclusions,
 the counit and antipode composites, the square in factors 0-1 and 1-2 of
 the cube, Delta (x) 1 and 1 (x) Delta) is a RingMorphism whose generator
 images are computed once; `RingMorphism.monomial` does all the
-multiplying out."""
+multiplying out.  The BP towers, their squares and cubes have no power
+rule and no odd generator, so it multiplies packed monomials there, one
+int addition per product of two terms (see `presentation._Packer`)."""
 from __future__ import annotations
 
 from functools import cached_property, partial
@@ -228,12 +230,15 @@ def check_hopf_axioms(H, bound):
     ts, tc = H.ts, H.tc
     n = len(Gamma.gens)
 
-    # eps, c and Delta are derived on eta_L(A); the laws at eta_R remain
-    for a in range(len(A.gens)):
-        if abs(A.degrees[a]) > bound:
-            continue
-        ga = A.gen(a)
-        if H.eps(H.etaR(ga)) != ga:
+    # eps, c and Delta are derived on eta_L(A); the laws at eta_R remain,
+    # each read off eta_R(a), evaluated once per generator
+    at_etaR = {
+        a: (A.gen(a), H.etaR(A.gen(a)))
+        for a in range(len(A.gens))
+        if abs(A.degrees[a]) <= bound
+    }
+    for a, (ga, ra) in at_etaR.items():
+        if H.eps(ra) != ga:
             v.fail(f"eps.etaR != id at {A.names[a]}")
 
     # maps out of TS, given by the images of Gamma's generators in the
@@ -285,12 +290,9 @@ def check_hopf_axioms(H, bound):
         if lhs != rhs:
             v.fail(f"mu(c@1)Delta != etaR.eps at {Gamma.names[i]}: {(lhs-rhs)!r}")
 
-    for a in range(len(A.gens)):
-        if abs(A.degrees[a]) > bound:
-            continue
-        ga = A.gen(a)
-        if H.delta(H.etaR(ga)) != ts.incl_r(H.etaR(ga)):
+    for a, (ga, ra) in at_etaR.items():
+        if H.delta(ra) != ts.incl_r(ra):
             v.fail(f"Delta.etaR != incl_r.etaR at {A.names[a]}")
-        if H.c(H.etaR(ga)) != H.etaL(ga):
+        if H.c(ra) != H.etaL(ga):
             v.fail(f"c.etaR != etaL at {A.names[a]}")
     return v

@@ -26,10 +26,14 @@ killed generator is absent from both factors, and an inverted one may
 take any exponent.  Weight is additive, so a product that breaks nothing
 is kept or truncated by w1 + w2 alone; only the products that break a
 power rule are rewritten.
+
+`RingMorphism` multiplies out generator images on packed monomials when
+its target has no power rule and no odd generator (see `_Packer`).
 """
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -183,6 +187,9 @@ class GradedPresentation:
         # an odd generator squares to zero away from characteristic 2
         self._odd_square_zero = self._odd if mode.characteristic != 2 else ()
         self._validate()
+        # packed monomials for `RingMorphism`: a product of two normal
+        # forms then breaks nothing, so it is one int addition per pair
+        self._packer = None if self._power_rules or self._odd else _Packer(self)
         self._basis_cache = {}
         self._walks = {}  # weight cap -> `graded_walk` of its box
 
@@ -465,9 +472,9 @@ def exponent_vectors(n, factors, cap):
 
 
 def _accumulate(terms, other, add):
-    """terms += other for two term dicts, in place; a sum that is zero
-    drops its monomial."""
-    for m, c in other.items():
+    """terms += other for a term dict and an iterable of (monomial,
+    coefficient) pairs, in place; a sum that is zero drops its monomial."""
+    for m, c in other:
         acc = terms.get(m)
         if acc is None:
             terms[m] = c
@@ -498,7 +505,7 @@ class Element:
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
-        _accumulate(terms, other.terms, self.pres.mode.add)
+        _accumulate(terms, other.terms.items(), self.pres.mode.add)
         return Element(self.pres, terms, self.truncated or other.truncated)
 
     def __neg__(self):
@@ -672,15 +679,128 @@ def invert_element(x):
     return P.element([(c, b) for b, c in zip(cand, sol) if c != 0])
 
 
+class _Overflow(Exception):
+    """A packed exponent would leave its field: take the Element path."""
+
+
+_WIDTH = 16  # bits per packed exponent field
+_HALF = 1 << (_WIDTH - 1)  # the bias: a field holds e + _HALF, -_HALF <= e < _HALF
+
+
+class _Packer:
+    """Packed exponent vectors of one presentation with no power rule and
+    no odd generator (Monagan-Pearce, CASC 2007).
+
+    The monomial x^e of weight w is the int sum_i (e_i + _HALF) << (16 i)
+    + w << 16 n: one biased 16-bit field per generator, the weight on top.
+    The product of monomials k1 and k2 is k1 + k2 - bias, and "weight >
+    truncation" is k >= limit, since the weight is the top field.  A
+    packed polynomial is a triple (terms, truncated, span): terms are
+    (key, coefficient) pairs, and span bounds every |e_i| in them.  A
+    product whose span could reach _HALF would carry into the next field,
+    so it raises _Overflow instead; the top field is unbounded, so a
+    weight never overflows.
+
+    Normal times normal breaks no rule here, so `mul` is `Element.__mul__`
+    on keys: the same pairs in the same order, the same truncation flag,
+    coefficients summed raw and reduced once with `mode.coerce`, zeros
+    dropped.  `power` forms the products of `Element.__pow__`."""
+
+    def __init__(self, P):
+        n = len(P.gens)
+        self.pres = P
+        self.top = _WIDTH * n
+        self.bias = sum(_HALF << (_WIDTH * i) for i in range(n))
+        self.limit = (P.truncation + 1) << self.top
+        self.mask = (1 << self.top) - 1
+        self.fields = struct.Struct(f"<{n}h")
+        self.one = ([(self.bias, P.mode.coerce(1))], False, 0)
+
+    def pack(self, elem):
+        """The packed form of an Element of the presentation; _Overflow
+        when an exponent does not fit its field."""
+        span = max((abs(e) for m in elem.terms for e in m), default=0)
+        if span >= _HALF:
+            raise _Overflow
+        fields, bias, top, weight = self.fields, self.bias, self.top, self.pres.weight
+        # a field's two's complement e, top bit flipped, is e + _HALF
+        terms = [
+            ((int.from_bytes(fields.pack(*m), "little") ^ bias) + (weight(m) << top), c)
+            for m, c in elem.terms.items()
+        ]
+        return terms, elem.truncated, span
+
+    def unpack(self, terms, truncated):
+        """The Element of packed terms {key: coefficient}."""
+        unpack, mask, bias = self.fields.unpack, self.mask, self.bias
+        nbytes = self.top // 8
+        return Element(
+            self.pres,
+            {
+                unpack(((k & mask) ^ bias).to_bytes(nbytes, "little")): c
+                for k, c in terms.items()
+            },
+            truncated,
+        )
+
+    def mul(self, a, b):
+        """a * b for packed a and b, its terms a dict in the order of
+        `Element.__mul__`."""
+        left, truncated, s1 = a
+        right, t2, s2 = b
+        span = s1 + s2
+        if span >= _HALF:
+            raise _Overflow
+        truncated = truncated or t2
+        bias, limit = self.bias, self.limit + self.bias
+        sums = {}
+        get = sums.get
+        for k1, c1 in left:
+            room = limit - k1  # k1 + k2 - bias >= self.limit: too heavy
+            base = k1 - bias
+            for k2, c2 in right:
+                if k2 >= room:
+                    truncated = True
+                    continue
+                k = base + k2
+                sums[k] = get(k, 0) + c1 * c2
+        coerce = self.pres.mode.coerce
+        terms = {}
+        for k, c in sums.items():
+            c = coerce(c)
+            if c != 0:
+                terms[k] = c
+        return terms.items(), truncated, span if terms else 0
+
+    def power(self, x, e):
+        """x ** e for e > 0, through the products of `Element.__pow__`."""
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, x)
+            if e >> 1:
+                x = self.mul(x, x)
+            e >>= 1
+        return result
+
+
 class RingMorphism:
     """A degree-preserving algebra map given by generator images.
 
-    `monomial` is the one routine that multiplies out generator images.
-    Calling the morphism on an element sums the images of its terms into
-    one dict, through one power table {(i, e): image_i^e} kept for that
-    call only: every term reuses the powers an earlier term built, and the
-    table is dropped when the call returns.  The inverse of an inverted generator's image is
-    computed once and cached for the morphism's lifetime."""
+    `monomial` and a call on an element both go through `_apply`, the one
+    routine that multiplies out generator images.  It sums the images of
+    the terms into one dict, through one power table {(i, e): image_i^e}
+    kept for that call only: every term reuses the powers an earlier term
+    built, and the table is dropped when the call returns.  The inverse
+    of an inverted generator's image is computed once and cached for the
+    morphism's lifetime.
+
+    When the target has no power rule and no odd generator (every BP
+    tower, its square and cube, and their quotient-localized pairs), the
+    images are packed once (`_Packer`): a call multiplies packed
+    monomials, ints, and unpacks its result once, with the terms of the
+    `Element` path in its order.  Any other target, and any call whose
+    exponents would leave a packed field, takes the `Element` path."""
 
     def __init__(self, source, target, images, name=""):
         self.source = source
@@ -697,6 +817,7 @@ class RingMorphism:
                     f"image of {gname} has degree {img.degree()}, expected {gdeg}"
                 )
         self._inv_cache = {}
+        self._packed = {}  # i -> packed image i, ~i -> packed inverse of image i
 
     def image(self, g):
         i = g if isinstance(g, int) else self.source.index[g]
@@ -708,43 +829,77 @@ class RingMorphism:
         m is never normalized in the source, so it may lie past the
         source's truncation bound.  A negative exponent needs the image of
         that generator to be a unit; SolveFailure otherwise."""
-        return self._monomial(m, c, {})
+        return self._apply([(m, c)], False)
+
+    def _inverse(self, i):
+        """The inverse of image i, cached; SolveFailure for a non-unit."""
+        inv = self._inv_cache.get(i)
+        if inv is None:
+            inv = invert_element(self.images[i])
+            if inv is None:
+                raise SolveFailure(f"image of {self.source.names[i]} is not a unit")
+            self._inv_cache[i] = inv
+        return inv
 
     def _monomial(self, m, c, powers):
-        """`monomial`, reading and filling the power table `powers`."""
+        """`monomial` on Elements, reading and filling the power table
+        `powers`."""
         prod = self.target.scalar(c)
         for i, e in enumerate(m):
             if e == 0:
                 continue
             power = powers.get((i, e))
             if power is None:
-                if e > 0:
-                    power = self.images[i] ** e
-                else:
-                    inv = self._inv_cache.get(i)
-                    if inv is None:
-                        inv = invert_element(self.images[i])
-                        if inv is None:
-                            raise SolveFailure(
-                                f"image of {self.source.names[i]} is not a unit"
-                            )
-                        self._inv_cache[i] = inv
-                    power = inv ** (-e)
+                power = self.images[i] ** e if e > 0 else self._inverse(i) ** (-e)
                 powers[(i, e)] = power
             prod = prod * power
+        return prod
+
+    def _pmonomial(self, m, c, powers):
+        """`_monomial` on packed polynomials, the same products in the
+        same order; _Overflow when a field could overflow."""
+        packer = self.target._packer
+        c = self.target.mode.coerce(c)
+        prod = ([(packer.bias, c)] if c != 0 else [], False, 0)
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            power = powers.get((i, e))
+            if power is None:
+                key = i if e > 0 else ~i
+                x = self._packed.get(key)
+                if x is None:
+                    x = packer.pack(self.images[i] if e > 0 else self._inverse(i))
+                    self._packed[key] = x
+                power = powers[(i, e)] = packer.power(x, abs(e))
+            prod = packer.mul(prod, power)
         return prod
 
     def __call__(self, elem):
         if elem.pres is not self.source:
             raise PresentationMismatch("element not in the morphism's source")
+        return self._apply(elem.terms.items(), elem.truncated)
+
+    def _apply(self, pairs, truncated):
+        """The sum of the images of the (monomial, coefficient) `pairs`,
+        truncated if `truncated` or any image is, over one power table."""
         add = self.target.mode.add
-        powers = {}
-        terms = {}
-        truncated = elem.truncated
-        for m, c in elem.terms.items():
+        packer = self.target._packer
+        if packer is not None:
+            try:
+                powers, terms, trunc = {}, {}, truncated
+                for m, c in pairs:
+                    image, t, _ = self._pmonomial(m, c, powers)
+                    trunc = trunc or t
+                    _accumulate(terms, image, add)
+                return packer.unpack(terms, trunc)
+            except _Overflow:
+                pass
+        powers, terms = {}, {}
+        for m, c in pairs:
             image = self._monomial(m, c, powers)
             truncated = truncated or image.truncated
-            _accumulate(terms, image.terms, add)
+            _accumulate(terms, image.terms.items(), add)
         return Element(self.target, terms, truncated)
 
     def __repr__(self):

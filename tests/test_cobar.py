@@ -952,7 +952,9 @@ def test_line_over_a_unit_has_its_period():
 
 def test_a_unit_that_is_not_primitive_has_no_period(monkeypatch):
     """mu_2 acting on u: eta_R(u) = u*g, so u is not a cocycle and the
-    table is not u-periodic.  Forcing the shift would make u a class."""
+    table is not u-periodic.  Forcing the shift would make u a class.
+    u^2 is primitive, so a window of width at least 8 has period 8, and
+    one narrower than 8 has none."""
     from hopfalg.hopf import check_hopf_axioms
 
     H = mu2_on_unit()
@@ -962,6 +964,12 @@ def test_a_unit_that_is_not_primitive_has_no_period(monkeypatch):
     assert C.period() is None
     T = ext_dims(C)
     assert T.dims[(0, 0)] == 1 and T.dims[(0, 4)] == 0
+    for t_min, t_max in ((-8, 16), (-3, 4), (0, 23)):
+        C = CobarComplex(H, s_max=2, t_min=t_min, t_max=t_max)
+        assert C.period() == 8
+        assert_shift_matches_per_bidegree(C, check_d2=True)
+    T = ext_dims(CobarComplex(H, s_max=0, t_min=-8, t_max=16))
+    assert [T.dims[(0, t)] for t in range(-8, 17, 4)] == [1, 0, 1, 0, 1, 0, 1]
     monkeypatch.setattr(CobarComplex, "period", lambda self: 4)
     assert ext_dims(CobarComplex(H, **window)).dims[(0, 4)] == 1
 

@@ -558,9 +558,13 @@ def apply_reference(phi, elem):
 
 
 def assert_power_table_matches(phi, elem):
+    """phi(elem) equals the Element-only reference: the same terms in the
+    same order, and the same truncated flag."""
     got, ref = phi(elem), apply_reference(phi, elem)
-    assert got == ref and got.truncated == ref.truncated
+    assert list(got.terms.items()) == list(ref.terms.items()), phi
+    assert got.truncated == ref.truncated, phi
     assert_canonical(got.terms)
+    return got
 
 
 def test_power_table_on_bp_structure_maps():
@@ -789,3 +793,111 @@ def test_a_rule_free_product_normalizes_nothing(flagship, monkeypatch):
     product = y * y * y
     assert product.truncated and not product.is_zero()
     assert calls == []
+
+
+# -- packed monomials inside RingMorphism ------------------------------------
+
+
+def record_calls(monkeypatch):
+    """Every RingMorphism call from now on, as (morphism, element)."""
+    calls = []
+    original = RingMorphism.__call__
+
+    def recorded(self, elem):
+        calls.append((self, elem))
+        return original(self, elem)
+
+    monkeypatch.setattr(RingMorphism, "__call__", recorded)
+    return calls
+
+
+def test_axiom_composites_match_the_element_path(flagship, monkeypatch):
+    """Every composite the axiom suite evaluates, on every generator of
+    BP p=2 D=16 (Z_(2)) and of both flagship pairs (F_3, v1 inverted),
+    gives the terms and flag of the Element-only reference.  The BP tower
+    and the source pair are packed; Gamma_f has power rules and is not."""
+    from hopfalg.fgl import assemble_bp
+    from hopfalg.hopf import check_hopf_axioms
+
+    _, H1, H2, _ = flagship
+    bp = assemble_bp(2, 16)
+    for H, bound in ((bp.H, 16), (H1, 48), (H2, 48)):
+        calls = record_calls(monkeypatch)
+        assert check_hopf_axioms(H, bound).ok
+        monkeypatch.undo()
+        assert {phi.target._packer is None for phi, _ in calls} == (
+            {True, False} if H is H2 else {False}
+        )
+        for phi, elem in calls:
+            assert_power_table_matches(phi, elem)
+    assert H2.Gamma._packer is None and H2.Gamma._power_rules
+
+
+def test_packed_path_on_fractions_and_truncation():
+    """Cases the packed kernel must get right besides the negative powers
+    of `test_power_table_on_negative_exponents`: p-local Fraction
+    coefficients (the Hazewinkel logs through the square's inclusions)
+    and products past the cap (the flag set by a product, not by the
+    input)."""
+    from hopfalg.fgl import assemble_bp, hazewinkel_logs
+
+    bp = assemble_bp(2, 16)
+    H = bp.H
+    logs = hazewinkel_logs(2, bp.N, pres=bp.Gamma)[1:]
+    assert all(any(type(c) is Fraction for c in x.terms.values()) for x in logs)
+    for x in logs:
+        for phi in (H.ts.incl_l, H.ts.incl_r, H.c, H.delta):
+            got = assert_power_table_matches(phi, x)
+            assert any(type(c) is Fraction for c in got.terms.values())
+
+    # BP_*BP onto v1, v2 at weight cap 8: images of weight past 8 truncate
+    low = GradedPresentation(bp.A.mode, bp.A.gens, truncation=8)
+    v1, v2 = low.gen(0), low.gen(1)
+    phi = RingMorphism(
+        bp.Gamma, low, [v1, v2, low.zero(), v1, v2 + v1 ** 3, low.zero()]
+    )
+    flags = []
+    for m in ((0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 1, 0), (1, 0, 0, 1, 1, 0),
+              (0, 1, 0, 0, 1, 0), (2, 0, 0, 0, 0, 0)):
+        got = assert_power_table_matches(phi, bp.Gamma.monomial_element(m, 3))
+        assert got == monomial_reference(phi, m, 3) == phi.monomial(m, 3)
+        flags.append(got.truncated)
+    assert flags == [False, False, True, True, False]
+
+
+def test_an_exponent_past_the_field_takes_the_element_path(flagship):
+    """v1^(-10^7) through the flagship source's eta_R cannot be packed in
+    16-bit fields; the guard sends it down the Element path, which gives
+    the reference's single term.  The exponents on either side of the
+    field's edge 2^15 give the reference too."""
+    _, H1, _, _ = flagship
+    A, etaR = H1.A, H1.etaR
+    assert H1.Gamma._packer is not None
+    for e in (-10 ** 7, -(2 ** 15), -(2 ** 15) + 1, 2 ** 15 - 1, 2 ** 15):
+        m = (e,) + (0,) * (len(A.gens) - 1)
+        got = etaR.monomial(m)
+        ref = monomial_reference(etaR, m)
+        assert list(got.terms.items()) == list(ref.terms.items())
+        assert got.truncated == ref.truncated
+        (mono,) = got.terms
+        assert mono[0] == e
+        assert_power_table_matches(etaR, A.monomial_element(m))
+
+
+def test_overflowing_images_and_products_take_the_element_path():
+    """A degree-0 unit u of F_3[u^+-1] has images of any exponent: an
+    image past the field (u -> u^40000) and a product past it (x, y ->
+    u^20000, u^20000, so x*y -> u^40000) are exact, not wrapped into the
+    next field."""
+    P = GradedPresentation(FP3, [("u", 0), ("w", 2)], inverted=["u"], truncation=8)
+    S = GradedPresentation(FP3, [("x", 0), ("y", 0), ("z", 2)], truncation=8)
+    u, w = P.gen("u"), P.gen("w")
+    cases = (
+        (RingMorphism(S, P, [u ** 40000, u ** -3, w]), (1, 2, 1), (40000 - 6, 1)),
+        (RingMorphism(S, P, [u ** 20000, u ** 20000, w]), (1, 1, 4), (40000, 4)),
+        (RingMorphism(S, P, [u ** -20000, u ** -12767, u * w]), (1, 1, 1), (-32766, 1)),
+    )
+    for phi, m, want in cases:
+        got = assert_power_table_matches(phi, S.monomial_element(m, 2))
+        assert got.terms == {want: 2} and not got.truncated
+        assert got == phi.monomial(m, 2) == monomial_reference(phi, m, 2)

@@ -9,6 +9,20 @@ def test_bench_assembly_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bench_assembly_caps_the_generators():
+    """`--gens N` reaches `assemble_bp(max_gens=N)`: the gens column reads
+    N where the degree cap alone allows more."""
+    rows = {}
+    for gens in ((), ("--gens", 1)):
+        proc = run_script("bench_assembly.py", "--primes", 3, "--degrees", 16,
+                          *gens)
+        assert proc.returncode == 0, proc.stderr
+        p, D, n = proc.stdout.splitlines()[1].split()[:3]
+        rows[gens] = (p, D, n)
+    assert rows[()] == ("3", "16", "2")
+    assert rows[("--gens", 1)] == ("3", "16", "1")
+
+
 def test_run_change_of_rings_agrees():
     proc = run_script(
         "run_change_of_rings.py", "--prime", 3, "--degree", 24,

@@ -21,13 +21,14 @@ and the coaction face of a*[w|m] are eta_L(a) times the same faces of
 (Ravenel, Complex Cobordism, A1.2.11).  One formula covers it at every
 s, s = 0 included: the eta_L(a) part is degenerate, so the outer face is
 the terms of eta_R(a) with a nonempty morphism part, each put in front
-of w.  The a-free faces F(w, m) are computed once per (word, module
-generator), with the first slot kept as a full Gamma-element, degenerate
-terms included, and each key multiplies them by eta_L(a) in Gamma's
-normal form (relations, Koszul signs and weight truncation as in any
-product) before projecting degenerate keys away.  The normal form is
-linear, so this gives the same coordinates as expanding every face of
-every key.
+of w.  The a-free faces F(w, m) are built per key (`_faces`, then
+`_slide`), with the first slot kept as a full Gamma-element, degenerate
+terms included.  Each monomial m0 of that slot is multiplied by eta_L(a)
+in Gamma's normal form (relations, Koszul signs and weight truncation as
+in any product) before degenerate keys are projected away; that product
+is the one cached per (a, m0), `_etaL_times`, since keys of many words
+share both factors.  The normal form is linear, so this gives the same
+coordinates as expanding every face of every key.
 
 Each basis lists its keys by weight, descending (key order within one
 weight), so the keys above any weight cap are a prefix.  Each
@@ -127,7 +128,6 @@ class CobarComplex:
         self._columns_cache = {}
         self._leads_cache = {}
         self._dbar_cache = {}
-        self._faces_cache = {}
         self._etaL_times_cache = {}
         self._elem_cache = {}
         self._etaR_cache = {}
@@ -270,18 +270,14 @@ class CobarComplex:
         ]
 
     def _faces(self, word, mgen):
-        """F(w, m): the inner faces and the coaction face of [w|m], before
-        the outer coefficient multiplies the first slot.  A list of
-        (later words, module generator, ((first-slot monomial,
-        coefficient), ...)); degenerate first slots are kept, since only
-        the product with eta_L(a) decides degeneracy."""
-        got = self._faces_cache.get((word, mgen))
-        if got is not None:
-            return got
+        """The inner faces and the coaction face of [w|m], before the
+        outer coefficient multiplies the first slot: a list of
+        (coefficient, slots, module generator), one Gamma-element per slot,
+        for `_slide`."""
         p = self.p
         s = len(word)
         word_elems = [self._elem(w) for w in word]
-        faces = []  # (coefficient, slots, module generator)
+        faces = []
         for i in range(1, s + 1):
             sign = _neg_pow(i)
             for c, lelem, rmono in self._dbar(word[i - 1]):
@@ -296,18 +292,7 @@ class CobarComplex:
         sign = _neg_pow(s + 1)
         for other, gamma in self._psi_reduced[mgen]:
             faces.append((sign, word_elems + [gamma], other))
-        groups = {}
-        for coeff, slots, out_gen in faces:
-            for c, g, ws in self._slide(coeff, slots):
-                terms = groups.setdefault((ws, out_gen), {})
-                for mono, cc in g.terms.items():
-                    terms[mono] = (terms.get(mono, 0) + c * int(cc)) % p
-        got = [
-            (ws, out_gen, tuple((m, c) for m, c in terms.items() if c))
-            for (ws, out_gen), terms in groups.items()
-        ]
-        self._faces_cache[(word, mgen)] = got
-        return got
+        return faces
 
     def _etaL_times(self, a, m0):
         """eta_L(a) * m0 for an A-monomial `a` and a Gamma-monomial m0, in
@@ -335,7 +320,8 @@ class CobarComplex:
         monomials with nothing to slide, so the face adds each term of
         eta_R(a) with a nonempty morphism part, put in front of w, with
         coefficient +1.  The inner faces and the coaction face are
-        eta_L(a) times F(w, m)."""
+        eta_L(a) times F(w, m): each face of `_faces` is slid, and each
+        monomial of its first slot goes through `_etaL_times`."""
         a, word, mgen = key
         p = self.p
         acc = {}
@@ -344,11 +330,12 @@ class CobarComplex:
             if any(w_part):
                 k = (a_part, (w_part,) + word, mgen)
                 acc[k] = (acc.get(k, 0) + int(cc)) % p
-        for ws, out_gen, terms in self._faces(word, mgen):
-            for m0, c0 in terms:
-                for a_part, w_part, cc in self._etaL_times(a, m0):
-                    k = (a_part, (w_part,) + ws, out_gen)
-                    acc[k] = (acc.get(k, 0) + c0 * cc) % p
+        for coeff, slots, out_gen in self._faces(word, mgen):
+            for c, g, ws in self._slide(coeff, slots):
+                for m0, c0 in g.terms.items():
+                    for a_part, w_part, cc in self._etaL_times(a, m0):
+                        k = (a_part, (w_part,) + ws, out_gen)
+                        acc[k] = (acc.get(k, 0) + c * int(c0) * cc) % p
         return {k: v for k, v in acc.items() if v % p}
 
     def _columns(self, keys, s, t):

@@ -5,19 +5,22 @@ groupoid: objects are ring maps A -> R, morphisms are ring maps
 Gamma -> R, with dom/cod by precomposition with eta_L/eta_R and
 composition through the diagonal.  Grading is forgotten; the oracle
 samples the ungraded statements on a fixed catalog of test rings and can
-only falsify or corroborate, never prove.
+only falsify or corroborate, never prove.  A test ring is tabulated from
+its elements and two Python operations on them (`_from_elements`).
 
-Points are found by trying every assignment of generators to R-elements
-(bounded by a budget).  Each polynomial that is evaluated at many points
-(a relation, a structure map, a map of algebroids) is compiled once per
-ring into table lookups: a scalar image and one power row per generator
-factor.  Morphisms are indexed by domain, so composition and the
-associativity check visit only composable pairs and triples.  Delta is
-split by its right-factor monomials, so a composite is a sum of table
-lookups, and associativity is checked one row of composites at a time.
-Each algebroid stores its groupoids, one per (ring, budget), and frees them
-with itself; the catalog rings are built once and shared, so every call
-finds the same entries.  A stored groupoid is shared: it is immutable.
+Points are found by trying every assignment of generators to R-elements.
+One budget bounds both the assignments, |R|^#gens, and the composites,
+counted from dom and cod before any is formed.  Each polynomial that is
+evaluated at many points (a relation, a structure map, a map of
+algebroids) is compiled once per ring into table lookups: a scalar image
+and one power row per generator factor.  Morphisms are indexed by
+domain, so composition and the associativity check visit only composable
+pairs and triples.  Delta is split by its right-factor monomials, so a
+composite is a sum of table lookups, and associativity is checked one
+row of composites at a time.  Each algebroid stores its groupoids, one
+per (ring, budget), and frees them with itself; the catalog rings are
+built once and shared, so every call finds the same entries.  A stored
+groupoid is shared: it is immutable.
 
 The same module houses the finite-instance descent checker: for a family
 of R-algebras S_i (char p throughout) and a finite R-module M it verifies
@@ -46,7 +49,7 @@ from .errors import (
     Verdict,
 )
 
-DEFAULT_BUDGET = 10 ** 7
+DEFAULT_BUDGET = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -160,93 +163,67 @@ class FiniteRing:
         return f"FiniteRing({self.name or self.n})"
 
 
+def _from_elements(elements, add, mul, one, names, name):
+    """The ring whose carrier index i stands for elements[i], with its
+    tables built from the Python operations `add` and `mul` on the
+    elements themselves, and the element `one` as unit."""
+    index = {x: i for i, x in enumerate(elements)}
+    add_table, mul_table = (
+        [[index[op(x, y)] for y in elements] for x in elements] for op in (add, mul)
+    )
+    return FiniteRing(add_table, mul_table, index[one], names=names, name=name)
+
+
 def Zmod(n):
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    return FiniteRing(add, mul, 1 % n, names=[str(i) for i in range(n)], name=f"Z/{n}")
+    return _from_elements(
+        range(n), lambda a, b: (a + b) % n, lambda a, b: a * b % n, 1 % n,
+        [str(i) for i in range(n)], f"Z/{n}",
+    )
 
 
 def poly_quotient(p, modulus, var="x", name=""):
     """F_p[var]/(f) for a monic f given by its coefficient list
-    (constant first, leading 1 last).  Elements are residue polynomials
-    encoded base p, constant digit first."""
+    (constant first, leading 1 last).  Elements are residue polynomials,
+    as coefficient tuples (constant first), ordered by their base-p
+    encoding, constant digit first."""
     k = len(modulus) - 1
     if modulus[-1] % p != 1:
         raise InputError("modulus must be monic")
-    n = p ** k
 
-    def decode(i):
-        out = []
-        for _ in range(k):
-            out.append(i % p)
-            i //= p
-        return out
+    def mul(a, b):
+        out = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        for d in range(2 * k - 2, k - 1, -1):  # x^k = x^k - f
+            for j in range(k):
+                out[d - k + j] -= out[d] * modulus[j]
+        return tuple(c % p for c in out[:k])
 
-    def encode(cs):
-        # reduce degree >= k coefficients via the modulus
-        cs = list(cs) + [0] * max(0, k - len(cs))
-        for d in range(len(cs) - 1, k - 1, -1):
-            lead = cs[d] % p
-            if lead:
-                for j in range(k):
-                    cs[d - k + j] = (cs[d - k + j] - lead * modulus[j]) % p
-            cs[d] = 0
-        i = 0
-        for d in range(k - 1, -1, -1):
-            i = i * p + (cs[d] % p)
-        return i
-
-    add = [
-        [
-            encode([(x + y) % p for x, y in zip(decode(a), decode(b))])
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-
-    def mulpoly(a, b):
-        da, db = decode(a), decode(b)
-        out = [0] * (2 * k)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                out[i + j] = (out[i + j] + x * y) % p
-        return encode(out)
-
-    mul = [[mulpoly(a, b) for b in range(n)] for a in range(n)]
-
-    def elt_name(i):
-        cs = decode(i)
+    def elt_name(cs):
         parts = []
-        for d, cc in enumerate(cs):
-            if cc == 0:
-                continue
-            if d == 0:
-                parts.append(str(cc))
-            else:
-                head = "" if cc == 1 else str(cc)
-                parts.append(f"{head}{var}" + (f"^{d}" if d > 1 else ""))
-        return "+".join(parts) if parts else "0"
+        for d, c in enumerate(cs):
+            if c:
+                head = str(c) if d == 0 or c > 1 else ""
+                parts.append(head + (var if d else "") + (f"^{d}" if d > 1 else ""))
+        return "+".join(parts) or "0"
 
-    return FiniteRing(
-        add, mul, encode([1]), names=[elt_name(i) for i in range(n)], name=name
+    elements = [digits[::-1] for digits in itertools.product(range(p), repeat=k)]
+    return _from_elements(
+        elements, lambda a, b: tuple((x + y) % p for x, y in zip(a, b)), mul,
+        tuple(int(d == 0) for d in range(k)), [elt_name(e) for e in elements],
+        name,
     )
 
 
 def GF(q):
-    """The field with q elements, q in {2,3,4,9} (enough for the catalog)."""
-    table = {
-        2: lambda: Zmod(2),
-        3: lambda: Zmod(3),
-        4: lambda: poly_quotient(2, [1, 1, 1], name="F_4"),
-        9: lambda: poly_quotient(3, [1, 0, 1], name="F_9"),
-    }
-    if q not in table:
+    """The field with q elements, q in {2,3,4,9} (enough for the catalog),
+    as F_p[x]/(f) for an irreducible f of degree log_p(q)."""
+    moduli = {2: (2, [0, 1]), 3: (3, [0, 1]), 4: (2, [1, 1, 1]), 9: (3, [1, 0, 1])}
+    if q not in moduli:
         raise InputError(f"no constructor for GF({q})")
-    R = table[q]()
-    R.name = f"F_{q}"
-    return R
+    p, f = moduli[q]
+    return poly_quotient(p, f, name=f"F_{q}")
 
 
 def dual_numbers(p):
@@ -255,34 +232,14 @@ def dual_numbers(p):
 
 
 def product_ring(R, S):
-    n, m = R.n, S.n
-
-    def pack(a, b):
-        return a * m + b
-
-    add = [
-        [
-            pack(R.add[a][c], S.add[b][d])
-            for c in range(n)
-            for d in range(m)
-        ]
-        for a in range(n)
-        for b in range(m)
-    ]
-    mul = [
-        [
-            pack(R.mul[a][c], S.mul[b][d])
-            for c in range(n)
-            for d in range(m)
-        ]
-        for a in range(n)
-        for b in range(m)
-    ]
-    names = [
-        f"({R.names[a]},{S.names[b]})" for a in range(n) for b in range(m)
-    ]
-    return FiniteRing(
-        add, mul, pack(R.one, S.one), names=names, name=f"{R.name}x{S.name}"
+    elements = [(a, b) for a in range(R.n) for b in range(S.n)]
+    return _from_elements(
+        elements,
+        lambda x, y: (R.add[x[0]][y[0]], S.add[x[1]][y[1]]),
+        lambda x, y: (R.mul[x[0]][y[0]], S.mul[x[1]][y[1]]),
+        (R.one, S.one),
+        [f"({R.names[a]},{S.names[b]})" for a, b in elements],
+        f"{R.name}x{S.name}",
     )
 
 
@@ -361,14 +318,16 @@ def eval_compiled(R, assign, compiled):
 def enumerate_points(P, R, budget=DEFAULT_BUDGET):
     """All assignments generator -> R satisfying P's relations, with
     inverted generators required to land in R's units.  Grading is
-    forgotten.  Deterministic (lexicographic in the carrier order)."""
+    forgotten.  Deterministic (lexicographic in the carrier order).  Empty
+    when no ring map from P's coefficients to R exists; otherwise
+    SearchBudgetExceeded when |R|^#gens exceeds the budget."""
+    if not _mode_admits(P, R):
+        return []
     ngen = len(P.gens)
     if R.n ** ngen > budget:
         raise SearchBudgetExceeded(
             f"|R|^#gens = {R.n}^{ngen} exceeds budget {budget}"
         )
-    if not _mode_admits(P, R):
-        return []
     rules = []
     for i, rule in P.rules.items():
         rhs = tuple((m, c) for c, m in rule.rhs)
@@ -483,6 +442,11 @@ def _build_groupoid(H, R, budget):
             raise AxiomFailure("dom/cod of a point is not a point")
         dom.append(obj_index[d])
         cod.append(obj_index[c_])
+    # one composite per composable pair: (into x) * (out of x) over objects x
+    by_dom = _by_domain(dom, len(objects))
+    composites = sum(len(by_dom[x]) for x in cod)
+    if composites > budget:
+        raise SearchBudgetExceeded(f"{composites} composites exceed budget {budget}")
 
     identity = {}
     for xi, x in enumerate(objects):
@@ -508,7 +472,6 @@ def _build_groupoid(H, R, budget):
     # Each left polynomial is evaluated once per alpha and each right
     # monomial once per beta; a composite sums their products by table
     # lookup, which is exact because R is commutative.
-    by_dom = _by_domain(dom, len(objects))
     right = [tuple(b[i] for i in H.morphism_order) for b in morphisms]
     lefts, monomials = _split_delta(R, H)
     right_values = [_eval_all(R, b, monomials) for b in right]

@@ -175,9 +175,6 @@ class GradedPresentation:
                 power, rhs = val
                 rules[i] = Rule(int(power), tuple((c, tuple(m)) for c, m in rhs))
         self.rules = rules
-        # no rule and no inverted generator: `normalize_terms` needs no
-        # `_first_violation` scan for a monomial without negative exponents
-        self._plain = not rules and not self.inverted
         # (generator, power) of each power rule: the only rules a product
         # of two normal monomials can break
         self._power_rules = tuple(
@@ -190,7 +187,6 @@ class GradedPresentation:
         # packed monomials for `RingMorphism`: a product of two normal
         # forms then breaks nothing, so it is one int addition per pair
         self._packer = None if self._power_rules or self._odd else _Packer(self)
-        self._basis_cache = {}
         self._walks = {}  # weight cap -> `graded_walk` of its box
 
     def _validate(self):
@@ -272,7 +268,6 @@ class GradedPresentation:
 
         Returns (terms dict, truncated flag)."""
         mode = self.mode
-        plain = self._plain
         square_zero = self._odd_square_zero
         out = {}
         truncated = False
@@ -281,10 +276,7 @@ class GradedPresentation:
             c, m = stack.pop()
             if c == 0:
                 continue
-            if plain and min(m, default=0) >= 0:
-                i = None  # only a negative exponent breaks a plain form
-            else:
-                i = self._first_violation(m)
+            i = self._first_violation(m)
             if i is None:
                 if square_zero and any(m[j] >= 2 for j in square_zero):
                     continue
@@ -404,16 +396,15 @@ class GradedPresentation:
     def degree_basis(self, t, cap=None):
         """All normal-form monomials of degree exactly t and weight <= cap
         (default: the truncation bound), sorted.  The weight box of a cap
-        is walked once for every degree."""
-        cached = self._basis_cache.get((t, cap))
-        if cached is None:
-            D = self.truncation if cap is None else min(cap, self.truncation)
-            at = self._walks.get(D)
-            if at is None:
-                free = [i for i in range(len(self.gens)) if i not in self.inverted]
-                at = self._walks[D] = self.graded_walk(self.exponent_factors(free), D)
-            cached = self._basis_cache[t, cap] = at(t)
-        return cached
+        is walked once, by `graded_walk`, and cached per cap; each call
+        reads degree t off that walk.  The returned list may be shared
+        with other callers: do not modify it."""
+        D = self.truncation if cap is None else min(cap, self.truncation)
+        at = self._walks.get(D)
+        if at is None:
+            free = [i for i in range(len(self.gens)) if i not in self.inverted]
+            at = self._walks[D] = self.graded_walk(self.exponent_factors(free), D)
+        return at(t)
 
     # -- misc --------------------------------------------------------------
 

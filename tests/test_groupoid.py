@@ -2,6 +2,7 @@
 import collections
 import dataclasses
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -82,6 +83,58 @@ def test_wrong_characteristic_is_vacuous(mu2):
 def test_budget_guard(mu2):
     with pytest.raises(SearchBudgetExceeded):
         enumerate_points(mu2.Gamma, GF(3), budget=2)
+
+
+def test_budget_bounds_the_composites_before_composing():
+    """Over F_3, mu_2's Gamma has 3^1 assignments but its groupoid 2 * 2
+    = 4 composites: a budget of 3 admits the points and refuses the
+    groupoid, and a refused groupoid is not stored."""
+    H = mu2_algebroid()
+    with pytest.raises(SearchBudgetExceeded, match="4 composites"):
+        groupoid.evaluate_groupoid(H, GF(3), budget=3)
+    assert H.groupoids == {}
+    assert len(groupoid.evaluate_groupoid(H, GF(3), budget=4).comp) == 4
+
+
+def test_a_ring_that_admits_no_map_is_empty_under_any_budget(mu2):
+    """F_4 has characteristic 2, so no ring map leaves mu_2's F_3: the
+    groupoid is empty, not refused for 4^1 > 1 assignments."""
+    assert enumerate_points(mu2.Gamma, GF(4), budget=1) == []
+    G = groupoid.evaluate_groupoid(mu2, GF(4), budget=1)
+    assert G.objects == () and G.morphisms == ()
+
+
+# sha256 of repr((add, mul, one, names, name)), recorded from the
+# hand-encoded constructors that `_from_elements` replaced: the carrier
+# order, and with it every point, groupoid and witness string, is fixed.
+RING_TABLE_HASHES = {
+    "F_2": "6031c27d14369aa0ec3b2bce4250ebf5ab2098f7d9f24f7f56d0d6a050c36a1e",
+    "F_3": "d16336fa3055e3a17f78e8b8f2ea8360e3e98e0c82a7603f2f88131e43aef564",
+    "F_4": "e82437f15140b16ce0d38e02700415d24bfd00379e99009f927437c0f7bcf911",
+    "Z/4": "e2e1afab0b2400090953653123736bcc5da469152ab2038e789fc0548bc66fb9",
+    "F_2[e]/(e^2)":
+        "4e26b1edeefafe71f017381a581f5b81a26981e240f5cabafeecbd22dce321b1",
+    "Z/6": "df83e6f34d0a92b23cad9a8f9573c51cee9296f333ffee3057b5dace7cfea147",
+    "F_9": "d79d83ec13d5502cf26be40e4ce8599601e29f0cd26f0b2e99c5f56b1e22abd1",
+    "F_2xF_2":
+        "872f8bba445bafdfe22b9319d356c9e7261d624c8d0cae81044c53aae8345234",
+    "Z/5": "9b463f69213c7f81c70493df6c9773b93246c11dece5da0367d107e1f0e9af09",
+    "F_3[e]/(e^2)":
+        "3be407f21bbd468769223f06aa525573345f026a3341a4ba58da3ff6be6524ed",
+}
+
+
+def test_ring_tables_are_frozen():
+    rings = list(catalog_rings()) + [
+        GF(9), product_ring(GF(2), GF(2)), Zmod(5), dual_numbers(3)
+    ]
+    got = {
+        R.name: hashlib.sha256(
+            repr((R.add, R.mul, R.one, R.names, R.name)).encode()
+        ).hexdigest()
+        for R in rings
+    }
+    assert got == RING_TABLE_HASHES
 
 
 def test_equivalence_is_fully_faithful_at_every_ring(flagship):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a hopfalg module imports is used there,
 only an allowlist of functions keeps a process-wide memo, only `hopf`
-builds a tensor power, and the Ext path loads no module it does not run."""
+builds a tensor power, only `groupoid._from_elements` builds a finite
+ring, and the Ext path loads no module it does not run."""
 import ast
 import pathlib
 
@@ -106,6 +107,13 @@ def test_memo_decorators_only_on_the_allowlist(path):
     assert [name for _, name in found if name not in MEMO_ALLOWLIST] == []
 
 
+def _calls(node, callee):
+    """Whether `node` calls `callee`, bare or as an attribute."""
+    return isinstance(node, ast.Call) and callee == getattr(
+        node.func, "id", getattr(node.func, "attr", None)
+    )
+
+
 # The tensor square is fixed by (A, Gamma, eta_R): `HopfAlgebroid` builds
 # it once and hands it to the caller's Delta, and builds the cube for the
 # axioms, so no other module constructs a `TensorPower`.
@@ -115,9 +123,7 @@ def tensor_power_calls(source):
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None))
-        == "TensorPower"
+        if _calls(node, "TensorPower")
     )
 
 
@@ -138,6 +144,43 @@ def test_the_check_sees_a_tensor_power_construction():
 )
 def test_only_hopf_builds_a_tensor_power(path):
     assert tensor_power_calls(path.read_text(encoding="utf-8")) == []
+
+
+# A finite ring is tabulated from its elements in one place,
+# `groupoid._from_elements`, so no constructor encodes elements as table
+# indices by hand.
+def finite_ring_calls(source):
+    """(line, enclosing top-level definition or None) for every call of
+    `FiniteRing` in `source`, bare or as an attribute."""
+    return sorted(
+        (node.lineno, getattr(top, "name", None))
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if _calls(node, "FiniteRing")
+    )
+
+
+def test_the_check_sees_a_finite_ring_construction():
+    source = (
+        "from . import groupoid\n"
+        "def _from_elements(e):\n"
+        "    return FiniteRing(e, e, 1)\n"
+        "def Zmod(n):\n"
+        "    return groupoid.FiniteRing(n, n, 1)\n"
+        "R = FiniteRing([[0]], [[0]], 0)\n"
+        "name = 'FiniteRing(F_2)'\n"
+    )
+    assert finite_ring_calls(source) == [
+        (3, "_from_elements"), (5, "Zmod"), (6, None)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_from_elements_builds_a_finite_ring(path):
+    calls = finite_ring_calls(path.read_text(encoding="utf-8"))
+    if path.stem == "groupoid":
+        calls = [call for call in calls if call[1] != "_from_elements"]
+    assert calls == []
 
 
 def test_ext_does_not_load_the_finite_ring_oracle(tmp_path):

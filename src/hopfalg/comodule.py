@@ -146,18 +146,23 @@ def _ring_matrix_product(R, A, B):
             for t in range(n):
                 acc = R.add[acc][R.mul[A[i][t]][B[t][j]]]
             out[i][j] = acc
-    return out
+    return tuple(map(tuple, out))
 
 
 def sheaf_over_groupoid(M, G):
-    """All psi~_alpha over a FiniteGroupoid, with the identity and cocycle
-    laws checked exhaustively.  Returns (maps, verdict)."""
+    """All psi~_alpha over a FiniteGroupoid, each a tuple of rows, with the
+    identity and cocycle laws checked exhaustively.  Every distinct fibre
+    gets an id, and one product is formed per distinct pair of fibre ids:
+    a composite fails when its fibre's id is not its product's (-1 when
+    the product is no fibre).  Returns (maps, verdict)."""
     from .groupoid import compile_poly, eval_compiled
 
     R = G.ring
     v = Verdict()
     n = len(M.gens)
-    ident = [[R.one if i == j else R.zero for j in range(n)] for i in range(n)]
+    ident = tuple(
+        tuple(R.one if i == j else R.zero for j in range(n)) for i in range(n)
+    )
     # psi~_alpha at every point alpha; each entry of psi compiled once
     entries = [
         (M.index[other], j, compile_poly(R, tuple(sorted(gamma.terms.items()))))
@@ -169,15 +174,22 @@ def sheaf_over_groupoid(M, G):
         mat = [[R.zero] * n for _ in range(n)]
         for i, j, poly in entries:
             mat[i][j] = eval_compiled(R, a, poly)
-        maps.append(mat)
+        maps.append(tuple(map(tuple, mat)))
+    ids = {}
+    fibre = [ids.setdefault(mat, len(ids)) for mat in maps]
     # No separate invertibility check, and no verdict differs for its
     # absence: evaluate_groupoid has verified comp(inv a, a) = id, so where
     # the identity and cocycle laws hold, psi~_{inv a} psi~_a = I.
     for xi, mi in G.identity.items():
         if maps[mi] != ident:
             v.fail(f"psi~ at the identity of object {xi} is not the identity")
+    products = {}
     for (bi, ai), gi in G.comp.items():
-        if maps[gi] != _ring_matrix_product(R, maps[bi], maps[ai]):
+        key = fibre[bi], fibre[ai]
+        if key not in products:
+            product = _ring_matrix_product(R, maps[bi], maps[ai])
+            products[key] = ids.get(product, -1)
+        if fibre[gi] != products[key]:
             v.fail(f"cocycle fails on composite ({bi} after {ai})")
     return maps, v
 

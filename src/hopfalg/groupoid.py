@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -375,8 +376,9 @@ def _eval_all(R, assign, polys):
 def _split_delta(R, H):
     """Delta of each generator of Gamma split by right-factor monomial:
     per generator, a list of (left polynomial compiled for R, index of the
-    right monomial), and the distinct right monomials, compiled for R.
-    Delta(g) is the sum over its list of left * right."""
+    right monomial, None for the monomial 1), and the distinct right
+    monomials other than 1, compiled for R.  Delta(g) is the sum over its
+    list of left * right."""
     n = len(H.Gamma.gens)
     index = {}
     lefts = []
@@ -385,7 +387,8 @@ def _split_delta(R, H):
         for m, coeff in sorted(H.delta(H.Gamma.gen(i)).terms.items()):
             groups.setdefault(m[n:], []).append((m[:n], coeff))
         lefts.append([
-            (compile_poly(R, terms), index.setdefault(r, len(index)))
+            (compile_poly(R, terms),
+             index.setdefault(r, len(index)) if any(r) else None)
             for r, terms in groups.items()
         ])
     monomials = [compile_poly(R, [(r, 1)]) for r in index]
@@ -428,6 +431,9 @@ def _build_groupoid(H, R, budget):
     A, Gamma = H.A, H.Gamma
     objects = enumerate_points(A, R, budget)
     morphisms = enumerate_points(Gamma, R, budget)
+    if not objects and not morphisms:  # nothing to compile
+        return FiniteGroupoid(R, (), (), (), (), MappingProxyType({}), (),
+                              MappingProxyType({}))
     obj_index = {x: i for i, x in enumerate(objects)}
     mor_index = {a: i for i, a in enumerate(morphisms)}
 
@@ -470,25 +476,35 @@ def _build_groupoid(H, R, budget):
     # its right copies from beta's morphism generators, so each Delta(g)
     # splits as a sum over its right monomials r of (left polynomial) * r.
     # Each left polynomial is evaluated once per alpha and each right
-    # monomial once per beta; a composite sums their products by table
-    # lookup, which is exact because R is commutative.
+    # monomial once per beta.  Per alpha, the groups whose left value is
+    # zero are dropped, those with r = 1 are summed into a base value per
+    # generator, and each other group keeps its row mul[left value]; a
+    # composite adds one lookup per kept group to the base value, which is
+    # exact because R is commutative.
     right = [tuple(b[i] for i in H.morphism_order) for b in morphisms]
     lefts, monomials = _split_delta(R, H)
     right_values = [_eval_all(R, b, monomials) for b in right]
     add, mul, zero = R.add, R.mul, R.zero
     comp = {}
     for ai, a in enumerate(morphisms):
-        left_values = [
-            [(eval_compiled(R, a, poly), ri) for poly, ri in groups]
-            for groups in lefts
-        ]
+        left_values = []
+        for groups in lefts:
+            base, kept = zero, []
+            for poly, ri in groups:
+                lv = eval_compiled(R, a, poly)
+                if lv == zero:
+                    continue
+                if ri is None:
+                    base = add[base][lv]
+                else:
+                    kept.append((mul[lv], ri))
+            left_values.append((base, kept))
         for bi in by_dom[cod[ai]]:
             rv = right_values[bi]
             image = []
-            for groups in left_values:
-                val = zero
-                for lv, ri in groups:
-                    val = add[val][mul[lv][rv[ri]]]
+            for val, kept in left_values:
+                for row, ri in kept:
+                    val = add[val][row[rv[ri]]]
                 image.append(val)
             gi = mor_index.get(tuple(image))
             if gi is None:
@@ -505,6 +521,14 @@ def _build_groupoid(H, R, budget):
     return G
 
 
+def _getter(positions):
+    """The function picking `positions` out of a row, as a tuple."""
+    if len(positions) == 1:
+        (k,) = positions
+        return lambda row: (row[k],)
+    return operator.itemgetter(*positions)
+
+
 def _verify_groupoid(G):
     for ai in range(len(G.morphisms)):
         il, ir = G.identity[G.cod[ai]], G.identity[G.dom[ai]]
@@ -518,23 +542,25 @@ def _verify_groupoid(G):
         if G.comp[(ai, inv)] != G.identity[G.cod[ai]]:
             raise AxiomFailure(f"right inverse law fails at morphism {ai}")
     # every composable triple (gamma, beta, alpha), one row at a time:
-    # rows[b] lists b.alpha over the alphas into dom b, ascending, and
-    # position[m] is m's place among the morphisms into cod m.  For each
-    # (gamma, beta) the row gamma.(beta.alpha) must equal (gamma.beta)'s.
+    # rows[b] is the tuple of b.alpha over the alphas into dom b, ascending,
+    # and position[m] is m's place among the morphisms into cod m.  For
+    # each (gamma, beta) the row gamma.(beta.alpha) must equal
+    # (gamma.beta)'s; one getter per beta picks it out of gamma's row.
     by_cod = _by_domain(G.cod, len(G.objects))
     position = [0] * len(G.morphisms)
     for into in by_cod:
         for k, m in enumerate(into):
             position[m] = k
     rows = [
-        [G.comp[(bi, ai)] for ai in by_cod[G.dom[bi]]]
+        tuple(G.comp[(bi, ai)] for ai in by_cod[G.dom[bi]])
         for bi in range(len(G.morphisms))
     ]
     by_dom = _by_domain(G.dom, len(G.objects))
     for bi, row in enumerate(rows):
+        pick = _getter([position[ba] for ba in row])
         for ci in by_dom[G.cod[bi]]:
             crow = rows[ci]
-            left = [crow[position[ba]] for ba in row]
+            left = pick(crow)
             right = rows[crow[position[bi]]]
             if left != right:
                 k = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
@@ -590,20 +616,14 @@ def analyze_map(f, R, budget=DEFAULT_BUDGET):
     faithfulness, fullness and plain essential surjectivity."""
     Gdom = evaluate_groupoid(f.target, R, budget)
     Gcod = evaluate_groupoid(f.source, R, budget)
-    H = f.source
-    f0 = _compiled_images(R, f.f0, H.A)
-    f1 = _compiled_images(R, f.f1, H.Gamma)
-    cobj = {x: i for i, x in enumerate(Gcod.objects)}
-    cmor = {a: i for i, a in enumerate(Gcod.morphisms)}
-
-    def F_obj(x):
-        return cobj[_eval_all(R, x, f0)]
-
-    def F_mor(a):
-        return cmor[_eval_all(R, a, f1)]
-
-    obj_im = [F_obj(x) for x in Gdom.objects]
-    mor_im = [F_mor(a) for a in Gdom.morphisms]
+    obj_im, mor_im = [], []
+    if Gdom.objects:  # an empty domain maps without compiling f
+        f0 = _compiled_images(R, f.f0, f.source.A)
+        f1 = _compiled_images(R, f.f1, f.source.Gamma)
+        cobj = {x: i for i, x in enumerate(Gcod.objects)}
+        cmor = {a: i for i, a in enumerate(Gcod.morphisms)}
+        obj_im = [cobj[_eval_all(R, x, f0)] for x in Gdom.objects]
+        mor_im = [cmor[_eval_all(R, a, f1)] for a in Gdom.morphisms]
     witnesses = {}
 
     # faithful: no two parallel morphisms share an image.  The witness is

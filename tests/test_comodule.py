@@ -1,9 +1,12 @@
 """Comodules, their sheaf forms, and the roundtrip between them."""
+import dataclasses
+
 import pytest
 
 from hopfalg import comodule, groupoid
 from hopfalg.comodule import (
     Comodule,
+    _ring_matrix_product,
     base_change,
     sheaf_over_groupoid,
     unit_comodule,
@@ -102,11 +105,84 @@ def test_sheaf_rejects_a_singular_fibre(mu2):
     )
     G = groupoid.evaluate_groupoid(mu2, catalog_rings()[1])  # F_3
     maps, v = sheaf_over_groupoid(bad, G)
-    assert maps and all(mat[1] == [G.ring.zero] * 2 for mat in maps)
+    assert maps and all(mat[1] == (G.ring.zero,) * 2 for mat in maps)
     assert not v.ok
     assert any("identity" in msg for msg in v.failures)
     assert any("cocycle" in msg for msg in v.failures)
     assert all("identity" in msg or "cocycle" in msg for msg in v.failures)
+
+
+def reference_sheaf_failures(M, G):
+    """The identity and cocycle failures as found with one
+    `_ring_matrix_product` per composite, in `G.comp` order, on the fibres
+    `sheaf_over_groupoid` forms."""
+    maps, _ = sheaf_over_groupoid(M, G)
+    R, n = G.ring, len(M.gens)
+    ident = tuple(
+        tuple(R.one if i == j else R.zero for j in range(n)) for i in range(n)
+    )
+    out = [
+        f"psi~ at the identity of object {xi} is not the identity"
+        for xi, mi in G.identity.items()
+        if maps[mi] != ident
+    ]
+    out += [
+        f"cocycle fails on composite ({bi} after {ai})"
+        for (bi, ai), gi in G.comp.items()
+        if maps[gi] != _ring_matrix_product(R, maps[bi], maps[ai])
+    ]
+    return out
+
+
+def _t1_extension(H):
+    one, t1 = H.Gamma.one(), H.Gamma.gen("t1")
+    return Comodule(
+        H, [("m0", 0), ("m1", 4)],
+        {"m0": [(one, "m0")], "m1": [(one, "m1"), (t1, "m0")]},
+        name="t1-extension",
+    )
+
+
+def test_cocycle_memo_matches_the_per_composite_reference(mu2, flagship):
+    """One product per distinct pair of fibres finds the failures a
+    product per composite finds, in the same order: for the singular
+    fibre, for fibres whose products are no fibre, for two comodules on
+    which every law holds, and for a groupoid with one composite
+    redirected, where the law fails on that composite alone."""
+    g = mu2.Gamma.gen(0)
+    singular = Comodule(
+        mu2,
+        [("m0", 0), ("m1", 0)],
+        {"m0": [(mu2.Gamma.one(), "m0")], "m1": [(g, "m0")]},
+        name="singular",
+    )
+    # over F_3, psi~ of (1 + g) (x) m is 2 at g = 1 and 0 at g = 2: the
+    # product 2 * 2 = 1 is no fibre
+    shifted = Comodule(
+        mu2, [("m", 0)], {"m": [(mu2.Gamma.one() + g, "m")]}, name="1+g"
+    )
+    G = groupoid.evaluate_groupoid(mu2, catalog_rings()[1])  # F_3
+    for M in (singular, shifted):
+        want = reference_sheaf_failures(M, G)
+        assert any("cocycle" in msg for msg in want), M.name
+        assert sheaf_over_groupoid(M, G)[1].failures == want, M.name
+    _, source, _, _ = flagship
+    extension = _t1_extension(source)
+    for M in (unit_comodule(source), extension):
+        for R in catalog_rings():
+            G = groupoid.evaluate_groupoid(source, R)
+            got = sheaf_over_groupoid(M, G)[1].failures
+            assert got == reference_sheaf_failures(M, G) == [], (M.name, R.name)
+    G = groupoid.evaluate_groupoid(source, catalog_rings()[1])
+    maps, _ = sheaf_over_groupoid(extension, G)
+    (bi, ai), other = next(
+        (key, m) for key, gi in G.comp.items() for m in range(len(G.morphisms))
+        if (G.dom[m], G.cod[m]) == (G.dom[gi], G.cod[gi]) and maps[m] != maps[gi]
+    )
+    bad = dataclasses.replace(G, comp={**G.comp, (bi, ai): other})
+    want = reference_sheaf_failures(extension, bad)
+    assert want == [f"cocycle fails on composite ({bi} after {ai})"]
+    assert sheaf_over_groupoid(extension, bad)[1].failures == want
 
 
 def test_corrupted_psi_fails_counit(mu2):

@@ -586,6 +586,35 @@ def test_groupoids_match_the_all_pairs_reference(flagship):
     assert between == 192
 
 
+def test_a_ring_without_points_compiles_nothing(flagship, monkeypatch):
+    """At a catalog ring that admits no map from the pair's coefficients,
+    the groupoids of both algebroids are empty and built without
+    compiling a structure map, and analyze_map reports the empty functor
+    without compiling f_0 or f_1."""
+    _, _, _, f = flagship
+    rings = [R for R in catalog_rings() if not _mode_admits(f.source.A, R)]
+    assert [R.name for R in rings] == [
+        "F_2", "F_4", "Z/4", "F_2[e]/(e^2)", "Z/6"]
+
+    def refuse(*args):
+        raise AssertionError("compiled at a ring without points")
+
+    monkeypatch.setattr(groupoid, "_split_delta", refuse)
+    monkeypatch.setattr(groupoid, "_compiled_images", refuse)
+    for H in (f.source, f.target):
+        monkeypatch.setattr(H, "groupoids", {})
+    empty = {"faithful": True, "full": True, "essentially_surjective": True,
+             "essential_image_count": 0, "objects": [0, 0],
+             "morphisms": [0, 0], "witnesses": {}}
+    for R in rings:
+        for H in (f.source, f.target):
+            G = groupoid.evaluate_groupoid(H, R)
+            assert (G.objects, G.morphisms, G.dom, G.cod, G.identity,
+                    G.inverse, G.comp) == reference_groupoid(H, R), R.name
+        report = groupoid.analyze_map(f, R).to_dict()
+        assert report == {"ring": R.name, **empty}
+
+
 def _corruptible(G):
     """A composite (bi, ai) of two non-identity morphisms with bi not the
     inverse of ai, and another morphism with the same endpoints."""

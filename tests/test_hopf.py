@@ -11,6 +11,21 @@ from hopfalg.presentation import BaseMode, GradedPresentation, RingMorphism
 from conftest import mu2_algebroid, primitive_line
 
 
+class _Spy:
+    """A map that records every argument before applying `f`; any other
+    attribute is f's."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def __call__(self, x):
+        self.calls.append(x)
+        return self.f(x)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+
 @pytest.mark.parametrize(
     "p,xdeg,power", [(2, 1, 2), (3, 2, 3), (2, 2, 4), (5, 2, 5)]
 )
@@ -222,3 +237,52 @@ def test_counital_but_not_coassociative_delta():
     v = hopf.check_hopf_axioms(H, 16)
     assert len(v.failures) == 1
     assert v.failures[0].startswith("coassociativity fails at y: ")
+
+
+def test_the_antipode_of_etaR_is_formed_once(monkeypatch):
+    """The c.c law at a's mirror b and the c.etaR law at a share one
+    c(eta_R(a)): the antipode is applied to each eta_R(a) once."""
+    from hopfalg.fgl import assemble_bp
+
+    H = assemble_bp(2, 32).H
+    at_etaR = [H.etaR(H.A.gen(a)) for a in range(len(H.A.gens))]
+    spy = _Spy(H.c)
+    monkeypatch.setattr(H, "c", spy)
+    assert hopf.check_hopf_axioms(H, 32).ok
+    assert [sum(x == ra for x in spy.calls) for ra in at_etaR] == [1] * len(at_etaR)
+
+
+@pytest.mark.parametrize("image, cc_holds", [
+    (lambda ra, b, t1: ra - b, False),  # c(c(b)) = -2 t1
+    (lambda ra, b, t1: b + t1, True),  # c(c(b)) = b, c(eta_R(a)) = b - t1
+])
+def test_an_antipode_off_etaR_is_not_shared(monkeypatch, image, cc_holds):
+    """Where c(b) is not eta_R(a) at a's mirror b, the c.c law checks
+    c(c(b)) and the c.etaR law c(eta_R(a)), each computed for itself."""
+    from hopfalg.fgl import assemble_bp
+
+    H = assemble_bp(2, 32).H
+    A, Gamma = H.A, H.Gamma
+    b = H.base_order[0]
+    gb, ra = Gamma.gen(b), H.etaR(A.gen(0))
+    images = list(H.c.images)
+    images[b] = image(ra, gb, Gamma.gen("t1"))
+    bad = RingMorphism(Gamma, Gamma, images, name="c")
+    monkeypatch.setattr(H, "c", bad)
+    assert (bad(bad(gb)) == gb) == cc_holds
+    got = [
+        msg for msg in hopf.check_hopf_axioms(H, 32).failures
+        if msg.startswith(("c.c ", "c.etaR "))
+    ]
+    want = [
+        f"c.c != id at {Gamma.names[i]}"
+        for i in range(len(Gamma.gens))
+        if bad(bad(Gamma.gen(i))) != Gamma.gen(i)
+    ] + [
+        f"c.etaR != etaL at {A.names[a]}"
+        for a in range(len(A.gens))
+        if bad(H.etaR(A.gen(a))) != H.etaL(A.gen(a))
+    ]
+    assert (f"c.c != id at {Gamma.names[b]}" in got) != cc_holds
+    assert f"c.etaR != etaL at {A.names[0]}" in got
+    assert got == want

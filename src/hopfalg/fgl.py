@@ -10,7 +10,10 @@ recursions over m_n = eta_R(l_n) = sum_{i+j=n} l_i * t_j^{p^i}, t_0 = 1
     c(t_n) = l_n - sum_{0 < h <= n} m_h * c(t_{n-h})^{p^h},  c(t_0) = 1.
 All intermediates are exact rationals; p-integrality is asserted before
 any image is frozen into an algebroid.  Delta's recursion runs in the
-square the algebroid builds; `reduce_mod` moves images to a quotient pair.
+square the algebroid builds.  Every other pair is induced along a base
+map (`morita.induced_algebroid`): the quotient-localized pair from BP
+along BP_* -> v_n^{-1}BP_*/I_n, the Johnson-Wilson pairs from it along
+further kills.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from .presentation import (
     RingMorphism,
     assert_p_integral,
     invert_element,
-    reduce_mod,
 )
 
 
@@ -77,22 +79,6 @@ def hazewinkel_logs(p, N, pres=None):
     return logs
 
 
-def _tower(mode, N, D, label, relations=None, inverted=()):
-    """A on v_1..v_N and Gamma = A[t_1..t_N] under the same rules and
-    inversions, with Gamma's morphism generators (the t's).  `label`
-    names both rings, "{}" standing for BP* in A and BP*BP in Gamma."""
-    vs = [(f"v{i}", gen_degree(mode.p, i)) for i in range(1, N + 1)]
-    ts = [(f"t{i}", gen_degree(mode.p, i)) for i in range(1, N + 1)]
-
-    def ring(gens, what):
-        return GradedPresentation(
-            mode, gens, relations=relations, inverted=inverted, truncation=D,
-            name=label.format(what),
-        )
-
-    return ring(vs, "BP*"), ring(vs + ts, "BP*BP"), tuple(range(N, 2 * N))
-
-
 @lru_cache(maxsize=None)
 def assemble_bp(p, D, max_gens=None):
     """Build (BP_*, BP_*BP) with all generators of degree <= D.
@@ -111,7 +97,11 @@ def assemble_bp(p, D, max_gens=None):
         )
     if max_gens is not None:
         N = min(N, int(max_gens))
-    A, Gamma, morphism_order = _tower(mode, N, D, f"{{}}@p={p}")
+    vs = [(f"v{i}", gen_degree(p, i)) for i in range(1, N + 1)]
+    ts = [(f"t{i}", gen_degree(p, i)) for i in range(1, N + 1)]
+    A = GradedPresentation(mode, vs, truncation=D, name=f"BP*@p={p}")
+    Gamma = GradedPresentation(mode, vs + ts, truncation=D, name=f"BP*BP@p={p}")
+    morphism_order = range(N, 2 * N)
 
     logs = hazewinkel_logs(p, N, pres=Gamma)
     t = [Gamma.one()] + [Gamma.gen(i) for i in morphism_order]
@@ -156,57 +146,46 @@ def assemble_bp(p, D, max_gens=None):
     return BPData(p, D, N, A, Gamma, H, WeakValueDictionary())
 
 
+def _base_map(H, n, kept, name):
+    """f_0: H.A -> B, B = v_n^{-1}(H.A)/(p, v_1..v_{n-1}, v_{kept+1}..) in
+    prime-field mode, each v_i sent to its mirror in B."""
+    A = H.A
+    kills = {
+        f"v{i}": (1, []) for i in range(1, len(A.gens) + 1) if i < n or i > kept
+    }
+    B = GradedPresentation(
+        BaseMode("fp", A.mode.p), A.gens, relations=kills,
+        inverted=[f"v{n}"], truncation=A.truncation, name=name,
+    )
+    return RingMorphism(A, B, [B.gen(i) for i in range(len(A.gens))], name="f0")
+
+
 def quotient_localize(bp, n):
-    """(v_n^{-1}BP_*/I_n, v_n^{-1}BP_*BP/I_n) in prime-field mode: while
-    a caller holds the pair, `bp.pairs` returns it to every later call."""
+    """(v_n^{-1}BP_*/I_n, v_n^{-1}BP_*BP/I_n) in prime-field mode: the pair
+    induced from BP along BP_* -> v_n^{-1}BP_*/I_n.  While a caller holds
+    the pair, `bp.pairs` returns it to every later call."""
+    from .morita import induced_algebroid
+
     pair = bp.pairs.get(n)
     if pair is not None:
         return pair
-    p, N, D = bp.p, bp.N, bp.D
-    mode = BaseMode("fp", p)
-    kills = {f"v{i}": (1, []) for i in range(1, n)}
-    A, Gamma, morphism_order = _tower(
-        mode, N, D, f"v{n}^-1{{}}/I{n}@p={p}", kills, [f"v{n}"]
-    )
-    H = bp.H
-    etaR = RingMorphism(
-        A, Gamma, [reduce_mod(x, Gamma) for x in H.etaR.images], name="etaR"
-    )
-    names = [H.Gamma.names[i] for i in H.morphism_order]
-
-    def images(m, target):
-        return {g: reduce_mod(m.image(g), target) for g in names}
-
-    pair = bp.pairs[n] = HopfAlgebroid(
-        A, Gamma, morphism_order, etaR, images(H.eps, A), images(H.c, Gamma),
-        lambda ts: images(H.delta, ts.pres),
-        name=f"v{n}^-1BP/I{n}@p={p}",
-    )
+    p = bp.p
+    f0 = _base_map(bp.H, n, bp.N, f"v{n}^-1BP*/I{n}@p={p}")
+    names = f"v{n}^-1BP/I{n}@p={p}", f"v{n}^-1BP*BP/I{n}@p={p}"
+    pair = bp.pairs[n] = induced_algebroid(bp.H, f0, names=names).target
     return pair
 
 
 def johnson_wilson(bp, m, n):
     """(v_n^{-1}E(m)_*/I_n, Gamma_f) plus the canonical map from the
-    quotient-localized BP algebroid `quotient_localize(bp, n)`."""
+    quotient-localized BP algebroid `quotient_localize(bp, n)`, along the
+    base map that kills v_{m+1}, v_{m+2}, ... as well."""
     from .morita import induced_algebroid
 
     if not (1 <= n <= m):
         raise InputError("need 1 <= n <= m")
     H = quotient_localize(bp, n)
-    p, N, D = bp.p, bp.N, bp.D
-    mode = BaseMode("fp", p)
-    rels = {f"v{i}": (1, []) for i in range(1, n)}
-    rels.update({f"v{i}": (1, []) for i in range(m + 1, N + 1)})
-    B = GradedPresentation(
-        mode,
-        [(f"v{i}", gen_degree(p, i)) for i in range(1, N + 1)],
-        relations=rels,
-        inverted=[f"v{n}"],
-        truncation=D,
-        name=f"v{n}^-1E({m})*/I{n}@p={p}",
-    )
-    f0 = RingMorphism(H.A, B, [B.gen(i) for i in range(N)], name="f0")
-    f = induced_algebroid(H, f0)
+    f = induced_algebroid(H, _base_map(H, n, m, f"v{n}^-1E({m})*/I{n}@p={bp.p}"))
     return f.target, f
 
 

@@ -24,6 +24,7 @@ rule and no odd generator, so it multiplies packed monomials there, one
 int addition per product of two terms (see `presentation._Packer`)."""
 from __future__ import annotations
 
+import weakref
 from functools import cached_property, partial
 from itertools import islice
 
@@ -167,7 +168,8 @@ class HopfAlgebroid:
         incl_l = [self.ts.incl_l(Gamma.gen(i)) for i in self.base_order]
         self.delta = self._derived("delta", self.ts.pres, incl_l, delta(self.ts))
         self.groupoids = {}  # (ring, budget) -> groupoid, filled by evaluate_groupoid
-        self.induced = {}  # f_0 -> (B (x)_A Gamma, Gamma_f), filled by morita
+        # f_0 -> (B (x)_A Gamma, Gamma_f) while f_0 lives, filled by morita
+        self.induced = weakref.WeakKeyDictionary()
 
     def _check_alignment(self):
         base = tuple(self.Gamma.gens[i] for i in self.base_order)

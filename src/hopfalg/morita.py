@@ -3,12 +3,14 @@ eta_L (x) f_1 (x) eta_R, and internal-equivalence certificates.
 
 The supported base maps f_0: A -> B are quotient-then-localize maps: B's
 generators mirror A's by name and degree, f_0 sends each generator to its
-mirror, and B's own rules do any killing/inverting.  Under that hypothesis
-B (x)_A Gamma (x)_A B collapses to a presentation on B's generators plus
-Gamma's morphism generators: the right B-factor is eliminated through
-eta_R, and every A-generator killed by f_0 contributes the relation
-(f_0 (x) 1)(eta_R(a)) = 0, converted to a power rule by extracting a
-leading pure power with graded-unit coefficient."""
+mirror, and B's own rules do any killing/inverting.  B's base mode is
+Gamma's, or F_p where Gamma's is Z_(p): f_0 may reduce mod p, as BP_* ->
+v_n^{-1}BP_*/I_n does; every other change of mode is refused.  Under
+that hypothesis B (x)_A Gamma (x)_A B collapses to a presentation on B's
+generators plus Gamma's morphism generators: the right B-factor is
+eliminated through eta_R, and every A-generator killed by f_0
+contributes the relation (f_0 (x) 1)(eta_R(a)) = 0, converted to a power
+rule by extracting a leading pure power with graded-unit coefficient."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -87,8 +89,12 @@ def _require_supported(H, f0):
             raise UnsupportedBaseMap(
                 f"f0 must send {A.names[i]} to its mirror (got {f0.images[i]!r})"
             )
-    if B.mode != H.Gamma.mode:
-        raise UnsupportedBaseMap("base modes of B and Gamma must agree")
+    a, b = H.Gamma.mode, B.mode
+    if b != a and not (a.kind == "plocal" and b.kind == "fp" and b.p == a.p):
+        raise UnsupportedBaseMap(
+            f"base map from {a.kind} mode (p={a.p}) to {b.kind} mode (p={b.p}):"
+            " only Z_(p) -> F_p may change the base mode"
+        )
 
 
 def _collapse(H):
@@ -162,10 +168,11 @@ def _extract_power_rule(P, u, taken):
     return i, e, rhs
 
 
-def _induced_presentation(H, f0):
-    """Gamma_f's presentation: the collapsed pair B (x)_A Gamma with the
-    power rules derived from eta_R of the A-generators f_0 newly kills.
-    Returns (collapsed pair, Gamma_f's presentation), kept in H.induced."""
+def _induced_presentation(H, f0, name=None):
+    """Gamma_f's presentation, named `name` (default "Gamma_f[B]"): the
+    collapsed pair B (x)_A Gamma with the power rules derived from eta_R
+    of the A-generators f_0 newly kills.  Returns (collapsed pair, Gamma_f's
+    presentation), kept in H.induced while f_0 lives."""
     if f0 in H.induced:
         return H.induced[f0]
     A, B = H.A, f0.target
@@ -190,7 +197,7 @@ def _induced_presentation(H, f0):
             relations,
             inverted=prov.inverted,
             truncation=prov.truncation,
-            name=f"Gamma_f[{B.name}]",
+            name=name or f"Gamma_f[{B.name}]",
         )
     except (InputError, DegreeError, IllegalExponent) as exc:
         raise UnsupportedBaseMap(f"derived relations unusable: {exc}") from exc
@@ -203,12 +210,16 @@ def _induced_presentation(H, f0):
     return prov, P2
 
 
-def induced_algebroid(H, f0):
+def induced_algebroid(H, f0, names=None):
     """The canonical map to (B, Gamma_f), whose target carries the five
-    structure maps; AxiomFailure unless Gamma_f passes `check_hopf_axioms`."""
+    structure maps; AxiomFailure unless Gamma_f passes `check_hopf_axioms`.
+    `names` is (the algebroid's name, Gamma_f's name), by default
+    ("(B,Gamma_f)", "Gamma_f[B]") with B's name for B."""
     A, B, Gamma = H.A, f0.target, H.Gamma
     nb = len(B.gens)
-    _, P2 = _induced_presentation(H, f0)
+    if names is None:
+        names = f"({B.name},Gamma_f)", None
+    _, P2 = _induced_presentation(H, f0, names[1])
 
     move = _collapse(H)
     etaR = RingMorphism(
@@ -227,7 +238,7 @@ def induced_algebroid(H, f0):
         images(lambda i: f0(H.eps.images[i])),
         images(lambda i: reduce_mod(H.c.images[i], P2, move)),
         lambda ts: images(lambda i: reduce_mod(H.delta.images[i], ts.pres, move)),
-        name=f"({B.name},Gamma_f)",
+        name=names[0],
     )
     v = check_hopf_axioms(Hf, P2.truncation)
     if not v:

@@ -1,11 +1,14 @@
 """The p-typical family: logs, right units, quotient localization."""
 import gc
+import hashlib
+import pathlib
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from hopfalg import fgl, hopf
+from hopfalg import files, fgl, hopf, morita
+from hopfalg.cobar import CobarComplex, ext_dims
 from hopfalg.errors import IntegralityFailure
 from hopfalg.fgl import (
     bp_generator_count,
@@ -117,6 +120,77 @@ def test_a_quotient_pair_no_caller_holds_is_freed():
     gc.collect()
     assert ref() is None and 1 not in bp.pairs
     assert fgl.quotient_localize(bp, 1).name == "v1^-1BP/I1@p=3"
+
+
+def test_induced_presentations_live_as_long_as_their_base_map():
+    """H.induced keeps a derivation only while its base map lives: the
+    maps a caller drops free theirs, and the source pair's base map,
+    which nothing returns, is gone once quotient_localize returns."""
+    bp = fgl.assemble_bp.__wrapped__(3, 40)  # a tower no other test holds
+    H1 = fgl.quotient_localize(bp, 1)
+    assert len(bp.H.induced) == 0
+    maps = [fgl.johnson_wilson(bp, 1, 1)[1] for _ in range(5)]
+    assert len(H1.induced) == 5
+    f = maps.pop()
+    del maps
+    gc.collect()
+    assert list(H1.induced) == [f.f0]
+    del f
+    gc.collect()
+    assert len(H1.induced) == 0
+
+
+def _structure(H):
+    """A pair's presentation and structure maps as plain data: Gamma's
+    rules up to the order of their terms, every image as its terms."""
+    maps = (H.etaR, H.eps, H.c, H.delta)
+    return (
+        H.Gamma.gens, H.A.rules, H.A.inverted, H.morphism_order,
+        {i: (r.power, sorted(r.rhs)) for i, r in H.Gamma.rules.items()},
+        [[img.terms for img in phi.images] for phi in maps],
+    )
+
+
+@pytest.mark.parametrize("p,D,gens,m,n", [
+    (3, 48, 2, 1, 1), (3, 52, 3, 1, 1), (3, 52, 3, 2, 2), (2, 32, 3, 1, 1),
+])
+def test_inducing_along_a_composite_is_inducing_twice(p, D, gens, m, n):
+    """BP_* -> v_n^{-1}E(m)_*/I_n in one step gives the pair that
+    johnson_wilson builds in two, through v_n^{-1}BP_*/I_n: the same
+    presentation, structure maps and Ext table."""
+    bp = fgl.assemble_bp(p, D, max_gens=gens)
+    twice = fgl.johnson_wilson(bp, m, n)[0]
+    f0 = fgl._base_map(bp.H, n, m, twice.A.name)
+    once = morita.induced_algebroid(bp.H, f0).target
+    assert _structure(once) == _structure(twice)
+
+    def table(H):
+        return ext_dims(CobarComplex(H, s_max=2, t_min=0, t_max=24)).to_csv()
+
+    assert table(once) == table(twice)
+
+
+# sha256 prefixes of the source pair's documents (algebroid, base): the
+# names and rules they print must not depend on how the pair is built
+SOURCE_DOCUMENT_HASHES = {
+    (3, 48, 2, 1): ("57acb7897c2d742b", "d45a657c4cbc1060"),
+    (2, 16, 3, 1): ("2b1ff1517fa222ac", "f661afb1e699b407"),
+    (3, 52, 3, 2): ("d62f435e21369b39", "5a636ac51be22f1f"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SOURCE_DOCUMENT_HASHES))
+def test_source_pair_documents_are_frozen(key, tmp_path):
+    p, D, gens, n = key
+    H = fgl.quotient_localize(fgl.assemble_bp(p, D, max_gens=gens), n)
+    paths = files.write_algebroid(
+        H, str(tmp_path), stem="source", base_stem="source_base"
+    )
+    got = tuple(
+        hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()[:16]
+        for path in paths
+    )
+    assert got == SOURCE_DOCUMENT_HASHES[key]
 
 
 def test_strict_height():

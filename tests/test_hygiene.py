@@ -57,9 +57,10 @@ def test_no_unused_import(path):
 # stores groupoids on the algebroid instead, freed with it.  Allowed: the
 # BP towers, a pure function of (p, D, max_gens) that callers ask for
 # again and again (groupoids of a tower's own algebroid live as long as
-# the tower; its quotient pairs, with their groupoids and induced
-# presentations, only as long as a caller holds them, as `BPData.pairs`
-# keeps them weakly), and the ring catalog, whose rings key those
+# the tower; its quotient pairs, with their groupoids, only as long as a
+# caller holds them, as `BPData.pairs` keeps them weakly, and an induced
+# presentation only as long as its base map f_0, as `HopfAlgebroid.induced`
+# keys on f_0 weakly), and the ring catalog, whose rings key those
 # groupoids and so must be the same objects on every call.
 MEMO_ALLOWLIST = {"fgl.assemble_bp", "groupoid.catalog_rings"}
 

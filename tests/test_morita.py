@@ -3,7 +3,7 @@ import collections
 
 import pytest
 
-from hopfalg import cli, groupoid, hopf, morita
+from hopfalg import cli, fgl, groupoid, hopf, morita
 from hopfalg.cobar import CobarComplex, ext_dims
 from hopfalg.errors import (
     AxiomFailure,
@@ -198,6 +198,49 @@ def test_refuted_oracle_fails_morita_check(tmp_path, monkeypatch, capsys):
                         _raising(AxiomFailure("composition not associative")))
     assert cli.run(["morita", "check", str(map_path)]) == cli.EXIT_FAIL == 1
     assert "composition not associative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,D,gens,n", [(2, 16, 3, 1), (3, 48, 2, 1), (3, 52, 3, 2)])
+def test_a_base_map_may_reduce_mod_p(p, D, gens, n):
+    """Z_(p) -> F_p is the one change of base mode: the canonical map from
+    BP to its pair over v_n^{-1}BP_*/I_n is a map of Hopf algebroids."""
+    bp = fgl.assemble_bp(p, D, max_gens=gens)
+    f = morita.induced_algebroid(bp.H, fgl._base_map(bp.H, n, bp.N, "B"))
+    assert f.target.Gamma.mode == BaseMode("fp", p)
+    assert morita.check_hopf_map(f, D).ok
+
+
+def _int_line():
+    """(Z[v], Z[v][x]), |v| = 4, |x| = 2, x primitive: a pair in int mode."""
+    mode = BaseMode("int")
+    A = GradedPresentation(mode, [("v", 4)], truncation=16)
+    Gamma = GradedPresentation(mode, [("v", 4), ("x", 2)], truncation=16)
+    x = Gamma.gen("x")
+    return hopf.HopfAlgebroid(
+        A, Gamma, ["x"], RingMorphism(A, Gamma, [Gamma.gen("v")], name="etaR"),
+        {"x": A.zero()}, {"x": -x},
+        lambda ts: {"x": ts.incl_l(x) + ts.incl_r(x)},
+    )
+
+
+@pytest.mark.parametrize("source,mode", [
+    ("plocal3", BaseMode("fp", 5)),
+    ("fp3", BaseMode("plocal", 3)),
+    ("int", BaseMode("fp", 3)),
+], ids=["Z3-F5", "F3-Z3", "Z-F3"])
+def test_every_other_change_of_base_mode_is_refused(source, mode):
+    """Z_(3) -> F_5, F_3 -> Z_(3) and Z -> F_3 are no supported base maps,
+    even with every generator sent to its mirror."""
+    bp = fgl.assemble_bp(3, 40)
+    H = {
+        "plocal3": lambda: bp.H,
+        "fp3": lambda: fgl.quotient_localize(bp, 1),
+        "int": _int_line,
+    }[source]()
+    B = GradedPresentation(mode, H.A.gens, truncation=H.A.truncation)
+    f0 = RingMorphism(H.A, B, [B.gen(i) for i in range(len(B.gens))], name="f0")
+    with pytest.raises(UnsupportedBaseMap, match="base mode"):
+        morita.induced_algebroid(H, f0)
 
 
 def test_unsupported_base_map_escape_hatch():

@@ -98,6 +98,18 @@ class CobarComplex:
             raise InputError(f"s_max must be >= 0, not {s_max}")
         if t_min > t_max:
             raise InputError(f"empty t window: t_min {t_min} > t_max {t_max}")
+        # an inverted generator has weight 0: a term of positive weight in
+        # eta_R of it makes the outer face raise key weights, and d leaves
+        # the weight-capped basis
+        for i in sorted(H.A.inverted):
+            w = max(map(H.Gamma.weight, H.etaR.images[i].terms), default=0)
+            if w > 0:
+                name = H.A.names[i]
+                raise InfiniteBasis(
+                    f"eta_R({name}) has a term of weight {w} while {name} "
+                    "has weight 0: the outer face raises key weights past "
+                    "the enumerated basis"
+                )
         self.H = H
         if M is None:
             from .comodule import unit_comodule

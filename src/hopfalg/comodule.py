@@ -87,22 +87,18 @@ def check_comodule(M, bound=None):
     for gname, gdeg in M.gens:
         if bound is not None and abs(gdeg) > bound:
             continue
-        # counit: (eps (x) 1) psi(g) = g
-        acc = {}
-        for other, gamma in M.psi[gname].items():
-            a = H.eps(gamma)
-            if not a.is_zero():
-                acc[other] = acc.get(other, H.A.zero()) + a
-        acc = {k: e for k, e in acc.items() if not e.is_zero()}
+        # counit: (eps (x) 1) psi(g) = g.  `Comodule` keys psi(g) by
+        # generator, so each component maps on its own
+        psi = M.psi[gname]
+        counit = {other: H.eps(gamma) for other, gamma in psi.items()}
+        acc = {k: e for k, e in counit.items() if not e.is_zero()}
         if acc != {gname: H.A.one()}:
             got = ", ".join(f"{e}*{k}" for k, e in sorted(acc.items())) or "0"
             v.fail(f"counit fails on {gname}: (eps(x)1)psi = {got}")
         # coassociativity: (Delta (x) 1) psi = (1 (x) psi) psi
-        lhs, rhs = {}, {}
-        for other, gamma in M.psi[gname].items():
-            d = H.delta(gamma)
-            lhs[other] = lhs.get(other, ts.pres.zero()) + d
-        for mid, gamma in M.psi[gname].items():
+        lhs = {other: H.delta(gamma) for other, gamma in psi.items()}
+        rhs = {}
+        for mid, gamma in psi.items():
             left = ts.incl_l(gamma)
             for other, gamma2 in M.psi[mid].items():
                 rhs[other] = rhs.get(other, ts.pres.zero()) + left * ts.incl_r(

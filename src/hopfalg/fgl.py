@@ -58,17 +58,9 @@ class BPData:
     pairs: WeakValueDictionary
 
 
-def hazewinkel_logs(p, N, pres=None):
-    """The rational log coefficients [1, l_1, ..., l_N] inside pres
-    (default: a fresh rational presentation on v_1..v_N)."""
-    if pres is None:
-        D = gen_degree(p, N)
-        pres = GradedPresentation(
-            BaseMode("plocal", p),
-            [(f"v{i}", gen_degree(p, i)) for i in range(1, N + 1)],
-            truncation=D,
-            name=f"BP*({p})Q",
-        )
+def hazewinkel_logs(p, N, pres):
+    """The rational log coefficients [1, l_1, ..., l_N] inside pres, a
+    p-local presentation with generators v1..vN."""
     logs = [pres.one()]
     for n in range(1, N + 1):
         acc = pres.zero()

@@ -20,8 +20,9 @@ A map file points at two algebroid files ([map] source/target) and lists
 [generators] plus [psi] coaction words `g(expr)(x)gen` (the literal
 tensor glyph is also accepted).
 
-Emission is deterministic (sorted monomials, fixed spacing), so
-emit -> parse -> emit is byte-identical.
+Every document is laid out by one section writer, `_write`.  Emission
+is deterministic (sorted monomials, fixed spacing), so emit -> parse ->
+emit is byte-identical.
 """
 from __future__ import annotations
 
@@ -296,32 +297,42 @@ def parse_presentation(path):
     return _presentation_from_config(cp, os.path.basename(path))
 
 
-def emit_presentation(P):
-    lines = ["[base]", f"mode = {P.mode.kind}"]
+def _write(sections):
+    """The INI document of `sections`, (name, [(key, value)]) pairs, in
+    order: a blank line between sections and one newline at the end.
+    The one place a document's layout is written."""
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in entries)
+        for name, entries in sections
+    )
+
+
+def _named(entries, name):
+    """`entries` followed by `("name", name)` when the name is nonempty."""
+    return entries + [("name", name)] if name else entries
+
+
+def _presentation_sections(P):
+    """P's sections, [base] to [truncation], for `_write`."""
+    base = [("mode", P.mode.kind)]
     if P.mode.p is not None:
-        lines.append(f"p = {P.mode.p}")
-    if P.name:
-        lines.append(f"name = {P.name}")
-    lines += ["", "[generators]"]
-    for n, d in P.gens:
-        lines.append(f"{n} = {d}")
+        base.append(("p", P.mode.p))
+    sections = [("base", _named(base, P.name)), ("generators", list(P.gens))]
     if P.rules:
-        lines += ["", "[relations]"]
+        relations = []
         for i in sorted(P.rules):
             rule = P.rules[i]
             key = P.names[i] if rule.power == 1 else f"{P.names[i]}^{rule.power}"
-            if not rule.rhs:
-                lines.append(f"{key} = 0")
-            else:
-                elem = P.element(list(rule.rhs))
-                lines.append(f"{key} = {element_str(elem)}")
+            relations.append((key, element_str(P.element(list(rule.rhs)))))
+        sections.append(("relations", relations))
     if P.inverted:
-        lines += ["", "[inverted]"]
-        lines.append(
-            "names = " + " ".join(P.names[i] for i in sorted(P.inverted))
-        )
-    lines += ["", "[truncation]", f"D = {P.truncation}", ""]
-    return "\n".join(lines)
+        names = " ".join(P.names[i] for i in sorted(P.inverted))
+        sections.append(("inverted", [("names", names)]))
+    return sections + [("truncation", [("D", P.truncation)])]
+
+
+def emit_presentation(P):
+    return _write(_presentation_sections(P))
 
 
 # ---------------------------------------------------------------------------
@@ -422,27 +433,21 @@ def emit_algebroid(H, base_filename):
     """The algebroid document (Gamma's presentation + [algebroid]/[maps]);
     A's presentation goes in a separate file named `base_filename`."""
     Gamma = H.Gamma
-    lines = ["[algebroid]", f"base = {base_filename}"]
-    lines.append(
-        "morphisms = " + " ".join(Gamma.names[i] for i in H.morphism_order)
-    )
-    if H.name:
-        lines.append(f"name = {H.name}")
-    lines.append("")
-    lines.append(emit_presentation(Gamma).rstrip("\n"))
-    lines += ["", "[maps]"]
+    morphisms = " ".join(Gamma.names[i] for i in H.morphism_order)
+    maps = []
     for key, name, src, _ in _STRUCTURE_MAPS:
         m, S = getattr(H, name), getattr(H, src)
-        lines.append(f"{key} = " + "; ".join(
-            element_str(m(S.gen(i))) for i in range(len(S.gens))
-        ))
-    lines.append(
-        "delta = " + "; ".join(
-            _delta_str(H, H.delta(Gamma.gen(i))) for i in H.morphism_order
-        )
+        images = (m(S.gen(i)) for i in range(len(S.gens)))
+        maps.append((key, "; ".join(map(element_str, images))))
+    maps.append(("delta", "; ".join(
+        _delta_str(H, H.delta(Gamma.gen(i))) for i in H.morphism_order
+    )))
+    head = [("base", base_filename), ("morphisms", morphisms)]
+    return _write(
+        [("algebroid", _named(head, H.name))]
+        + _presentation_sections(Gamma)
+        + [("maps", maps)]
     )
-    lines.append("")
-    return "\n".join(lines)
 
 
 def write_algebroid(H, out_dir, stem="algebroid", base_stem="base"):
@@ -482,23 +487,11 @@ def parse_map(path):
 
 
 def emit_map(f, source_filename, target_filename):
-    lines = [
-        "[map]",
-        f"source = {source_filename}",
-        f"target = {target_filename}",
-    ]
-    if f.name:
-        lines.append(f"name = {f.name}")
-    lines += [
-        "",
-        "[f0]",
-        "images = " + "; ".join(element_str(e) for e in f.f0.images),
-        "",
-        "[f1]",
-        "images = " + "; ".join(element_str(e) for e in f.f1.images),
-        "",
-    ]
-    return "\n".join(lines)
+    head = [("source", source_filename), ("target", target_filename)]
+    return _write([("map", _named(head, f.name))] + [
+        (sec, [("images", "; ".join(element_str(e) for e in m.images))])
+        for sec, m in (("f0", f.f0), ("f1", f.f1))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -546,18 +539,16 @@ def parse_comodule(path, H=None):
 
 
 def emit_comodule(M, algebroid_filename):
-    lines = ["[comodule]", f"algebroid = {algebroid_filename}"]
-    if M.name:
-        lines.append(f"name = {M.name}")
-    lines += ["", "[generators]"]
-    for n, d in M.gens:
-        lines.append(f"{n} = {d}")
-    lines += ["", "[psi]"]
+    psi = []
     for n, _ in M.gens:
-        psi = M.psi[n]
-        if not psi:
+        words = M.psi[n]
+        if not words:
             raise InputError(f"coaction of {n} is empty: it fails the counit law")
-        words = [f"g({element_str(psi[o])})(x){o}" for o in sorted(psi)]
-        lines.append(f"{n} = " + " + ".join(words))
-    lines.append("")
-    return "\n".join(lines)
+        psi.append((n, " + ".join(
+            f"g({element_str(words[o])})(x){o}" for o in sorted(words)
+        )))
+    return _write([
+        ("comodule", _named([("algebroid", algebroid_filename)], M.name)),
+        ("generators", list(M.gens)),
+        ("psi", psi),
+    ])

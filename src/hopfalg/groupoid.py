@@ -378,14 +378,16 @@ def _split_delta(R, H):
     per generator, a list of (left polynomial compiled for R, index of the
     right monomial, None for the monomial 1), and the distinct right
     monomials other than 1, compiled for R.  Delta(g) is the sum over its
-    list of left * right."""
-    n = len(H.Gamma.gens)
+    list of left * right.  Both factors are Gamma-monomials
+    (`TensorPower.split_monomial`), so each evaluates at a point of Gamma
+    itself."""
     index = {}
     lefts = []
-    for i in range(n):
+    for i in range(len(H.Gamma.gens)):
         groups = {}
         for m, coeff in sorted(H.delta(H.Gamma.gen(i)).terms.items()):
-            groups.setdefault(m[n:], []).append((m[:n], coeff))
+            left, right = H.ts.split_monomial(m)
+            groups.setdefault(right, []).append((left, coeff))
         lefts.append([
             (compile_poly(R, terms),
              index.setdefault(r, len(index)) if any(r) else None)
@@ -481,9 +483,8 @@ def _build_groupoid(H, R, budget):
     # generator, and each other group keeps its row mul[left value]; a
     # composite adds one lookup per kept group to the base value, which is
     # exact because R is commutative.
-    right = [tuple(b[i] for i in H.morphism_order) for b in morphisms]
     lefts, monomials = _split_delta(R, H)
-    right_values = [_eval_all(R, b, monomials) for b in right]
+    right_values = [_eval_all(R, b, monomials) for b in morphisms]
     add, mul, zero = R.add, R.mul, R.zero
     comp = {}
     for ai, a in enumerate(morphisms):

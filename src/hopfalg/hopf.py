@@ -25,7 +25,7 @@ int addition per product of two terms (see `presentation._Packer`)."""
 from __future__ import annotations
 
 import weakref
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 
 from .errors import InputError, NotFreeOverA, Verdict
@@ -34,7 +34,6 @@ from .presentation import (
     RingMorphism,
     Rule,
     exponent_vectors,
-    reduce_mod,
 )
 
 
@@ -94,13 +93,10 @@ class TensorPower:
         A, Gamma = self.A, self.Gamma
         if P is None:
             P = self.pres
-        yield RingMorphism(
+        through = RingMorphism(
             Gamma, P, [P.gen(i) for i in range(len(Gamma.gens))], name="incl0"
         )
-        # factor 1 re-normalizes eta_R(b) into P: multiplying it out
-        # through factor 0's morphism costs more term products
-        pad = (0,) * (len(P.gens) - len(Gamma.gens))
-        through = partial(reduce_mod, target=P, move=lambda m: m + pad)
+        yield through
         for j in range(1, self.k):
             images = []
             for i, gname in enumerate(Gamma.names):

@@ -170,21 +170,27 @@ def _extract_power_rule(P, u, taken):
 
 def _induced_presentation(H, f0, name=None):
     """Gamma_f's presentation, named `name` (default "Gamma_f[B]"): the
-    collapsed pair B (x)_A Gamma with the power rules derived from eta_R
-    of the A-generators f_0 newly kills.  Returns (collapsed pair, Gamma_f's
-    presentation), kept in H.induced while f_0 lives."""
+    collapsed pair C = B (x)_A Gamma with the power rules derived from
+    eta_R of the A-generators f_0 newly kills.  Returns (C, Gamma_f's
+    presentation, h = f_0 (x) eta_R: A -> C), kept in H.induced while f_0
+    lives; h is the one move of eta_R(A) into C."""
     if f0 in H.induced:
         return H.induced[f0]
     A, B = H.A, f0.target
     prov = collapsed_pair(H, f0)
     move = _collapse(H)
+    h = RingMorphism(
+        A, prov,
+        [reduce_mod(H.etaR(A.gen(i)), prov, move) for i in range(len(A.gens))],
+        name="h",
+    )
     newly_killed = [
         i for i in range(len(A.gens)) if B.gen(i).is_zero() and not A.gen(i).is_zero()
     ]
     relations = dict(prov.rules)
     taken = set()
     for a in newly_killed:
-        u = reduce_mod(H.etaR(A.gen(a)), prov, move)
+        u = h.images[a]
         if u.is_zero():
             continue
         i, e, rhs = _extract_power_rule(prov, u, taken)
@@ -202,12 +208,12 @@ def _induced_presentation(H, f0, name=None):
     except (InputError, DegreeError, IllegalExponent) as exc:
         raise UnsupportedBaseMap(f"derived relations unusable: {exc}") from exc
     for a in newly_killed:
-        if not reduce_mod(H.etaR(A.gen(a)), P2, move).is_zero():
+        if not reduce_mod(h.images[a], P2).is_zero():
             raise UnsupportedBaseMap(
                 f"relation from eta_R({A.names[a]}) does not rewrite to zero"
             )
-    H.induced[f0] = prov, P2
-    return prov, P2
+    H.induced[f0] = prov, P2, h
+    return prov, P2, h
 
 
 def induced_algebroid(H, f0, names=None):
@@ -215,16 +221,15 @@ def induced_algebroid(H, f0, names=None):
     structure maps; AxiomFailure unless Gamma_f passes `check_hopf_axioms`.
     `names` is (the algebroid's name, Gamma_f's name), by default
     ("(B,Gamma_f)", "Gamma_f[B]") with B's name for B."""
-    A, B, Gamma = H.A, f0.target, H.Gamma
+    B, Gamma = f0.target, H.Gamma
     nb = len(B.gens)
     if names is None:
         names = f"({B.name},Gamma_f)", None
-    _, P2 = _induced_presentation(H, f0, names[1])
+    _, P2, h = _induced_presentation(H, f0, names[1])
 
     move = _collapse(H)
     etaR = RingMorphism(
-        B, P2, [reduce_mod(H.etaR(A.gen(i)), P2, move) for i in range(nb)],
-        name="etaR",
+        B, P2, [reduce_mod(img, P2) for img in h.images], name="etaR"
     )
 
     def images(move_image):
@@ -308,17 +313,13 @@ def check_flat_witness(f, basis, bound=None):
     the composite actually produces, which keeps the truncated filtrations
     on both sides aligned."""
     v = Verdict()
-    C = _induced_presentation(f.source, f.f0)[0]
+    C, _, h = _induced_presentation(f.source, f.f0)
     A = f.source.A
     D = C.truncation
     if bound is None:
         bound = D
-    move = _collapse(f.source)
-    h_images = [
-        reduce_mod(f.source.etaR(A.gen(i)), C, move) for i in range(len(A.gens))
-    ]
     hw = []
-    for i, img in enumerate(h_images):
+    for i, img in enumerate(h.images):
         if img.is_zero():
             if not A.gen(i).is_zero():
                 v.fail(f"h kills {A.names[i]}; composite cannot be injective")
@@ -326,11 +327,6 @@ def check_flat_witness(f, basis, bound=None):
         else:
             hw.append(max(C.weight(m) for m in img.terms))
     if v.ok:
-        # Apply h to A-monomials directly from the generator images: the
-        # enumeration below is driven by the C-side weight hw, so a monomial
-        # may lie past A's own truncation boundary and must not be routed
-        # through A's normal form.
-        h_of = RingMorphism(A, C, h_images).monomial
         basis_elems = [
             (C.weight(b), C.monomial_degree(b), C.monomial_element(b))
             for b in basis
@@ -350,8 +346,12 @@ def check_flat_witness(f, basis, bound=None):
             except InfiniteBasis:
                 v.fail(f"C basis infinite in degree {t}")
                 continue
+            # h applies to A-monomials from its generator images: the walk
+            # is driven by the C-side weight hw, so a monomial may lie past
+            # A's own truncation boundary and must not be routed through
+            # A's normal form
             cols = [
-                (h_of(mono) * gb).terms
+                (h.monomial(mono) * gb).terms
                 for wb, db, gb in basis_elems
                 for mono in walks[D - wb](t - db)
             ]

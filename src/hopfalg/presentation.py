@@ -574,16 +574,7 @@ class Element:
             if inv is None:
                 raise SolveFailure("element is not a unit")
             return inv ** (-e)
-        result = self.pres.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base_needed = e >> 1
-            if base_needed:
-                base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.pres.one(), operator.mul)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -624,6 +615,20 @@ class Element:
             else:
                 parts.append(f"{c}*{mono}")
         return " + ".join(parts)
+
+
+def _power(x, e, one, mul):
+    """x ** e for e >= 0 by square-and-multiply, from `one` and `mul`: the
+    one sequence of products behind `Element.__pow__` and the packed
+    powers of `RingMorphism`."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
 
 
 def invert_element(x):
@@ -695,7 +700,7 @@ class _Packer:
     Normal times normal breaks no rule here, so `mul` is `Element.__mul__`
     on keys: the same pairs in the same order, the same truncation flag,
     coefficients summed raw and reduced once with `mode.coerce`, zeros
-    dropped.  `power` forms the products of `Element.__pow__`."""
+    dropped.  `_power` forms the products of `Element.__pow__` on them."""
 
     def __init__(self, P):
         n = len(P.gens)
@@ -762,17 +767,6 @@ class _Packer:
             if c != 0:
                 terms[k] = c
         return terms.items(), truncated, span if terms else 0
-
-    def power(self, x, e):
-        """x ** e for e > 0, through the products of `Element.__pow__`."""
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, x)
-            if e >> 1:
-                x = self.mul(x, x)
-            e >>= 1
-        return result
 
 
 class RingMorphism:
@@ -862,7 +856,7 @@ class RingMorphism:
                 if x is None:
                     x = packer.pack(self.images[i] if e > 0 else self._inverse(i))
                     self._packed[key] = x
-                power = powers[(i, e)] = packer.power(x, abs(e))
+                power = powers[(i, e)] = _power(x, abs(e), packer.one, packer.mul)
             prod = packer.mul(prod, power)
         return prod
 

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
-from hopfalg import files
+from hopfalg import fgl, files, morita
+from hopfalg.cobar import CobarComplex, ext_dims
+from hopfalg.comodule import Comodule
+from hopfalg.presentation import BaseMode, GradedPresentation, RingMorphism
 
 from conftest import (
     mu2_algebroid,
@@ -111,6 +114,78 @@ def test_oracle_groupoid_on_map(jw_files):
     reports = json.loads(r.stdout)["reports"]
     assert len(reports) == 1
     assert reports[0]["faithful"] and reports[0]["full"]
+
+
+def test_oracle_groupoid_on_an_algebroid_document_and_directory(mu2_dir):
+    """An algebroid document, or the directory holding algebroid.ini,
+    reports its groupoid per ring: mu_2 over F_3 has one object and the
+    two square roots of 1 as morphisms."""
+    want = [{"groupoid_laws": "corroborated", "morphisms": 2, "objects": 1,
+             "ring": "F_3"}]
+    for path in (mu2_dir / "algebroid.ini", mu2_dir):
+        r = run_cli("oracle", "groupoid", path, "--rings", "F_3")
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        assert out["source"] == path.name and out["reports"] == want
+
+
+def test_ext_with_a_comodule_is_the_in_process_table(tmp_path):
+    """`ext --comodule` prints the table of the cobar complex with those
+    coefficients: here the extension of the unit by x over the line
+    F_3[x]/(x^3), whose table is not the unit comodule's."""
+    line = primitive_line(3, 2, 3)
+    one, x = line.Gamma.one(), line.Gamma.gen(0)
+    M = Comodule(line, [("m0", 0), ("m1", 2)],
+                 {"m0": [(one, "m0")], "m1": [(one, "m1"), (x, "m0")]},
+                 name="x-extension")
+    files.write_algebroid(line, str(tmp_path))
+    (tmp_path / "comodule.ini").write_text(
+        files.emit_comodule(M, "algebroid.ini")
+    )
+    window = dict(s_max=3, t_min=0, t_max=12)
+    r = run_cli("ext", tmp_path / "algebroid.ini",
+                "--comodule", tmp_path / "comodule.ini",
+                "--smax", 3, "--tmin", 0, "--tmax", 12)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ext_dims(CobarComplex(line, M=M, **window)).to_csv()
+    assert r.stdout != ext_dims(CobarComplex(line, **window)).to_csv()
+
+
+def test_morita_check_fails_on_status_no(jw_files, tmp_path):
+    """A map whose f1 sends t1 to 0 has a combined map that is no
+    isomorphism: status "no", exit 1."""
+    doc = (jw_files / "map.ini").read_text()
+    assert "images = v1; 0; t1; t2" in doc
+    path = tmp_path / "map.ini"
+    path.write_text(
+        doc.replace("images = v1; 0; t1; t2", "images = v1; 0; 0; t2")
+        .replace("source.ini", str(jw_files / "source.ini"))
+        .replace("target.ini", str(jw_files / "target.ini"))
+    )
+    r = run_cli("morita", "check", path, "--degree", 8)
+    assert r.returncode == 1, r.stderr
+    out = json.loads(r.stdout)
+    assert out["status"] == "no" and not out["iso"]["ok"]
+
+
+def test_ext_aborts_on_a_mixed_height_pair(tmp_path):
+    """v_2^{-1}BP_*/I_1 at p=3 keeps v1 beside the inverted v2, and
+    eta_R(v2) = v2 + v1*t1^3 + 2*v1^3*t1 has terms of weight 16: the
+    outer face would raise key weights, so the command aborts (exit 3)
+    naming v2 instead of failing inside the differential."""
+    bp = fgl.assemble_bp(3, 52, max_gens=3)
+    B = GradedPresentation(
+        BaseMode("fp", 3), bp.A.gens, inverted=["v2"], truncation=52,
+        name="v2^-1BP*/I1@p=3",
+    )
+    f0 = RingMorphism(bp.A, B, [B.gen(i) for i in range(3)], name="f0")
+    files.write_algebroid(
+        morita.induced_algebroid(bp.H, f0).target, str(tmp_path)
+    )
+    r = run_cli("ext", tmp_path / "algebroid.ini",
+                "--smax", 1, "--tmin", 0, "--tmax", 16)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("aborted: eta_R(v2) has a term of weight 16 ")
 
 
 def test_oracle_budget_exhaustion(jw_files):

@@ -9,7 +9,7 @@ import pytest
 
 from hopfalg import files, fgl, hopf, morita
 from hopfalg.cobar import CobarComplex, ext_dims
-from hopfalg.errors import IntegralityFailure
+from hopfalg.errors import IntegralityFailure, UnsupportedBaseMap
 from hopfalg.fgl import (
     bp_generator_count,
     gen_degree,
@@ -28,7 +28,7 @@ def test_generator_degrees():
 
 def test_log_recursion_p3():
     # p*l_n = sum_{i<n} l_i v_{n-i}^{p^i} with l_0 = 1
-    logs = hazewinkel_logs(3, 2)
+    logs = hazewinkel_logs(3, 2, fgl.assemble_bp(3, gen_degree(3, 2)).A)
     P = logs[1].pres
     v1, v2 = P.gen(0), P.gen(1)
     assert logs[1] * P.scalar(Fraction(3)) == v1
@@ -68,7 +68,7 @@ def test_integrality_enforced():
     # the raw log coefficients themselves are non-integral; the assembled
     # structure maps eta_R, Delta and c must never be
     for p, D in [(2, 16), (2, 32), (3, 52)]:
-        logs = hazewinkel_logs(p, 2)
+        logs = hazewinkel_logs(p, 2, fgl.assemble_bp(p, gen_degree(p, 2)).A)
         assert any(
             Fraction(c).denominator != 1 for c in logs[2].terms.values()
         )
@@ -168,6 +168,21 @@ def test_inducing_along_a_composite_is_inducing_twice(p, D, gens, m, n):
         return ext_dims(CobarComplex(H, s_max=2, t_min=0, t_max=24)).to_csv()
 
     assert table(once) == table(twice)
+
+
+@pytest.mark.parametrize("p,D,gens", [(2, 16, None), (2, 32, 3), (3, 52, None)])
+def test_height_one_quotient_of_three_generator_towers_is_refused(p, D, gens):
+    """v_1^{-1}E(2)_*/I_1 over a tower with v_3: the relation from
+    eta_R(v_3) puts a negative power of v_1 into a rule's right side,
+    which rule extraction does not support yet.  Two-generator towers
+    build the pair (see `test_acceptance`)."""
+    bp = fgl.assemble_bp(p, D, max_gens=gens)
+    assert bp.N == 3
+    with pytest.raises(
+        UnsupportedBaseMap,
+        match="^derived relations unusable: negative exponent in rule RHS$",
+    ):
+        fgl.johnson_wilson(bp, 2, 1)
 
 
 # sha256 prefixes of the source pair's documents (algebroid, base): the

@@ -1,9 +1,11 @@
 """Source hygiene: every name a hopfalg module imports is used there,
 only an allowlist of functions keeps a process-wide memo, only `hopf`
 builds a tensor power, only `groupoid._from_elements` builds a finite
-ring, and the Ext path loads no module it does not run."""
+ring, only `files._write` forms a section header, and the Ext path
+loads no module it does not run."""
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -198,3 +200,61 @@ def test_ext_does_not_load_the_finite_ring_oracle(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 False"
+
+
+# A document's layout is written in one place, `files._write`, so no
+# emitter lays out its own sections again.
+_SECTION_HEADER = re.compile(r"\[[^\[\]]*\]\n?")
+
+
+def section_headers(source):
+    """(line, enclosing top-level definition or None) for every string
+    literal of `source` that is a bare INI section header `[name]`,
+    optionally with its newline; an f-string counts with each replacement
+    field standing for a name."""
+    tree = ast.parse(source)
+    parts = {
+        id(value)
+        for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+        for value in node.values
+    }
+    out = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(
+                    v.value if isinstance(v, ast.Constant) else "{}"
+                    for v in node.values
+                )
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in parts):
+                text = node.value
+            else:
+                continue
+            if _SECTION_HEADER.fullmatch(text):
+                out.append((node.lineno, getattr(top, "name", None)))
+    return sorted(out)
+
+
+def test_the_check_sees_a_section_header():
+    source = (
+        "def _write(name):\n"
+        "    return f'[{name}]\\n'\n"
+        "def emit(P):\n"
+        "    lines = ['[base]', 'mode = fp']\n"
+        "    return '\\n'.join(lines + [f'[{P.name}]', f'[gen{P.k}s]'])\n"
+        "NOTE = 'a [base] section needs p'\n"
+        "ERR = f'[{P.name}] needs {P.key}'\n"
+        "HEAD = '[f0]\\n'\n"
+    )
+    assert section_headers(source) == [
+        (2, "_write"), (4, "emit"), (5, "emit"), (5, "emit"), (8, None)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_write_forms_a_section_header(path):
+    found = section_headers(path.read_text(encoding="utf-8"))
+    if path.stem == "files":
+        found = [header for header in found if header[1] != "_write"]
+    assert found == []

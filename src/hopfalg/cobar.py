@@ -21,14 +21,19 @@ and the coaction face of a*[w|m] are eta_L(a) times the same faces of
 (Ravenel, Complex Cobordism, A1.2.11).  One formula covers it at every
 s, s = 0 included: the eta_L(a) part is degenerate, so the outer face is
 the terms of eta_R(a) with a nonempty morphism part, each put in front
-of w.  The a-free faces F(w, m) are built per key (`_faces`, then
-`_slide`), with the first slot kept as a full Gamma-element, degenerate
-terms included.  Each monomial m0 of that slot is multiplied by eta_L(a)
-in Gamma's normal form (relations, Koszul signs and weight truncation as
-in any product) before degenerate keys are projected away; that product
-is the one cached per (a, m0), `_etaL_times`, since keys of many words
-share both factors.  The normal form is linear, so this gives the same
-coordinates as expanding every face of every key.
+of w.  The a-free faces F(w, m) are built and slid per key (`_faces`).
+Only a face's own left factor can hold an A-part: the left factor of the
+reduced diagonal in its slot, or the coaction term.  The slots right of
+it are the key's own words, each its own normal form, and stay as they
+are.  That factor's terms are split once (`_dbar`, `_psi_reduced`), and
+their A-parts are carried into the word prefix left of them by
+`_carry`, cached per (prefix, A-part) since keys of many words share
+both.  Each monomial m0 of the first slot that comes out, degenerate
+ones included, is multiplied by eta_L(a) in Gamma's normal form
+(relations, Koszul signs and weight truncation as in any product)
+before degenerate keys are projected away; that product is the one
+cached per (a, m0), `_etaL_times`.  The normal form is linear, so this
+gives the same coordinates as expanding every face of every key.
 
 Each basis lists its keys by weight, descending (key order within one
 weight), so the keys above any weight cap are a prefix.  Each
@@ -143,11 +148,10 @@ class CobarComplex:
         self._etaL_times_cache = {}
         self._elem_cache = {}
         self._etaR_cache = {}
+        self._carry_cache = {}
         self._psi_reduced = {
-            g: sorted(
-                (other, gamma)
-                for other, gamma in M.psi[g].items()
-            )
+            g: [(other, self._split_terms(gamma))
+                for other, gamma in sorted(M.psi[g].items())]
             for g, _ in M.gens
         }
 
@@ -193,8 +197,9 @@ class CobarComplex:
         )
 
     def _dbar(self, w):
-        """Reduced diagonal of a morphism monomial, as a list of
-        (coefficient, left Gamma-element, right Gamma-monomial) triples."""
+        """Reduced diagonal of a morphism monomial with its degenerate
+        right factors dropped, as a list of (coefficient, `_split_terms` of
+        the left factor, right morphism monomial) triples."""
         got = self._dbar_cache.get(w)
         if got is not None:
             return got
@@ -205,7 +210,9 @@ class CobarComplex:
         out = []
         for mono, c in sorted(D.terms.items()):
             lmono, rmono = ts.split_monomial(mono)
-            out.append((c, H.Gamma.monomial_element(lmono), rmono))
+            if any(rmono):
+                lelem = H.Gamma.monomial_element(lmono)
+                out.append((int(c), self._split_terms(lelem), rmono))
         self._dbar_cache[w] = out
         return out
 
@@ -250,61 +257,68 @@ class CobarComplex:
 
     # -- the differential -------------------------------------------------
 
-    def _slide(self, coeff, slots):
-        """Slide the A-coefficients of slots[1:] leftwards into slots[0],
-        branching per monomial and dropping degenerate slots: a list of
-        (coefficient, first-slot Gamma-element, words of the later slots).
-        A trivial A-coefficient carries nothing: the slots are in normal
-        form, so multiplying by eta_R(1) = 1 would not change them."""
-        p = self.p
-        branches = [(coeff, (), None)]
-        for i in range(len(slots) - 1, 0, -1):
-            new = []
-            for c, ws, carry in branches:
-                g = slots[i] if carry is None else slots[i] * carry
-                for mono, cc in g.terms.items():
-                    a_part, w_part = self._split_gamma_mono(mono)
-                    if not any(w_part):
-                        continue  # degenerate slot
-                    new.append(
-                        (
-                            c * int(cc) % p,
-                            (w_part,) + ws,
-                            self._etaR_monomial(a_part)
-                            if any(a_part)
-                            else None,
-                        )
-                    )
-            branches = new
-        return [
-            (c, slots[0] if carry is None else slots[0] * carry, ws)
-            for c, ws, carry in branches
-        ]
+    def _split_terms(self, g):
+        """The nondegenerate terms of a Gamma-element, split once:
+        (A-part or None, morphism part, coefficient, monomial)."""
+        out = []
+        for mono, cc in g.terms.items():
+            a_part, w_part = self._split_gamma_mono(mono)
+            if any(w_part):
+                a_part = a_part if any(a_part) else None
+                out.append((a_part, w_part, int(cc), mono))
+        return out
+
+    def _carry(self, prefix, a):
+        """The slide of eta_R(x^a) into the word prefix w_1..w_k (k >= 1):
+        w_k * eta_R(a) is split, its degenerate terms dropped, and the
+        A-part of each term carried on into w_1..w_{k-1}.  A list of
+        (coefficient, first-slot Gamma-monomial, words of slots 2..k),
+        cached per (prefix, a)."""
+        got = self._carry_cache.get((prefix, a))
+        if got is not None:
+            return got
+        rest = prefix[:-1]
+        g = self._elem(prefix[-1]) * self._etaR_monomial(a)
+        if not rest:
+            got = [(int(cc), m0, ()) for m0, cc in g.terms.items()]
+        else:
+            got = []
+            for a2, w2, cc, _ in self._split_terms(g):
+                if a2 is None:
+                    got.append((cc, rest[0], rest[1:] + (w2,)))
+                else:
+                    got += [(cc * c, m0, ws + (w2,))
+                            for c, m0, ws in self._carry(rest, a2)]
+        self._carry_cache[(prefix, a)] = got
+        return got
 
     def _faces(self, word, mgen):
-        """The inner faces and the coaction face of [w|m], before the
-        outer coefficient multiplies the first slot: a list of
-        (coefficient, slots, module generator), one Gamma-element per slot,
-        for `_slide`."""
-        p = self.p
+        """The inner faces and the coaction face of [w|m], slid, before the
+        outer coefficient multiplies the first slot: (coefficient,
+        first-slot Gamma-monomial, words of the later slots, module
+        generator).  Only the face's left factor (the left factor of the
+        reduced diagonal in slot i, or the coaction term) can hold an
+        A-part: the slots right of it are pure words, and it is carried
+        into the slots left of it by `_carry`.  A term with no A-part, or
+        with no slot left of it, is its own slot."""
         s = len(word)
-        word_elems = [self._elem(w) for w in word]
-        faces = []
-        for i in range(1, s + 1):
-            sign = _neg_pow(i)
-            for c, lelem, rmono in self._dbar(word[i - 1]):
-                if not any(rmono):
+        # (slot, coefficient, left factor, words right of it, generator)
+        faces = [
+            (i, c, terms, (rmono,) + word[i:], mgen)
+            for i in range(1, s + 1)
+            for c, terms, rmono in self._dbar(word[i - 1])
+        ]
+        faces += [(s + 1, 1, terms, (), other)
+                  for other, terms in self._psi_reduced[mgen]]
+        for i, c, terms, suffix, out_gen in faces:
+            prefix, c = word[: i - 1], _neg_pow(i) * c
+            for a, w_part, cc, mono in terms:
+                if a is None or not prefix:  # mono == w_part if a is None
+                    head = prefix + (mono,) + suffix
+                    yield c * cc, head[0], head[1:], out_gen
                     continue
-                slots = (
-                    word_elems[: i - 1]
-                    + [lelem, self._elem(rmono)]
-                    + word_elems[i:]
-                )
-                faces.append((sign * int(c) % p, slots, mgen))
-        sign = _neg_pow(s + 1)
-        for other, gamma in self._psi_reduced[mgen]:
-            faces.append((sign, word_elems + [gamma], other))
-        return faces
+                for c2, m0, ws in self._carry(prefix, a):
+                    yield c * cc * c2, m0, ws + (w_part,) + suffix, out_gen
 
     def _etaL_times(self, a, m0):
         """eta_L(a) * m0 for an A-monomial `a` and a Gamma-monomial m0, in
@@ -332,8 +346,8 @@ class CobarComplex:
         monomials with nothing to slide, so the face adds each term of
         eta_R(a) with a nonempty morphism part, put in front of w, with
         coefficient +1.  The inner faces and the coaction face are
-        eta_L(a) times F(w, m): each face of `_faces` is slid, and each
-        monomial of its first slot goes through `_etaL_times`."""
+        eta_L(a) times F(w, m): each first-slot monomial of the slid
+        faces of `_faces` goes through `_etaL_times`."""
         a, word, mgen = key
         p = self.p
         acc = {}
@@ -342,12 +356,10 @@ class CobarComplex:
             if any(w_part):
                 k = (a_part, (w_part,) + word, mgen)
                 acc[k] = (acc.get(k, 0) + int(cc)) % p
-        for coeff, slots, out_gen in self._faces(word, mgen):
-            for c, g, ws in self._slide(coeff, slots):
-                for m0, c0 in g.terms.items():
-                    for a_part, w_part, cc in self._etaL_times(a, m0):
-                        k = (a_part, (w_part,) + ws, out_gen)
-                        acc[k] = (acc.get(k, 0) + c * int(c0) * cc) % p
+        for c, m0, ws, out_gen in self._faces(word, mgen):
+            for a_part, w_part, cc in self._etaL_times(a, m0):
+                k = (a_part, (w_part,) + ws, out_gen)
+                acc[k] = (acc.get(k, 0) + c * cc) % p
         return {k: v for k, v in acc.items() if v % p}
 
     def _columns(self, keys, s, t):

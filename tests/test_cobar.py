@@ -1,5 +1,6 @@
 """Cobar-complex cohomology against an independent hand-rolled oracle."""
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -353,11 +354,41 @@ def test_mode_guards():
 # the assembled differential against a face-by-face reference
 
 
+def _slide(C, coeff, slots):
+    """Slide the A-coefficients of slots[1:] leftwards into slots[0], slot
+    by slot from the right, branching per monomial and dropping degenerate
+    slots: a list of (coefficient, first-slot Gamma-element, words of the
+    later slots).  A trivial A-coefficient carries nothing: the slots are
+    in normal form, so multiplying by eta_R(1) = 1 would not change them."""
+    p = C.p
+    branches = [(coeff, (), None)]
+    for i in range(len(slots) - 1, 0, -1):
+        new = []
+        for c, ws, carry in branches:
+            g = slots[i] if carry is None else slots[i] * carry
+            for mono, cc in g.terms.items():
+                a_part, w_part = C._split_gamma_mono(mono)
+                if not any(w_part):
+                    continue  # degenerate slot
+                new.append(
+                    (
+                        c * int(cc) % p,
+                        (w_part,) + ws,
+                        C._etaR_monomial(a_part) if any(a_part) else None,
+                    )
+                )
+        branches = new
+    return [
+        (c, slots[0] if carry is None else slots[0] * carry, ws)
+        for c, ws, carry in branches
+    ]
+
+
 def _reduce_word(C, coeff, outer, slots, mgen, acc):
     """Accumulate the canonical coordinates of
     eta_L(outer) * slots[0] (x) ... (x) slots[-1] (x) mgen into acc."""
     p = C.p
-    for c, g, ws in C._slide(coeff, slots):
+    for c, g, ws in _slide(C, coeff, slots):
         if outer is not None:
             g = C._etaL_monomial(outer) * g
         for mono, cc in g.terms.items():
@@ -368,11 +399,18 @@ def _reduce_word(C, coeff, outer, slots, mgen, acc):
             acc[k] = (acc.get(k, 0) + c * int(cc)) % p
 
 
+def _element(C, terms):
+    """The Gamma-element of the split terms `_dbar` and `_psi_reduced`
+    store."""
+    return C.H.Gamma.element([(cc, mono) for _, _, cc, mono in terms])
+
+
 def reference_d_of_key(C, key):
     """d of one basis key with every face expanded for this key alone,
     eta_L(a) applied inside each face, and the outer face in two cases
     (s >= 1 with a nontrivial coefficient, and s = 0): the assembly the
-    complex used before the a-free faces were shared between keys."""
+    complex used before the a-free faces were shared between keys, with
+    every slot of every face slid by `_slide`."""
     a, word, mgen = key
     H = C.H
     s = len(word)
@@ -384,18 +422,16 @@ def reference_d_of_key(C, key):
         )
     for i in range(1, s + 1):
         sign = -1 if i % 2 else 1
-        for c, lelem, rmono in C._dbar(word[i - 1]):
-            if not any(rmono):
-                continue
+        for c, terms, rmono in C._dbar(word[i - 1]):
             slots = (
                 word_elems[: i - 1]
-                + [lelem, H.Gamma.monomial_element(rmono)]
+                + [_element(C, terms), H.Gamma.monomial_element(rmono)]
                 + word_elems[i:]
             )
             _reduce_word(C, sign * int(c) % C.p, a, slots, mgen, acc)
     sign = -1 if (s + 1) % 2 else 1
-    for other, gamma in C._psi_reduced[mgen]:
-        _reduce_word(C, sign, a, word_elems + [gamma], other, acc)
+    for other, terms in C._psi_reduced[mgen]:
+        _reduce_word(C, sign, a, word_elems + [_element(C, terms)], other, acc)
     if s == 0:
         _reduce_word(
             C, -sign % C.p, None, [C._etaR_monomial(a)], mgen, acc
@@ -452,6 +488,61 @@ def test_differential_matches_reference_comodules(flagship):
     term, and windows where a key leaves the enumerated basis."""
     for M in comodule_catalog(mu2_algebroid(), flagship):
         assert_differentials_match(M.H, M, 3, -16, 16)
+
+
+def _v1t1_extension(H):
+    """psi(m1) = 1 (x) m1 + v1*t1 (x) m0 over the source pair: the one
+    comodule here whose coaction term has a nontrivial A-part, so the
+    coaction face carries it into the word.  v1 is primitive there."""
+    from hopfalg.comodule import Comodule
+
+    G = H.Gamma
+    v1t1 = G.gen(G.names.index("v1")) * G.gen(G.names.index("t1"))
+    return Comodule(
+        H,
+        [("m0", 0), ("m1", 8)],
+        {"m0": [(G.one(), "m0")], "m1": [(G.one(), "m1"), (v1t1, "m0")]},
+        name="v1t1-extension/source-pair",
+    )
+
+
+def test_coaction_face_carries_an_a_part(flagship):
+    """d against both references on every key at s <= 2, |t| <= 16.  As
+    on the t1-extension, the coaction face adds t1 to the key weight, so
+    some terms of d lie above D."""
+    from hopfalg.comodule import check_comodule
+
+    _, H1, _, _ = flagship
+    M = _v1t1_extension(H1)
+    assert check_comodule(M).ok
+    assert_differentials_match(H1, M, 2, -16, 16)
+    C = CobarComplex(H1, M=M, s_max=2, t_min=-16, t_max=16)
+    assert _coface_split(C, range(-16, 17)) == (5040, 630)
+
+
+# sha256 of the columns of d_{s,t}, s <= 2, over one period of t from -16,
+# as `repr` prints them (their dict order included)
+DIFFERENTIAL_COLUMN_HASHES = {
+    "source": "b42651e353870d55fc19d3389238b97cd6402c99020820545cf9d01d6e0d2ce4",
+    "induced": "c1401dc40a1eaa527876a0edd6341e6c160bcfae21b4b0999737b5f3d009b892",
+    "p2": "654515cccbdeb8ee502a40bbe7695f6d44119bbce95c34b0c5bf16a6fe9512e3",
+}
+
+
+def test_differential_columns_are_frozen(flagship):
+    """Every column of the assembled differential, bit for bit, on the two
+    flagship pairs and the p=2 pair."""
+    _, H1, H2, _ = flagship
+    got = {}
+    for name, H in (("source", H1), ("induced", H2), ("p2", _p2_pair())):
+        C = CobarComplex(H, s_max=2, t_min=-16, t_max=16)
+        cols = [
+            [list(col.items()) for col in C.d_columns(s, t)]
+            for s in range(3)
+            for t in range(-16, -16 + C.period())
+        ]
+        got[name] = hashlib.sha256(repr(cols).encode()).hexdigest()
+    assert got == DIFFERENTIAL_COLUMN_HASHES
 
 
 # ---------------------------------------------------------------------------

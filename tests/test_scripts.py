@@ -30,6 +30,10 @@ def test_run_change_of_rings_agrees():
         "--inner", 16,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "# agreement" in proc.stdout
+    assert (
+        "# agreement: tables identical on the whole window; caps D=24, "
+        "t1..t2, inner 16; first generator missing from the tower: t3 in "
+        "degree 52; the window is not certified\n"
+    ) in proc.stdout
     for label in ("source", "induced"):
         assert re.search(rf"^# {label} table: \d+\.\d\ds$", proc.stdout, re.M)
